@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .linalg import Matrix
-from .skewpoly import OreRing, SkewPoly, lclm_list, right_eval
+from .gf import FieldElement
+from .skewpoly import OreRing, SkewPoly, field_index, lclm_list, norms_i, right_eval
 
 
 def _sorted_points(points):
@@ -48,13 +49,10 @@ def vandermonde(ring: OreRing, points, nrows: int | None = None) -> Matrix:
     """V_r(Z): row i holds N_i(z_j)."""
     pts = list(points)
     r = len(pts) if nrows is None else nrows
-    rows = []
-    cur = [ring.field.one] * len(pts)
-    for i in range(r):
-        if i:
-            cur = [ring.sigma(n) * z + ring.delta(n) for n, z in zip(cur, pts)]
-        rows.append(list(cur))
-    return Matrix.over_field(ring.field, rows, len(pts))
+    field = ring.field
+    cols = [norms_i(ring, field_index(field, z), r - 1) for z in pts]
+    rows = [[FieldElement(field, col[i]) for col in cols] for i in range(r)]
+    return Matrix.over_field(field, rows, len(pts))
 
 
 def wronskian(ring: OreRing, points, nrows: int | None = None) -> Matrix:

@@ -184,6 +184,8 @@ class FiniteField:
         self._zech = zech
         # index of -1: exponent offset for negation
         self._neg_shift = 0 if self.q == 2 else t // 2
+        # phi^p multiplies the exponent by q^p mod t
+        self._frob_mul = [pow(self.q, p, t) for p in range(self.k)]
 
     # -- fast index-space arithmetic ---------------------------------------
 
@@ -192,12 +194,11 @@ class FiniteField:
             return b
         if b == 0:
             return a
-        ea, eb = a - 1, b - 1
-        d = (ea - eb) % self.t
-        z = self._zech[d]
+        t = self.t
+        z = self._zech[(a - b) % t]
         if z is None:
             return 0
-        return (eb + z) % self.t + 1
+        return (b - 1 + z) % t + 1
 
     def neg_i(self, a: int) -> int:
         if a == 0 or self.q == 2:
@@ -205,12 +206,12 @@ class FiniteField:
         return (a - 1 + self._neg_shift) % self.t + 1
 
     def sub_i(self, a: int, b: int) -> int:
-        return self.add_i(a, self.neg_i(b))
+        return self.add_i(a, b if self.q == 2 else self.neg_i(b))
 
     def mul_i(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return (a - 1 + b - 1) % self.t + 1
+        return (a + b - 2) % self.t + 1
 
     def inv_i(self, a: int) -> int:
         if a == 0:
@@ -228,7 +229,7 @@ class FiniteField:
         """sigma^power(z) for sigma = Frobenius z -> z^q, on indices."""
         if a == 0:
             return 0
-        return ((a - 1) * pow(self.q, power % self.k, self.t)) % self.t + 1
+        return ((a - 1) * self._frob_mul[power % self.k]) % self.t + 1
 
     # -- element factories ---------------------------------------------------
 

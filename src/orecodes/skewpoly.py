@@ -1,10 +1,11 @@
 """The Ore extension A = F[x; sigma, delta] over a finite field.
 
-Polynomials are dense coefficient tuples (low degree first, trailing zeros
-trimmed) with the multiplication rule x*r = sigma(r)*x + delta(r).  All
-divisions are exact; gcrd/lclm come with Bezout certificates; evaluation,
-conjugacy, two-sided/bound polynomials, similarity and brute-force
-factorization follow the conventions of noncommutative coding theory.
+Polynomials are tuples of field indices (low degree first, trailing zeros
+trimmed), boxed as FieldElements only by coeffs, p[i] and lc(); the kernels
+apply the rule x*r = sigma(r)*x + delta(r) on indices.  All divisions are
+exact; gcrd/lclm come with Bezout certificates; evaluation, conjugacy,
+two-sided/bound polynomials, similarity and brute-force factorization follow
+the conventions of noncommutative coding theory.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ class OreRing:
         if isinstance(w, int):
             w = field.from_int(w)
         self.delta = InnerDerivation(self.sigma, w)
-        self.zero = SkewPoly(self, ())
-        self.one = SkewPoly(self, (field.one,))
-        self.x = SkewPoly(self, (field.zero, field.one))
+        self._w = 0 if self.delta.is_zero else self.delta.w.idx  # index of w; 0 when delta = 0
+        self.zero = _from_idx(self, [])
+        self.one = _from_idx(self, [1])
+        self.x = _from_idx(self, [0, 1])
 
     @property
     def is_auto_type(self) -> bool:
@@ -41,35 +43,25 @@ class OreRing:
         return self.sigma.order
 
     def poly(self, coeffs) -> "SkewPoly":
-        out = []
-        for c in coeffs:
-            if isinstance(c, int):
-                c = self.field.from_int(c)
-            elif not isinstance(c, FieldElement) or c.field is not self.field:
-                raise DomainError("coefficient from a different field")
-            out.append(c)
-        while out and not out[-1]:
-            out.pop()
-        return SkewPoly(self, tuple(out))
+        return SkewPoly(self, coeffs)
 
     def monomial(self, degree: int, coeff=1) -> "SkewPoly":
-        c = self.field.from_int(coeff) if isinstance(coeff, int) else coeff
-        return self.poly([self.field.zero] * degree + [c])
+        return _from_idx(self, [0] * degree + [field_index(self.field, coeff)])
 
     def linear(self, z: FieldElement) -> "SkewPoly":
         """The polynomial x - z."""
-        return self.poly([-z, self.field.one])
+        return _from_idx(self, [self.field.neg_i(field_index(self.field, z)), 1])
 
     def parse(self, text: str, var: str = "x") -> "SkewPoly":
         return parse_poly(self, text, var)
 
     def all_polys(self, degree: int, monic: bool = True):
         """Iterate polynomials of exactly the given degree in coefficient-lex order."""
-        els = self.field.elements()
-        lead = [self.field.one] if monic else [z for z in els if z]
-        for tail in itertools.product(els, repeat=degree):
+        size = self.field.size
+        lead = [1] if monic else range(1, size)
+        for tail in itertools.product(range(size), repeat=degree):
             for lc in lead:
-                yield self.poly(list(tail) + [lc])
+                yield _from_idx(self, [*tail, lc])
 
     def __eq__(self, other):
         return (
@@ -80,43 +72,71 @@ class OreRing:
         )
 
     def __hash__(self):
-        return hash((id(self.field), self.sigma.l, 0 if self.delta.is_zero else self.delta.w.idx))
+        return hash((id(self.field), self.sigma.l, self._w))
 
     def __repr__(self):
         d = "" if self.delta.is_zero else f",delta_w={self.delta.w!r}"
         return f"{self.field!r}[x;phi^{self.sigma.l}{d}]"
 
 
-class SkewPoly:
-    __slots__ = ("ring", "coeffs")
+def field_index(field: FiniteField, c) -> int:
+    """Index of c, an element of field or an integer (mapped into the prime subfield)."""
+    if isinstance(c, FieldElement) and c.field is field:
+        return c.idx
+    if isinstance(c, int):
+        return field.from_int(c).idx
+    raise DomainError("element from a different field")
 
-    def __init__(self, ring: OreRing, coeffs: tuple):
+
+def _trimmed(idx: list) -> tuple:
+    while idx and not idx[-1]:
+        idx.pop()
+    return tuple(idx)
+
+
+def _from_idx(ring: OreRing, idx: list) -> "SkewPoly":
+    """The polynomial with coefficient indices idx (a list, trimmed in place)."""
+    p = SkewPoly.__new__(SkewPoly)
+    p.ring = ring
+    p.idx = _trimmed(idx)
+    return p
+
+
+class SkewPoly:
+    __slots__ = ("ring", "idx")
+
+    def __init__(self, ring: OreRing, coeffs=()):
         self.ring = ring
-        self.coeffs = coeffs
+        self.idx = _trimmed([field_index(ring.field, c) for c in coeffs])
+
+    @property
+    def coeffs(self) -> tuple:
+        field = self.ring.field
+        return tuple(FieldElement(field, c) for c in self.idx)
 
     @property
     def degree(self) -> int:
         """Degree, with the convention deg(0) = -1."""
-        return len(self.coeffs) - 1
+        return len(self.idx) - 1
 
     def lc(self) -> FieldElement:
-        if not self.coeffs:
+        if not self.idx:
             raise DomainError("leading coefficient of the zero polynomial")
-        return self.coeffs[-1]
+        return FieldElement(self.ring.field, self.idx[-1])
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.ring.field.one
+        return bool(self.idx) and self.idx[-1] == 1
 
     def monic(self) -> "SkewPoly":
-        if not self.coeffs:
+        if not self.idx:
             raise DomainError("cannot normalize the zero polynomial")
         if self.is_monic:
             return self
         return self.lc().inverse() * self
 
     def __getitem__(self, i: int) -> FieldElement:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ring.field.zero
+        return FieldElement(self.ring.field, self.idx[i] if 0 <= i < len(self.idx) else 0)
 
     def _check(self, other):
         if not isinstance(other, SkewPoly):
@@ -126,40 +146,32 @@ class SkewPoly:
 
     def __add__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return self.ring.poly([self[i] + other[i] for i in range(n)])
+        add = self.ring.field.add_i
+        pairs = itertools.zip_longest(self.idx, other.idx, fillvalue=0)
+        return _from_idx(self.ring, [add(a, b) for a, b in pairs])
 
     def __neg__(self):
-        return self.ring.poly([-c for c in self.coeffs])
+        neg = self.ring.field.neg_i
+        return _from_idx(self.ring, [neg(c) for c in self.idx])
 
     def __sub__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return self.ring.poly([self[i] - other[i] for i in range(n)])
+        sub = self.ring.field.sub_i
+        pairs = itertools.zip_longest(self.idx, other.idx, fillvalue=0)
+        return _from_idx(self.ring, [sub(a, b) for a, b in pairs])
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             other = self.ring.poly([other])
         self._check(other)
-        if not self.coeffs or not other.coeffs:
-            return self.ring.zero
-        acc = [self.ring.field.zero] * (self.degree + other.degree + 1)
-        cur = other
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, c in enumerate(cur.coeffs):
-                    if c:
-                        acc[j] = acc[j] + a * c
-            if i < self.degree:
-                cur = _x_times(cur)
-        return self.ring.poly(acc)
+        return _from_idx(self.ring, _mul_i(self.ring, self.idx, other.idx))
 
     def __rmul__(self, other):
         # left multiplication by a constant does not twist coefficients
-        if isinstance(other, int):
-            other = self.ring.field.from_int(other)
-        if isinstance(other, FieldElement):
-            return self.ring.poly([other * c for c in self.coeffs])
+        if isinstance(other, (int, FieldElement)):
+            field = self.ring.field
+            k, mul = field_index(field, other), field.mul_i
+            return _from_idx(self.ring, [mul(k, c) for c in self.idx])
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -174,14 +186,14 @@ class SkewPoly:
         return (
             isinstance(other, SkewPoly)
             and self.ring == other.ring
-            and self.coeffs == other.coeffs
+            and self.idx == other.idx
         )
 
     def __hash__(self):
-        return hash((self.ring, self.coeffs))
+        return hash((self.ring, self.idx))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.idx)
 
     def __repr__(self):
         return poly_str(self)
@@ -193,44 +205,16 @@ class SkewPoly:
         self._check(d)
         if not d:
             raise ZeroDivisionError("right division by zero")
-        ring, sigma = self.ring, self.ring.sigma
-        dd = d.degree
-        lc_d = d.lc()
-        r = list(self.coeffs)
-        q = [ring.field.zero] * max(len(r) - dd, 0)
-        while len(r) - 1 >= dd:
-            c = r[-1]
-            if c:
-                e = len(r) - 1 - dd
-                qc = c / sigma(lc_d, e)
-                q[e] = qc
-                step = ring.monomial(e, qc) * d
-                for j, v in enumerate(step.coeffs):
-                    r[j] = r[j] - v
-            r.pop()
-        return ring.poly(q), ring.poly(r)
+        q, r = _right_divmod_i(self.ring, self.idx, d.idx)
+        return _from_idx(self.ring, q), _from_idx(self.ring, r)
 
     def left_divmod(self, d: "SkewPoly"):
         """q, r with self = d*q + r and deg r < deg d (sigma bijective)."""
         self._check(d)
         if not d:
             raise ZeroDivisionError("left division by zero")
-        ring, sigma = self.ring, self.ring.sigma
-        dd = d.degree
-        lc_d = d.lc()
-        r = list(self.coeffs)
-        q = [ring.field.zero] * max(len(r) - dd, 0)
-        while len(r) - 1 >= dd:
-            c = r[-1]
-            if c:
-                e = len(r) - 1 - dd
-                qc = sigma(c / lc_d, -dd)
-                q[e] = qc
-                step = d * ring.monomial(e, qc)
-                for j, v in enumerate(step.coeffs):
-                    r[j] = r[j] - v
-            r.pop()
-        return ring.poly(q), ring.poly(r)
+        q, r = _left_divmod_i(self.ring, self.idx, d.idx)
+        return _from_idx(self.ring, q), _from_idx(self.ring, r)
 
     def right_divides(self, g: "SkewPoly") -> bool:
         return not g.right_divmod(self)[1]
@@ -239,45 +223,141 @@ class SkewPoly:
         return not g.left_divmod(self)[1]
 
 
-def _x_times(p: SkewPoly) -> SkewPoly:
-    ring = p.ring
-    sigma, delta = ring.sigma, ring.delta
-    out = [ring.field.zero] * (len(p.coeffs) + 1)
-    for j, c in enumerate(p.coeffs):
+# -- index-space kernels (lists of field indices, low degree first) ----------------
+
+def _x_times_i(ring: OreRing, c) -> list:
+    """x * sum c_j x^j = sum sigma(c_j) x^{j+1} + delta(c_j) x^j."""
+    field = ring.field
+    frob, l = field.frob_i, ring.sigma.l
+    sc = [frob(v, l) if v else 0 for v in c]
+    out = [0] + sc
+    w = ring._w
+    if w:
+        add, sub, mul = field.add_i, field.sub_i, field.mul_i
+        for j, v in enumerate(c):
+            if v:
+                out[j] = add(out[j], mul(w, sub(sc[j], v)))
+    return out
+
+
+def _addmul(field: FiniteField, acc: list, k: int, row, off: int) -> None:
+    """acc[off + j] += k * row[j] for every j."""
+    add, mul = field.add_i, field.mul_i
+    for j, v in enumerate(row, off):
+        if v:
+            acc[j] = add(acc[j], mul(k, v))
+
+
+def _x_power_rows(ring: OreRing, d, count: int) -> list:
+    """(off, row) for e = 0 .. count-1 with x^e * d = sum_j row[j] x^{off+j}.
+    With delta = 0 the row is sigma^e(d) at offset e, and sigma^e depends only
+    on e mod s; otherwise each row is x times the previous one."""
+    if ring._w:
+        rows = [list(d)]
+        for _ in range(count - 1):
+            rows.append(_x_times_i(ring, rows[-1]))
+        return [(0, row) for row in rows]
+    frob, l, s = ring.field.frob_i, ring.sigma.l, ring.s
+    twisted = [[frob(v, l * e) if v else 0 for v in d] for e in range(min(s, count))]
+    return [(e, twisted[e % s]) for e in range(count)]
+
+
+def _mul_i(ring: OreRing, a, b) -> list:
+    """a * b = sum_i a_i (x^i * b)."""
+    if not a or not b:
+        return []
+    acc = [0] * (len(a) + len(b) - 1)
+    for ai, (off, row) in zip(a, _x_power_rows(ring, b, len(a))):
+        if ai:
+            _addmul(ring.field, acc, ai, row, off)
+    return acc
+
+
+def _right_divmod_i(ring: OreRing, a, d) -> tuple:
+    """q, r with a = q*d + r and deg r < deg d (d nonzero): the top coefficient
+    of r at x^{e + deg d} is removed by qc * (x^e * d), each row x^e * d built once."""
+    field = ring.field
+    mul, inv, neg = field.mul_i, field.inv_i, field.neg_i
+    dd = len(d) - 1
+    r = list(a)
+    count = len(r) - dd
+    if count <= 0:
+        return [], r
+    q = [0] * count
+    rows = _x_power_rows(ring, d, count)
+    for e in range(count - 1, -1, -1):
+        c = r[e + dd]
         if c:
-            out[j + 1] = out[j + 1] + sigma(c)
-            if not delta.is_zero:
-                out[j] = out[j] + delta(c)
-    return ring.poly(out)
+            off, row = rows[e]
+            q[e] = qc = mul(c, inv(row[-1]))
+            _addmul(field, r, neg(qc), row, off)
+    return q, r[:dd]
+
+
+def _left_divmod_i(ring: OreRing, a, d) -> tuple:
+    """q, r with a = d*q + r and deg r < deg d (d nonzero): the top coefficient c
+    of r at x^{e + deg d} is removed by d * (qc x^e) = (d * qc) x^e, where
+    qc = sigma^{-deg d}(c / lc(d))."""
+    field = ring.field
+    mul, inv, neg, frob = field.mul_i, field.inv_i, field.neg_i, field.frob_i
+    dd = len(d) - 1
+    r = list(a)
+    count = len(r) - dd
+    if count <= 0:
+        return [], r
+    q = [0] * count
+    lc_inv, back = inv(d[-1]), -ring.sigma.l * dd
+    minus_one = neg(1)
+    for e in range(count - 1, -1, -1):
+        c = r[e + dd]
+        if c:
+            q[e] = qc = frob(mul(c, lc_inv), back)
+            _addmul(field, r, minus_one, _mul_i(ring, d, [qc]), e)
+    return q, r[:dd]
 
 
 # -- evaluation ---------------------------------------------------------------
 
+def norms_i(ring: OreRing, z: int, r: int) -> list:
+    """Indices of N_0(z), ..., N_r(z) for the point with index z:
+    N_0(z) = 1, N_{i+1}(z) = sigma(N_i(z))*z + delta(N_i(z))."""
+    field = ring.field
+    add, sub, mul, frob = field.add_i, field.sub_i, field.mul_i, field.frob_i
+    l, w = ring.sigma.l, ring._w
+    out = [1]
+    for _ in range(r):
+        n = out[-1]
+        sn = frob(n, l)
+        nxt = mul(sn, z)
+        if w:
+            nxt = add(nxt, mul(w, sub(sn, n)))
+        out.append(nxt)
+    return out
+
+
 def norm(ring: OreRing, i: int, z: FieldElement) -> FieldElement:
-    """N_0(z) = 1, N_{i+1}(z) = sigma(N_i(z))*z + delta(N_i(z))."""
+    """N_i(z) (see norms_i)."""
     if i < 0:
         raise DomainError("norm index must be >= 0")
-    acc = ring.field.one
-    for _ in range(i):
-        acc = ring.sigma(acc) * z + ring.delta(acc)
-    return acc
+    field = ring.field
+    return FieldElement(field, norms_i(ring, field_index(field, z), i)[i])
 
 
 def right_eval(g: SkewPoly, z: FieldElement) -> FieldElement:
     """Remainder of g by (x - z); cross-checked against the norm-sum formula."""
     ring = g.ring
-    r = g.right_divmod(ring.linear(z))[1]
-    rem = r[0] if r else ring.field.zero
-    acc = ring.field.zero
-    n = ring.field.one
-    for i, c in enumerate(g.coeffs):
-        if i:
-            n = ring.sigma(n) * z + ring.delta(n)
+    field = ring.field
+    zi = field_index(field, z)
+    r = _right_divmod_i(ring, g.idx, [field.neg_i(zi), 1])[1]
+    rem = r[0] if r else 0
+    add, mul = field.add_i, field.mul_i
+    acc = 0
+    for c, n in zip(g.idx, norms_i(ring, zi, g.degree)):
         if c:
-            acc = acc + c * n
+            acc = add(acc, mul(c, n))
     if acc != rem:  # pragma: no cover - the two evaluations always agree
         raise AssertionError("norm-sum and division-remainder evaluation disagree")
-    return rem
+    return FieldElement(field, rem)
 
 
 def operator_eval(g: SkewPoly, z: FieldElement) -> FieldElement:
@@ -438,7 +518,7 @@ def annihilator_poly(a: SkewPoly, f: SkewPoly) -> SkewPoly:
     bound = ring.s * n * field.k + 1
     for _ in range(bound):
         rows.append([cur[j] for j in range(n)])
-        cur = _x_times(cur).right_divmod(f)[1]
+        cur = (ring.x * cur).right_divmod(f)[1]
         # monic h of degree D = len(rows): x^D a + sum_{i<D} h_i x^i a = 0 mod f
         target = [-cur[j] for j in range(n)]
         sol = Matrix.over_field(field, rows, n).transpose().solve(target)
@@ -506,9 +586,12 @@ def similarity_test(g: SkewPoly, h: SkewPoly):
 
         return True, identity(m, field.zero, field.one)
     if field.size ** m > MAX_SEARCH:
-        raise GuardError("similarity search space exceeds desk scale")
-    for tail in itertools.product(field.elements(), repeat=m):
-        p = ring.poly(tail)
+        raise GuardError(
+            f"similarity search space |F|^m = {field.size}^{m} = {field.size ** m} "
+            f"exceeds the cap {MAX_SEARCH}"
+        )
+    for tail in itertools.product(range(field.size), repeat=m):
+        p = _from_idx(ring, list(tail))
         if not p:
             continue
         if (g * p).right_divmod(h)[1]:
@@ -519,7 +602,7 @@ def similarity_test(g: SkewPoly, h: SkewPoly):
         cur = p
         for _ in range(m):
             rows.append([cur[j] for j in range(m)])
-            cur = _x_times(cur).right_divmod(h)[1]
+            cur = (ring.x * cur).right_divmod(h)[1]
         B = Matrix.over_field(field, rows, m)
         sB = Matrix.over_field(field, [[ring.sigma(v) for v in r] for r in rows], m)
         assert companion_matrix(g) * B == sB * companion_matrix(h)
@@ -532,12 +615,15 @@ MAX_SEARCH = 1 << 16
 
 # -- factorization ------------------------------------------------------------
 
+FACTOR_MAX_DEGREE = 6
+FACTOR_MAX_FIELD = 64
+
+
 def _min_right_divisor(g: SkewPoly):
     """Lex-least monic right divisor of minimal degree 1..deg-1, or None."""
     ring = g.ring
     for dd in range(1, g.degree):
-        for tail in itertools.product(ring.field.elements(), repeat=dd):
-            d = ring.poly(list(tail) + [ring.field.one])
+        for d in ring.all_polys(dd):
             if d.right_divides(g):
                 return d
     return None
@@ -556,8 +642,12 @@ def factor_irreducible(g: SkewPoly):
         raise DomainError("cannot factor the zero polynomial")
     if g.degree == 0:
         raise DomainError("cannot factor a unit")
-    if g.degree > 6 or g.ring.field.size > 64:
-        raise GuardError("factorization guard: deg <= 6 and |F| <= 64")
+    size = g.ring.field.size
+    if g.degree > FACTOR_MAX_DEGREE or size > FACTOR_MAX_FIELD:
+        raise GuardError(
+            f"factorization guard: degree {g.degree} (cap {FACTOR_MAX_DEGREE}), "
+            f"|F| = {size} (cap {FACTOR_MAX_FIELD})"
+        )
     unit = g.lc()
     cur = g.monic()
     factors: list[SkewPoly] = []

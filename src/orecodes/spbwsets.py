@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import weakref
 from dataclasses import dataclass
 
 from .errors import DomainError, GuardError
@@ -23,10 +22,6 @@ from .spbw import (
     reduce_full,
     two_sided_closure,
 )
-
-# per-presentation cache of point closures; weak keys so presentations
-# (and their caches) can be collected
-_closure_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def point_poly(pres: PBWPresentation, Z) -> list:
@@ -43,12 +38,12 @@ def point_poly(pres: PBWPresentation, Z) -> list:
 
 
 def point_closure(pres: PBWPresentation, Z) -> list:
-    """Cached two-sided closure of <Z>."""
+    """Two-sided closure of <Z>, cached on the presentation."""
     Z = tuple(Z)
-    per_pres = _closure_cache.setdefault(pres, {})
-    if Z not in per_pres:
-        per_pres[Z] = two_sided_closure(point_poly(pres, Z))
-    return per_pres[Z]
+    cache = pres._closure_cache
+    if Z not in cache:
+        cache[Z] = two_sided_closure(point_poly(pres, Z))
+    return cache[Z]
 
 
 def root_test(f: PBWPoly, Z) -> bool:

@@ -18,6 +18,7 @@ from orecodes.skewpoly import (
     factor_irreducible,
     gcrd,
     lclm,
+    norms_i,
     two_sided_test,
 )
 from orecodes import algset, codes, evalcodes, linearized, spbwsets
@@ -110,67 +111,43 @@ def _eval_equivalence_exhaustive(ring, max_deg):
     """Fast exhaustive check: division remainder by (x - z) equals the
     norm-sum, for every coefficient vector of degree <= max_deg and every z.
 
-    Runs on raw element indices: multiplication through discrete logs and
-    addition through the Zech table."""
+    Runs on raw element indices through the field's index operations; the
+    norms N_i(z) come from skewpoly.norms_i."""
     field = ring.field
-    t = field.t
-    zech = field._zech
+    add, sub, mul, frob = field.add_i, field.sub_i, field.mul_i, field.frob_i
     size = field.size
     sigma_l, w_idx = ring.sigma.l, (0 if ring.delta.is_zero else ring.delta.w.idx)
-
-    def add(a, b):
-        if not a:
-            return b
-        if not b:
-            return a
-        z = zech[(a - b) % t]
-        return 0 if z is None else (b - 1 + z) % t + 1
-
-    def mul(a, b):
-        if not a or not b:
-            return 0
-        return (a + b - 2) % t + 1
-
-    # x^e * z expanded as a coefficient vector, and norms N_i(z), per z
-    frob = lambda a, p: 0 if not a else ((a - 1) * pow(field.q, (sigma_l * p) % field.k, t)) % t + 1
-    neg = field.neg_i
     for zidx in range(size):
-        exp_rows = {0: [zidx]}  # x^0 * z
+        # x^e * z expanded as a coefficient vector, e = 0 .. max_deg - 1
+        exp_rows = [[zidx]]
         for e in range(1, max_deg):
-            prev = exp_rows[e - 1]
             row = [0] * (e + 1)
-            for j, c in enumerate(prev):
+            for j, c in enumerate(exp_rows[-1]):
                 if c:
-                    row[j + 1] = add(row[j + 1], frob(c, 1))
+                    sc = frob(c, sigma_l)
+                    row[j + 1] = add(row[j + 1], sc)
                     if w_idx:
-                        row[j] = add(row[j], mul(w_idx, add(frob(c, 1), neg(c))))
-            exp_rows[e] = row
-        norms = [1]
-        for _ in range(max_deg):
-            n = norms[-1]
-            sn = frob(n, 1)
-            nxt = mul(sn, zidx)
-            if w_idx:
-                nxt = add(nxt, mul(w_idx, add(sn, neg(n))))
-            norms.append(nxt)
-        negz = neg(zidx)
+                        row[j] = add(row[j], mul(w_idx, sub(sc, c)))
+            exp_rows.append(row)
+        norms = norms_i(ring, zidx, max_deg)
+        # c * (x^e * z) and c * N_i(z) for every field element c
+        scaled_rows = [[[mul(c, v) for v in row] for c in range(size)] for row in exp_rows]
+        scaled_norms = [[mul(c, n) for c in range(size)] for n in norms]
         for gs in itertools.product(range(size), repeat=max_deg + 1):
             # remainder of g by (x - z): top-down elimination
             r = list(gs)
             for m in range(max_deg, 0, -1):
                 c = r[m]
                 if c:
-                    r[m] = 0
-                    ev = exp_rows[m - 1]
-                    for j in range(m):
-                        cj = ev[j]
-                        if cj:
-                            r[j] = add(r[j], mul(c, cj))
+                    for j, v in enumerate(scaled_rows[m - 1][c]):
+                        if v:
+                            r[j] = add(r[j], v)
             rem = r[0]
             acc = 0
-            for gi, ni in zip(gs, norms):
-                if gi and ni:
-                    acc = add(acc, mul(gi, ni))
+            for row, gi in zip(scaled_norms, gs):
+                v = row[gi]
+                if v:
+                    acc = add(acc, v)
             assert acc == rem, (gs, zidx)
 
 

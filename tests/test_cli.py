@@ -160,6 +160,17 @@ def test_guard_error_exit_code(capsys):
     assert code == 4
 
 
+def test_guard_error_json_reports_size_and_cap(capsys):
+    code, out, _ = run(
+        capsys,
+        ["poly", "factor", "--field", "GF(4)", "--sigma", "1", "--g", "x^7+x", "--format", "json"],
+    )
+    assert code == 4
+    assert json.loads(out) == {
+        "error": {"code": 4, "message": "factorization guard: degree 7 (cap 6), |F| = 4 (cap 64)"}
+    }
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as e:
         main(["poly", "mul", "--field", "GF(4)"])

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orecodes.errors import DomainError
+from orecodes.errors import DomainError, GuardError
 from orecodes.gf import GF
 from orecodes.skewpoly import (
     OreRing,
@@ -501,3 +501,20 @@ def test_ring_mismatch_raises():
     b = OreRing(GF(2, 2), 0).x
     with pytest.raises(DomainError):
         a * b
+
+
+# -- guards -----------------------------------------------------------------------------
+
+def test_factor_guard_reports_size_and_cap(R4):
+    with pytest.raises(GuardError, match=r"degree 7 \(cap 6\), \|F\| = 4 \(cap 64\)"):
+        factor_irreducible(R4.parse("x^7+x"))
+    big = OreRing(GF(2, 7), 1)
+    with pytest.raises(GuardError, match=r"degree 2 \(cap 6\), \|F\| = 128 \(cap 64\)"):
+        factor_irreducible(big.parse("x^2+1"))
+
+
+def test_similarity_guard_reports_size_and_cap():
+    ring = OreRing(GF(2, 5), 1)
+    g, h = ring.parse("x^4+g"), ring.parse("x^4+g^2")
+    with pytest.raises(GuardError, match=r"\|F\|\^m = 32\^4 = 1048576 exceeds the cap 65536"):
+        similarity_test(g, h)

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -13,6 +15,7 @@ from orecodes.spbwsets import (
     ideal_of_points_membership,
     normality_test,
     nullstellensatz_check,
+    point_closure,
     point_poly,
     root_test,
     truncated_ideal_of_points,
@@ -251,3 +254,15 @@ def test_nullstellensatz_spec_ideal(QP9):
     assert report["holds"]
     assert report["center_side"]["holds"]
     assert report["center_side"]["center_generators"] == ["x^2", "y^2"]
+
+
+def test_point_closure_cache_lives_on_the_presentation():
+    pres = qplane_gf(3, 2, "-1")
+    first = point_closure(pres, (0, 0))
+    assert point_closure(pres, (0, 0)) is first  # a warm call hits the cache
+    other = qplane_gf(3, 2, "-1")
+    assert point_closure(other, (0, 0)) is not first  # a new presentation starts cold
+    ref = weakref.ref(pres)
+    del pres, first
+    gc.collect()
+    assert ref() is None
