@@ -10,8 +10,6 @@ that setting.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import DomainError
 from .linalg import Matrix, identity
 from .skewpoly import OreRing, SkewPoly, gcrd, gcrd_bezout, lclm, two_sided_test
@@ -51,13 +49,33 @@ class LinearCode:
         return not any(H.mul_vec(list(word)))
 
     def words(self):
-        """All codewords (message-space enumeration)."""
-        for msg in itertools.product(self.field.elements(), repeat=self.dim):
-            word = [self.field.zero] * self.n
-            for m, row in zip(msg, self.G.rows):
-                if m:
-                    word = [wv + m * rv for wv, rv in zip(word, row)]
-            yield tuple(word)
+        """All codewords, zero first, in reflected Gray-code order of the
+        messages (digits are element indices): each word is the previous one
+        plus (new - old) * row_j for the one digit j that changes."""
+        F = self.field
+        size = F.size
+        elements = F.elements()
+        multiples = [  # multiples[j][d] = d * row_j
+            [[F.mul_i(d, v.idx) for v in row] for d in range(size)] for row in self.G.rows
+        ]
+        add = F.add_i
+        msg = [0] * self.dim
+        word = [0] * self.n
+        # tuple of a list, not of an iterator: tuple(iterator) resizes each word,
+        # which leaves thousands of dead tuples parked on CPython's free list
+        yield tuple([elements[i] for i in word])
+        for step in range(1, size ** self.dim):
+            # digit j (the lowest nonzero base-|F| digit of step) changes; it
+            # moves up while the digits above it form an even number
+            j, rest = 0, step
+            while rest % size == 0:
+                rest //= size
+                j += 1
+            old = msg[j]
+            msg[j] = old + 1 if (rest // size) % 2 == 0 else old - 1
+            delta = multiples[j][F.sub_i(msg[j], old)]
+            word = [add(w, m) for w, m in zip(word, delta)]
+            yield tuple([elements[i] for i in word])
 
     def same_code(self, other: "LinearCode") -> bool:
         return self.n == other.n and self.G.row_space_equals(other.G)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, GuardError
 from .gf import fixed_field_coordinates
-from .linalg import Matrix
+from .linalg import Matrix, rank_i
 from .skewpoly import OreRing
 from .algset import vandermonde, wronskian
 from .codes import LinearCode
@@ -77,10 +77,7 @@ def rank_of_word(ring: OreRing, z) -> int:
     """Dimension over F^sigma of the span of the coordinates, by expanding
     each coordinate over a fixed F^sigma-basis of F."""
     _, table = fixed_field_coordinates(ring.sigma)
-    rows = [list(table[c]) for c in z]
-    if not rows:
-        return 0
-    return Matrix.over_field(ring.field, rows).rank()
+    return rank_i(ring.field, [table[c.idx] for c in z])
 
 
 def rank_distance(ring: OreRing, z1, z2) -> int:
@@ -94,8 +91,9 @@ def min_distance(code: LinearCode, metric: str, ring: OreRing | None = None) -> 
     distance by linearity); exhaustive over the message space."""
     if code.dim == 0:
         raise DomainError("minimum distance of the zero code is undefined")
-    if code.field.size ** code.dim > MAX_MESSAGES:
-        raise GuardError("message space exceeds enumeration guard")
+    messages = code.field.size ** code.dim
+    if messages > MAX_MESSAGES:
+        raise GuardError(f"message space q^k = {messages} exceeds the cap {MAX_MESSAGES}")
     if metric == "hamming":
         weigh = hamming_weight
     elif metric == "rank":
@@ -154,15 +152,12 @@ def certify(code: LinearCode, kind: str, ring: OreRing | None = None) -> Certifi
 
 def _mds_column_check(code: LinearCode) -> bool:
     """Any r-k columns of the parity check matrix are linearly independent."""
-    H = code.parity_check()
+    H = _index_rows(code.parity_check())
     m = code.n - code.dim
     if m == 0:
         return True
     for cols in itertools.combinations(range(code.n), m):
-        sub = Matrix.over_field(
-            code.field, [[H.rows[i][c] for c in cols] for i in range(H.nrows)], m
-        )
-        if sub.rank() < m:
+        if rank_i(code.field, [[row[c] for c in cols] for row in H]) < m:
             return False
     return True
 
@@ -172,20 +167,32 @@ def _gabidulin_check(code: LinearCode, ring: OreRing, cap: int = 1 << 16):
     of rank r - k; enumerated only when the Y-space is small."""
     if code.dim > 4:
         return None
-    sub = ring.sigma.fixed_subfield()
-    m = code.n - code.dim
+    sub = [z.idx for z in ring.sigma.fixed_subfield()]
+    n, m = code.n, code.n - code.dim
     if m == 0:
         return True
-    if len(sub) ** (m * code.n) > cap:
+    if len(sub) ** (m * n) > cap:
         return None
-    Ht = code.parity_check().transpose()
-    ok = True
-    for entries in itertools.product(sub, repeat=m * code.n):
-        rows = [list(entries[i * code.n : (i + 1) * code.n]) for i in range(m)]
-        Y = Matrix.over_field(code.field, rows, code.n)
-        if Y.rank() < m:
+    F = code.field
+    add, mul = F.add_i, F.mul_i
+    H = _index_rows(code.parity_check())
+    # the rows of Y H^T are the images y H^T of the rows of Y
+    image = {}
+    for y in itertools.product(sub, repeat=n):
+        out = []
+        for h in H:
+            acc = 0
+            for a, b in zip(y, h):
+                acc = add(acc, mul(a, b))
+            out.append(acc)
+        image[y] = out
+    for Y in itertools.product(image, repeat=m):
+        if rank_i(F, Y) < m:
             continue
-        if (Y * Ht).rank() < m:
-            ok = False
-            break
-    return ok
+        if rank_i(F, [image[y] for y in Y]) < m:
+            return False
+    return True
+
+
+def _index_rows(M: Matrix):
+    return [[v.idx for v in row] for row in M.rows]

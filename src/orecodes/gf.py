@@ -6,7 +6,8 @@ indices through the discrete log; addition uses a Zech logarithm table, so
 every arithmetic operation is O(1) table lookups.  Fields are built once per
 (q, k) and cached, with the modulus chosen deterministically as the
 lexicographically least (highest coefficients compared first) monic
-irreducible polynomial of degree k over GF(q).
+irreducible polynomial of degree k over GF(q).  z0 is the least element code
+of order t = q^k - 1, found by testing z0^(t/p) != 1 for each prime p | t.
 """
 
 from __future__ import annotations
@@ -144,22 +145,31 @@ class FiniteField:
         prod += [0] * (self.k - len(prod))
         return self._digits_code(prod)
 
-    def _mul_order(self, code):
-        acc, n = code, 1
-        while acc != 1:
-            acc = self._code_mul(acc, code)
-            n += 1
-            if n > self.t:  # pragma: no cover
-                raise RuntimeError("order computation overflow")
-        return n
+    def _code_pow(self, code, e):
+        acc = 1
+        while e:
+            if e & 1:
+                acc = self._code_mul(acc, code)
+            code = self._code_mul(code, code)
+            e >>= 1
+        return acc
 
     def _build_tables(self):
         t = self.t
-        # primitive element: least code (as integer) of multiplicative order t
+        # primitive element: least code g with g^(t/p) != 1 for each prime p | t
+        primes, n, p = [], t, 2
+        while p * p <= n:
+            if n % p == 0:
+                primes.append(p)
+                while n % p == 0:
+                    n //= p
+            p += 1
+        if n > 1:
+            primes.append(n)
         z0 = 1
         if t > 1:
             for code in range(2, self.size):
-                if self._mul_order(code) == t:
+                if all(self._code_pow(code, t // p) != 1 for p in primes):
                     z0 = code
                     break
         self.gen_code = z0
@@ -499,17 +509,18 @@ def basis_over_fixed_subfield(sigma: Automorphism):
 @functools.lru_cache(maxsize=None)
 def fixed_field_coordinates(sigma: Automorphism):
     """(basis, table) expanding every element of F over the F^sigma-basis;
-    table maps each element to its coordinate tuple (entries in F^sigma)."""
+    table[i] is the coordinate tuple of the element with index i, as element
+    indices of F^sigma."""
     field = sigma.field
-    sub = sigma.fixed_subfield()
+    sub = [z.idx for z in sigma.fixed_subfield()]
     basis = basis_over_fixed_subfield(sigma)
-    table = {}
+    table = [None] * field.size
     for coords in itertools.product(sub, repeat=len(basis)):
-        z = field.zero
+        z = 0
         for c, b in zip(coords, basis):
-            z = z + c * b
+            z = field.add_i(z, field.mul_i(c, b.idx))
         table[z] = coords
-    if len(table) != field.size:  # pragma: no cover
+    if None in table:  # pragma: no cover
         raise RuntimeError("fixed-subfield expansion is not a bijection")
     return basis, table
 

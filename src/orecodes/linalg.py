@@ -179,3 +179,28 @@ def identity(n, zero, one):
     return Matrix(
         [[one if i == j else zero for j in range(n)] for i in range(n)], n, zero, one
     )
+
+
+def rank_i(field, rows):
+    """Rank over a FiniteField of the matrix whose rows are lists of element
+    indices, by Gaussian elimination on the field's index operations."""
+    add, mul, neg, inv = field.add_i, field.mul_i, field.neg_i, field.inv_i
+    rows = [r for r in rows if any(r)]
+    rank = 0
+    while rows:
+        p = rows.pop()
+        c = 0
+        while not p[c]:
+            c += 1
+        s = neg(inv(p[c]))
+        rest = []
+        for r in rows:
+            if r[c]:
+                f = mul(r[c], s)
+                r = [add(v, mul(f, pv)) if pv else v for v, pv in zip(r, p)]
+                if not any(r):
+                    continue
+            rest.append(r)
+        rows = rest
+        rank += 1
+    return rank

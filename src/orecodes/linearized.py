@@ -17,6 +17,8 @@ from .gf import FieldElement, FiniteField
 from .linalg import Matrix
 from .skewpoly import OreRing, SkewPoly
 
+MAX_ALGEBRA_FIELD = 64
+
 
 class LinearizedPoly:
     """sum g_i y^{q^i}, a Z_q-linear map on F."""
@@ -111,16 +113,29 @@ def canonical_basis(field: FiniteField):
     return [a ** i for i in range(field.k)]
 
 
-def is_zq_basis(field: FiniteField, X) -> bool:
+def _zq_coordinates(field: FiniteField, X):
+    """Z_q coordinates over X of every element of F, as a list indexed by
+    element index, or None when X is not a Z_q-basis (the map from
+    coordinate tuples to elements must be a bijection)."""
     X = list(X)
     if len(X) != field.k:
-        return False
-    span = {field.zero}
+        return None
+    table = {0: ()}
     for z in X:
-        if z in span:
-            return False
-        span = {s + field.from_int(c) * z for s in span for c in range(field.q)}
-    return len(span) == field.size
+        multiples = [field.mul_i(field.from_int(c).idx, z.idx) for c in range(field.q)]
+        grown = {
+            field.add_i(s, m): coords + (c,)
+            for s, coords in table.items()
+            for c, m in enumerate(multiples)
+        }
+        if len(grown) != len(table) * field.q:
+            return None
+        table = grown
+    return [table[i] for i in range(field.size)]
+
+
+def is_zq_basis(field: FiniteField, X) -> bool:
+    return _zq_coordinates(field, X) is not None
 
 
 def moore_matrix(field: FiniteField, X) -> Matrix:
@@ -140,25 +155,18 @@ def eval_matrix(g: LinearizedPoly, X=None) -> Matrix:
     the coordinates of g(z_j)."""
     field = g.field
     X = canonical_basis(field) if X is None else list(X)
-    if not is_zq_basis(field, X):
+    table = _zq_coordinates(field, X)
+    if table is None:
         raise DomainError("X is not a Z_q-basis")
-    cols = []
-    for z in X:
-        cols.append(_zq_coords(field, X, g(z)))
-    rows = [[cols[j][i] for j in range(len(X))] for i in range(len(X))]
-    return Matrix.over_field(field, rows, len(X))
+    return _coordinate_matrix(g, X, table)
 
 
-def _zq_coords(field, X, z):
-    """Brute-force expansion of z over the basis X with Z_q coordinates."""
-    for combo in itertools.product(range(field.q), repeat=len(X)):
-        acc = field.zero
-        for c, b in zip(combo, X):
-            if c:
-                acc = acc + field.from_int(c) * b
-        if acc == z:
-            return [field.from_int(c) for c in combo]
-    raise DomainError("element not in the span of X")  # pragma: no cover
+def _coordinate_matrix(g: LinearizedPoly, X, table) -> Matrix:
+    """M_g from the Z_q coordinate table of the basis X."""
+    field = g.field
+    prime = [field.from_int(c) for c in range(field.q)]
+    cols = [table[g(z).idx] for z in X]
+    return Matrix.over_field(field, [[prime[col[i]] for col in cols] for i in range(len(X))], len(X))
 
 
 def dickson_matrix(g: LinearizedPoly) -> Matrix:
@@ -190,15 +198,16 @@ def matrix_algebra_check(field: FiniteField) -> dict:
     """Verify that gbar -> M_g realizes A/(x^k - 1) as all of M_k(Z_q):
     additive, multiplicative (on all pairs at tiny sizes, sampled otherwise),
     injective and surjective by Z_q-rank."""
-    if field.size > 64:
-        raise GuardError("matrix algebra check capped at |F| <= 64")
+    if field.size > MAX_ALGEBRA_FIELD:
+        raise GuardError(f"matrix algebra check: |F| = {field.size} (cap {MAX_ALGEBRA_FIELD})")
     k = field.k
     ring = OreRing(field, 1)
     f = ring.monomial(k) - ring.one
     X = canonical_basis(field)
+    table = _zq_coordinates(field, X)
 
     def mat(poly):
-        return eval_matrix(to_linearized(poly.right_divmod(f)[1]), X)
+        return _coordinate_matrix(to_linearized(poly.right_divmod(f)[1]), X, table)
 
     # images of an F-basis of A/(x^k-1), expanded over Z_q, must span k^2 dims
     rows = []
@@ -220,7 +229,7 @@ def matrix_algebra_check(field: FiniteField) -> dict:
         "surjective": surjective,
         "injective": injective,
         "identity_ok": mat(ring.monomial(k)).rows
-        == eval_matrix(LinearizedPoly(field, [field.one]), X).rows,
+        == _coordinate_matrix(LinearizedPoly(field, [field.one]), X, table).rows,
         "multiplicative_ok": True,
         "additive_ok": True,
         "pairs_checked": 0,
@@ -238,8 +247,8 @@ def matrix_algebra_check(field: FiniteField) -> dict:
             ring.poly([field.element(rng.randrange(field.size)) for _ in range(k)])
             for _ in range(16)
         ]
-    for a, b in itertools.product(cosets, cosets):
-        ma, mb = mat(a), mat(b)
+    mats = [mat(a) for a in cosets]
+    for (a, ma), (b, mb) in itertools.product(zip(cosets, mats), repeat=2):
         if mat((a * b).right_divmod(f)[1]).rows != (ma * mb).rows:
             report["multiplicative_ok"] = False
         if mat(a + b).rows != [

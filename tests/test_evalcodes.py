@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from orecodes.errors import DomainError
+from orecodes.errors import DomainError, GuardError
 from orecodes.gf import GF
 from orecodes.skewpoly import OreRing
 from orecodes.algset import vandermonde
@@ -152,3 +152,13 @@ def test_mrd_duality(R4):
     w = F.gen
     code = operator_code(R4, (F.one, w), 1)
     assert certify(code, "MRD", R4).holds == certify(code.dual(), "MRD", R4).holds
+
+
+def test_message_space_guard_reports_size_and_cap():
+    from orecodes.codes import LinearCode
+    from orecodes.linalg import identity
+
+    F = GF(2, 4)
+    code = LinearCode(F, identity(6, F.zero, F.one))
+    with pytest.raises(GuardError, match=r"message space q\^k = 16777216 exceeds the cap 1048576"):
+        min_distance(code, "hamming")

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from orecodes.errors import DomainError, GuardError
-from orecodes.gf import GF, Automorphism, InnerDerivation, parse_element, parse_field
+from orecodes.gf import GF, Automorphism, InnerDerivation, is_prime, parse_element, parse_field
 
 
 def brute_field_tables(q, k, modulus):
@@ -41,6 +41,28 @@ def test_arithmetic_matches_polynomial_oracle(q, k):
     for a, b in itertools.product(els, els):
         assert coeffs(a + b) == add(coeffs(a), coeffs(b))
         assert coeffs(a * b) == mul(coeffs(a), coeffs(b))
+
+
+def test_primitive_element_is_least_of_full_order():
+    """For every field with q^k <= 1024, gen_code equals a search that computes
+    each candidate's order with the polynomial oracle."""
+    for q in filter(is_prime, range(2, 1025)):
+        for k in range(1, 11):
+            if q ** k > 1024:
+                break
+            F = GF(q, k)
+            _, mul = brute_field_tables(q, k, F.modulus + [0] * (k + 1 - len(F.modulus)))
+            one = (1,) + (0,) * (k - 1)
+
+            def order(code):
+                z = tuple(F._code_digits(code))
+                acc, n = z, 1
+                while acc != one:
+                    acc, n = mul(acc, z), n + 1
+                return n
+
+            least = next((c for c in range(2, F.size) if order(c) == F.size - 1), 1)
+            assert F.gen_code == least, (q, k)
 
 
 def test_gf4_matches_w_relations():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from orecodes.errors import DomainError
+from orecodes.errors import DomainError, GuardError
 from orecodes.gf import GF
 from orecodes.skewpoly import OreRing
 from orecodes.linearized import (
@@ -130,3 +130,8 @@ def test_matrix_algebra_q2_k2():
 def test_matrix_algebra_q2_k3():
     report = matrix_algebra_check(GF(2, 3))
     assert report["all_ok"]
+
+
+def test_matrix_algebra_guard_reports_size_and_cap():
+    with pytest.raises(GuardError, match=r"\|F\| = 128 \(cap 64\)"):
+        matrix_algebra_check(GF(2, 7))
