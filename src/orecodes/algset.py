@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .linalg import Matrix
-from .gf import FieldElement
+from .gf import FieldElement, parse_element, split_list
 from .skewpoly import OreRing, SkewPoly, field_index, lclm_list, norms_i, right_eval
 
 
@@ -88,7 +88,4 @@ def points_str(points) -> str:
 
 
 def parse_points(field, text: str):
-    from .gf import parse_element
-
-    items = [t for t in text.split(",") if t.strip()]
-    return _sorted_points(parse_element(field, t) for t in items)
+    return _sorted_points(parse_element(field, t) for t in split_list(text))

@@ -14,7 +14,7 @@ import sys
 
 from .errors import DomainError, GuardError
 from . import algset, codes, evalcodes, linearized, spbw, spbwsets
-from .gf import GF, element_str, parse_element, parse_field
+from .gf import element_str, parse_element, parse_field, split_list
 from .linalg import Matrix
 from .skewpoly import (
     OreRing,
@@ -58,7 +58,6 @@ def _emit(args, payload: dict, text_lines):
 
 def _add_common(p, with_ring=True):
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--seed", type=int, default=0)
     if with_ring:
         p.add_argument("--field", required=True, help="field literal, e.g. GF(4)")
         p.add_argument("--sigma", type=int, default=0, help="sigma = phi^l (Frobenius power)")
@@ -202,7 +201,7 @@ def cmd_codes(args):
 # -- evalcodes --------------------------------------------------------------------
 
 def _support(ring, text):
-    return tuple(parse_element(ring.field, t) for t in text.split(",") if t.strip())
+    return tuple(parse_element(ring.field, t) for t in split_list(text))
 
 
 def cmd_evalcodes(args):
@@ -236,38 +235,15 @@ def cmd_evalcodes(args):
 # -- linearized -------------------------------------------------------------------
 
 def _parse_linearized(field, text):
-    """c*y^(q^i) sums, e.g. y^2 over GF(4) or y^4+y."""
-    ring = OreRing(field, 1)
-    import re as _re
-
-    text = text.strip().replace(" ", "")
-    coeffs = {}
-    for term in _re.findall(r"[+-]?[^+-]+", text):
-        sign = -1 if term.startswith("-") else 1
-        term = term.lstrip("+-")
-        coeff = field.one
-        power = None
-        for factor in term.split("*"):
-            m = _re.fullmatch(r"y(?:\^(\d+))?", factor)
-            if m:
-                e = int(m.group(1)) if m.group(1) else 1
-                i = 0
-                while field.q ** i < e:
-                    i += 1
-                if field.q ** i != e:
-                    raise DomainError(f"exponent {e} is not a power of q = {field.q}")
-                power = i
-            else:
-                coeff = coeff * parse_element(field, factor)
-        if power is None:
-            raise DomainError("linearized terms must contain y^(q^i)")
-        if sign == -1:
-            coeff = -coeff
-        coeffs[power] = coeffs.get(power, field.zero) + coeff
-    out = [field.zero] * (max(coeffs) + 1)
-    for i, c in coeffs.items():
-        out[i] = c
-    return linearized.LinearizedPoly(field, out)
+    """Sums of c*y^(q^i), e.g. y^2 over GF(4) or y^4+y: a polynomial in the
+    commutative ring F[y] whose exponents must all be powers of q."""
+    g = OreRing(field).parse(text, var="y")
+    powers = [field.q ** i for i in range(max(g.degree, 1).bit_length())]
+    bad = [e for e, c in enumerate(g.coeffs) if c and e not in powers]
+    if bad:
+        literal = "".join(text.split())
+        raise DomainError(f"bad linearized literal {literal!r}: exponent {bad[0]} is not a power of q = {field.q}")
+    return linearized.LinearizedPoly(field, [g[e] for e in powers])
 
 
 def cmd_linearized(args):
@@ -277,7 +253,7 @@ def cmd_linearized(args):
         g = linearized.to_linearized(ring.parse(args.poly))
         return _emit(args, {"linearized": repr(g)}, [repr(g)])
     if args.op == "moore":
-        X = [parse_element(field, t) for t in args.basis.split(",")]
+        X = [parse_element(field, t) for t in split_list(args.basis)]
         M = linearized.moore_matrix(field, X)
         payload = {"moore": _matrix_payload(M), "invertible": M.is_invertible()}
         return _emit(args, payload, [" ".join(r) for r in payload["moore"]])
@@ -308,7 +284,7 @@ def cmd_spbw(args):
         return _emit(args, {"product": spbw.pbw_str(out)}, [spbw.pbw_str(out)])
     if args.op == "divide":
         f = A.parse(args.f)
-        divisors = [A.parse(t) for t in args.by.split(",")]
+        divisors = [A.parse(t) for t in split_list(args.by)]
         res = spbw.divide(f, divisors)
         payload = {
             "quotients": [spbw.pbw_str(q) for q in res.quotients],
@@ -319,11 +295,11 @@ def cmd_spbw(args):
         return _emit(args, payload, lines)
     if args.op == "reduce":
         f = A.parse(args.f)
-        divisors = [A.parse(t) for t in args.by.split(",")]
+        divisors = [A.parse(t) for t in split_list(args.by)]
         h = spbw.reduce_full(f, divisors)
         return _emit(args, {"normal_form": spbw.pbw_str(h)}, [spbw.pbw_str(h)])
     if args.op == "groebner":
-        gens = [A.parse(t) for t in args.gens.split(",")]
+        gens = [A.parse(t) for t in split_list(args.gens)]
         res = spbw.groebner_left(gens)
         payload = {
             "basis": [spbw.pbw_str(g) for g in res.basis],
@@ -331,7 +307,7 @@ def cmd_spbw(args):
         }
         return _emit(args, payload, payload["basis"] + [f"complete: {res.complete}"])
     if args.op == "closure":
-        gens = [A.parse(t) for t in args.gens.split(",")]
+        gens = [A.parse(t) for t in split_list(args.gens)]
         G = spbw.two_sided_closure(gens)
         payload = {"basis": [spbw.pbw_str(g) for g in G]}
         return _emit(args, payload, payload["basis"])
@@ -341,7 +317,7 @@ def cmd_spbw(args):
 # -- spbwsets ----------------------------------------------------------------------
 
 def _parse_point(A, text):
-    parts = [t for t in text.split(",") if t.strip()]
+    parts = split_list(text)
     if len(parts) != A.n:
         raise DomainError(f"point needs {A.n} coordinates")
     return tuple(A.domain.parse(t) for t in parts)
@@ -353,12 +329,12 @@ def cmd_spbwsets(args):
         ok = spbwsets.root_test(A.parse(args.f), _parse_point(A, args.point))
         return _emit(args, {"is_root": ok}, [str(ok)])
     if args.op == "variety":
-        gens = [A.parse(t) for t in args.gens.split(",")]
+        gens = [A.parse(t) for t in split_list(args.gens)]
         if args.domain == "full":
             pts = spbwsets.vanishing_set(gens)
         else:
             pts = spbwsets.vanishing_set(
-                gens, [_parse_point(A, p) for p in args.domain.split(";")]
+                gens, [_parse_point(A, p) for p in split_list(args.domain, ";")]
             )
         payload = {"points": [[A.domain.to_str(c) for c in Z] for Z in pts]}
         return _emit(args, payload, [",".join(r) for r in payload["points"]])
@@ -374,7 +350,7 @@ def cmd_spbwsets(args):
         payload = {"monomials": [spbw.pbw_str(m) for m in monos]}
         return _emit(args, payload, payload["monomials"])
     if args.op == "nullstellensatz":
-        gens = [A.parse(t) for t in args.gens.split(",")]
+        gens = [A.parse(t) for t in split_list(args.gens)]
         report = spbwsets.nullstellensatz_check(
             gens, degree=args.degree, sample_budget=args.samples, seed=args.seed
         )
@@ -465,9 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = p.add_subparsers(dest="op", required=True)
     for op, flags in [("map", ["poly"]), ("moore", ["basis"]), ("dickson", ["poly"]), ("algebra-check", [])]:
         q = ps.add_parser(op)
+        _add_common(q, with_ring=False)
         q.add_argument("--field", required=True)
-        q.add_argument("--format", choices=["text", "json"], default="text")
-        q.add_argument("--seed", type=int, default=0)
         for fl in flags:
             q.add_argument(f"--{fl}", required=True)
         q.set_defaults(func=cmd_linearized)
@@ -482,9 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("closure", ["gens"]),
     ]:
         q = ps.add_parser(op)
+        _add_common(q, with_ring=False)
         q.add_argument("--presentation", required=True)
-        q.add_argument("--format", choices=["text", "json"], default="text")
-        q.add_argument("--seed", type=int, default=0)
         for fl in flags:
             q.add_argument(f"--{fl}", required=True)
         q.set_defaults(func=cmd_spbw)
@@ -499,15 +473,15 @@ def build_parser() -> argparse.ArgumentParser:
         ("nullstellensatz", ["gens"]),
     ]:
         q = ps.add_parser(op)
+        _add_common(q, with_ring=False)
         q.add_argument("--presentation", required=True)
-        q.add_argument("--format", choices=["text", "json"], default="text")
-        q.add_argument("--seed", type=int, default=0)
         for fl in flags:
             q.add_argument(f"--{fl}", required=True)
         if op in ("center", "nullstellensatz"):
             q.add_argument("--degree", type=int, default=4)
         if op == "nullstellensatz":
             q.add_argument("--samples", type=int, default=50)
+            q.add_argument("--seed", type=int, default=0)
         q.set_defaults(func=cmd_spbwsets)
 
     return top

@@ -525,37 +525,70 @@ def fixed_field_coordinates(sigma: Automorphism):
     return basis, table
 
 
-_GEN_SYMBOLS = ("g", "w")
+# -- literals: a sum of signed terms, each a product of factors ----------------
+
+def split_terms(text: str, what: str):
+    """(sign, term) pairs of a sum, spaces dropped: split at every + or -
+    outside parentheses that does not follow ^.  An empty literal, an empty
+    term or unbalanced parentheses raise DomainError quoting the literal."""
+    literal = "".join(text.split())
+    pairs, depth, start, sign = [], 0, 0, 1
+    for pos, ch in enumerate(literal):
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            break
+        if ch in "+-" and depth == 0 and literal[pos - 1:pos] != "^":
+            if pos:
+                pairs.append((sign, literal[start:pos]))
+            sign, start = (-1 if ch == "-" else 1), pos + 1
+    pairs.append((sign, literal[start:]))
+    if depth or not all(term for _, term in pairs):
+        raise DomainError(f"bad {what} literal {literal!r}")
+    return pairs
+
+
+def split_factors(term: str):
+    """The factors of a term: split at every * outside parentheses; a factor
+    written in parentheses, (1+2*a), is unwrapped."""
+    parts, depth, start = [], 0, 0
+    for pos, ch in enumerate(term):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "*" and depth == 0:
+            parts.append(term[start:pos])
+            start = pos + 1
+    parts.append(term[start:])
+    if not all(parts):
+        raise DomainError(f"empty factor in term {term!r}")
+    return [f[1:-1] if f[0] == "(" and f[-1] == ")" else f for f in parts]
+
+
+def split_list(text: str, sep: str = ","):
+    """The items of a sep-separated list, stripped; an empty item raises
+    DomainError quoting the list."""
+    items = [t.strip() for t in text.split(sep)]
+    if not all(items):
+        raise DomainError(f"empty item in list {text!r}")
+    return items
+
+
+# an integer, or [c*]s[^e] with s the generator g (alias w) or the residue a
+_ELEMENT_TERM = re.compile(r"(\d+)|(?:(\d+)\*?)?([gwa])(?:\^(\d+))?")
 
 
 def parse_element(field: FiniteField, text: str) -> FieldElement:
-    """Parse 0, 1, g^e (w accepted as an alias of g), an integer, or a
-    polynomial form c0+c1*a+c2*a^2+... in the residue a of the modulus."""
-    text = text.strip().replace(" ", "")
-    if not text:
-        raise DomainError("empty element literal")
-    if re.fullmatch(r"-?\d+", text):
-        return field.from_int(int(text))
-    m = re.fullmatch(r"(-?)(g|w)(?:\^(\d+))?", text)
-    if m:
-        e = int(m.group(3)) if m.group(3) else 1
-        val = field.gen ** e
-        return -val if m.group(1) else val
-    # polynomial form in the residue a
+    """Parse a sum of terms, each an integer, g^e (w accepted as an alias of
+    g) or a power of the residue a of the modulus, optionally with an integer
+    coefficient: 0, 1, g^3, -w, 2, 1+2*a+a^2."""
     a = field.from_code(field.q) if field.k > 1 else field.one
     total = field.zero
-    for term in re.findall(r"[+-]?[^+-]+", text):
-        sign = -1 if term.startswith("-") else 1
-        term = term.lstrip("+-")
-        m = re.fullmatch(r"(?:(\d+)\*?)?(?:a(?:\^(\d+))?)?", term)
-        if not m or not term:
-            raise DomainError(f"bad element literal {text!r}")
-        coeff = field.from_int(int(m.group(1))) if m.group(1) else field.one
-        if m.group(2) is not None:
-            val = coeff * a ** int(m.group(2))
-        elif "a" in term:
-            val = coeff * a
+    for sign, term in split_terms(text, "element"):
+        m = _ELEMENT_TERM.fullmatch(term)
+        if not m:
+            raise DomainError(f"bad element literal {''.join(text.split())!r}")
+        if m.group(1):
+            val = field.from_int(int(m.group(1)))
         else:
-            val = coeff
+            base = a if m.group(3) == "a" else field.gen
+            val = field.from_int(int(m.group(2) or 1)) * base ** int(m.group(4) or 1)
         total = total + val if sign == 1 else total - val
     return total

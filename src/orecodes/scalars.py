@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 
 from .errors import DomainError
-from .gf import FiniteField, element_str, parse_element, parse_field
+from .gf import FiniteField, element_str, parse_element, parse_field, split_terms
 
 
 class GaussianRational:
@@ -130,7 +130,8 @@ class RationalDomain:
         return "Q"
 
 
-_GAUSS_TERM = re.compile(r"^(-?\d+(?:/\d+)?)?\*?(i)?$")
+# a rational magnitude, optionally times i (2*i, 2i), or i alone
+_GAUSS_TERM = re.compile(r"(\d+(?:/\d+)?)(\*?i)?|i")
 
 
 class GaussianDomain:
@@ -143,18 +144,13 @@ class GaussianDomain:
     one = GaussianRational(1)
 
     def parse(self, text: str):
-        text = text.strip().replace(" ", "")
-        if not text:
-            raise DomainError("empty Gaussian rational literal")
         total = GaussianRational(0)
-        for term in re.findall(r"[+-]?[^+-]+", text):
-            sign = -1 if term.startswith("-") else 1
-            term = term.lstrip("+-")
-            m = _GAUSS_TERM.match(term)
-            if not m or (m.group(1) is None and m.group(2) is None):
-                raise DomainError(f"bad Gaussian rational literal {text!r}")
-            mag = Fraction(m.group(1)) if m.group(1) else Fraction(1)
-            part = GaussianRational(0, mag) if m.group(2) else GaussianRational(mag)
+        for sign, term in split_terms(text, "Gaussian rational"):
+            m = _GAUSS_TERM.fullmatch(term)
+            if not m:
+                raise DomainError(f"bad Gaussian rational literal {''.join(text.split())!r}")
+            mag = Fraction(m.group(1) or 1)
+            part = GaussianRational(0, mag) if term.endswith("i") else GaussianRational(mag)
             total = total + part if sign == 1 else total - part
         return total
 
@@ -207,7 +203,7 @@ class GFDomain:
 
         if spec in (None, 0, "0"):
             return None
-        d = InnerDerivation(sigma, self.parse(spec))
+        d = InnerDerivation(sigma, self.parse(str(spec)))
         return None if d.is_zero else d
 
     def __repr__(self):

@@ -15,7 +15,8 @@ import re
 from typing import NamedTuple
 
 from .errors import DomainError, GuardError
-from .gf import Automorphism, FieldElement, FiniteField, InnerDerivation, element_str, parse_element
+from .gf import (Automorphism, FieldElement, FiniteField, InnerDerivation, element_str, parse_element,
+                 split_factors, split_terms)
 from .linalg import Matrix
 
 
@@ -717,25 +718,18 @@ def poly_str(g: SkewPoly, symbol: str = "w", var: str = "x") -> str:
 
 
 def parse_poly(ring: OreRing, text: str, var: str = "x") -> SkewPoly:
-    text = text.strip().replace(" ", "")
-    if not text:
-        raise DomainError("empty polynomial literal")
-    coeffs: dict[int, FieldElement] = {}
-    for term in re.findall(r"[+-]?[^+-]+", text):
-        sign = -1 if term.startswith("-") else 1
-        term = term.lstrip("+-")
-        coeff = ring.field.one
-        degree = 0
-        for factor in term.split("*"):
-            m = re.fullmatch(rf"{re.escape(var)}(?:\^(\d+))?", factor)
+    """A sum of terms, each the ring product of its factors in the order
+    written: powers var^e and coefficients (element literals, optionally in
+    parentheses), so x*w reads as sigma(w)*x + delta(w)."""
+    power = re.compile(rf"{re.escape(var)}(?:\^(\d+))?")
+    total = ring.zero
+    for sign, term in split_terms(text, "polynomial"):
+        prod = ring.one
+        for factor in split_factors(term):
+            m = power.fullmatch(factor)
             if m:
-                degree += int(m.group(1)) if m.group(1) else 1
+                prod = prod * ring.monomial(int(m.group(1) or 1))
             else:
-                coeff = coeff * parse_element(ring.field, factor)
-        if sign == -1:
-            coeff = -coeff
-        coeffs[degree] = coeffs.get(degree, ring.field.zero) + coeff
-    out = [ring.field.zero] * (max(coeffs) + 1)
-    for d, c in coeffs.items():
-        out[d] = c
-    return ring.poly(out)
+                prod = prod * ring.poly([parse_element(ring.field, factor)])
+        total = total + prod if sign == 1 else total - prod
+    return total

@@ -28,6 +28,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import DomainError, GuardError
+from .gf import split_factors, split_terms
 from .scalars import domain_by_name
 
 SCHEMA_VERSION = 1
@@ -49,6 +50,9 @@ class PBWPresentation:
         self.domain = domain
         self.sigma_specs = list(sigma) if sigma else [None] * self.n
         self.delta_specs = list(delta) if delta else [None] * self.n
+        for key, specs in (("sigma", self.sigma_specs), ("delta", self.delta_specs)):
+            if len(specs) != self.n:
+                raise DomainError(f"{key} lists {len(specs)} entries for {self.n} variables")
         self._sigmas = [domain.sigma(s) for s in self.sigma_specs]
         self._deltas = [
             domain.delta(d, sg) for d, sg in zip(self.delta_specs, self._sigmas)
@@ -474,67 +478,53 @@ def pbw_str(f: PBWPoly) -> str:
     return out[1:] if out.startswith("+") else out
 
 
-def _split_factors(term: str):
-    parts, depth, cur = [], 0, []
-    for ch in term:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
-
-
 def parse_pbw(pres: PBWPresentation, text: str) -> PBWPoly:
-    text = text.strip().replace(" ", "")
-    if not text:
-        raise DomainError("empty polynomial literal")
-    var_pat = re.compile(
-        rf"^({'|'.join(re.escape(n) for n in pres.names)})(?:\^(\d+))?$"
-    )
-    terms = {}
-    for term in re.findall(r"[+-]?(?:\([^()]*\)|[^+-])+", text):
-        sign = -1 if term.startswith("-") else 1
-        term = term.lstrip("+-")
-        coeff = pres.domain.one
-        alpha = [0] * pres.n
-        for factor in _split_factors(term):
-            if factor.startswith("(") and factor.endswith(")"):
-                factor = factor[1:-1]
-            m = var_pat.match(factor)
+    """A sum of terms, each the product of its factors in the order written:
+    powers x_i^e and coefficients (domain literals, optionally in
+    parentheses), so y*x reads as the relation's c*x*y + ... ."""
+    power = re.compile(rf"({'|'.join(re.escape(n) for n in pres.names)})(?:\^(\d+))?")
+    total = pres.zero
+    for sign, term in split_terms(text, "polynomial"):
+        prod = pres.one
+        for factor in split_factors(term):
+            m = power.fullmatch(factor)
             if m:
-                v = pres.names.index(m.group(1))
-                alpha[v] += int(m.group(2)) if m.group(2) else 1
+                prod = prod * pres.var(pres.names.index(m.group(1))) ** int(m.group(2) or 1)
             else:
-                coeff = coeff * pres.domain.parse(factor)
-        if sign == -1:
-            coeff = pres.domain.zero - coeff
-        _acc(terms, tuple(alpha), coeff)
-    return pres.poly(terms)
+                prod = prod * pres.constant(pres.domain.parse(factor))
+        total = total + prod if sign == 1 else total - prod
+    return total
 
 
 # -- presentation files -------------------------------------------------------------------
+
+def _entry(data: dict, key: str, where: str):
+    if not isinstance(data, dict) or key not in data:
+        raise DomainError(f"presentation {where} has no {key!r} entry")
+    return data[key]
+
 
 def load_presentation(path_or_dict) -> PBWPresentation:
     """Load a presentation from its JSON description (file path or dict)."""
     if isinstance(path_or_dict, dict):
         data = path_or_dict
     else:
-        with open(path_or_dict, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(path_or_dict, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"cannot read presentation {str(path_or_dict)!r}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DomainError(f"a presentation is a JSON object, not {type(data).__name__}")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise DomainError(f"unsupported presentation schema_version {data.get('schema_version')!r}")
-    names = data["vars"]
-    domain = domain_by_name(data["field"])
+    names = _entry(data, "vars", "document")
+    domain = domain_by_name(_entry(data, "field", "document"))
     n = len(names)
     relations = {}
     for rel in data.get("relations", []):
-        i, j = int(rel["i"]) - 1, int(rel["j"]) - 1
+        i = int(_entry(rel, "i", "relation")) - 1
+        j = int(_entry(rel, "j", "relation")) - 1
         c = domain.parse(str(rel.get("c", "1")))
         a = [domain.parse(str(v)) for v in rel.get("a", ["0"] * n)]
         if len(a) != n:

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 
 import pytest
 
@@ -189,3 +190,36 @@ def test_byte_identical_reruns(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert json.loads(out1)["result"]["holds"] if "result" in json.loads(out1) else True
+
+
+def test_seed_only_on_nullstellensatz(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["poly", "mul", "--field", "GF(4)", "--a", "x", "--b", "x", "--seed", "1"])
+    assert e.value.code == 2
+    code, out, _ = run(capsys, [
+        "spbwsets", "nullstellensatz", "--presentation", os.path.join(PRES, "qplane9.json"),
+        "--gens", "x^2-1,y", "--degree", "2", "--samples", "5", "--seed", "1", "--format", "json",
+    ])
+    assert code == 0 and "result" in json.loads(out)
+
+
+def _readme_examples():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("orecodes ")]
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
+def test_readme_example(capsys, monkeypatch, argv):
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), ".."))
+    if "--format" not in argv:
+        argv = argv + ["--format", "json"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1 and "result" in json.loads(lines[0])
+
+
+def test_readme_has_ten_examples():
+    assert len(_readme_examples()) == 10

@@ -351,3 +351,56 @@ def test_schema_version_checked(tmp_path):
     path.write_text(json.dumps({"schema_version": 99, "vars": ["x"], "field": "Q"}))
     with pytest.raises(DomainError):
         load_presentation(str(path))
+
+
+# -- malformed presentations: a DomainError that names what is wrong -------------------
+
+GF9_PLANE = {"schema_version": 1, "vars": ["x", "y"], "field": "GF(9)",
+             "relations": [{"i": 1, "j": 2, "c": "-1"}]}
+
+
+@pytest.mark.parametrize("key", ["field", "vars"])
+def test_presentation_missing_key(key):
+    data = {k: v for k, v in GF9_PLANE.items() if k != key}
+    with pytest.raises(DomainError, match=f"has no '{key}' entry"):
+        load_presentation(data)
+
+
+@pytest.mark.parametrize("key", ["i", "j"])
+def test_presentation_relation_missing_index(key):
+    rel = {k: v for k, v in GF9_PLANE["relations"][0].items() if k != key}
+    with pytest.raises(DomainError, match=f"relation has no '{key}' entry"):
+        load_presentation(dict(GF9_PLANE, relations=[rel]))
+
+
+def test_presentation_not_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(DomainError, match="a presentation is a JSON object, not list"):
+        load_presentation(str(path))
+
+
+def test_presentation_unreadable_file(tmp_path):
+    with pytest.raises(DomainError, match="cannot read presentation .*missing.json"):
+        load_presentation(str(tmp_path / "missing.json"))
+
+
+def test_presentation_invalid_json(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"schema_version": 1,')
+    with pytest.raises(DomainError, match="cannot read presentation .*broken.json"):
+        load_presentation(str(path))
+
+
+@pytest.mark.parametrize("key", ["sigma", "delta"])
+def test_presentation_map_list_length(key):
+    with pytest.raises(DomainError, match=f"{key} lists 1 entries for 2 variables"):
+        load_presentation(dict(GF9_PLANE, **{key: [1]}))
+
+
+def test_presentation_integer_delta_spec():
+    A = load_presentation(dict(GF9_PLANE, sigma=[1, 1], delta=[2, None]))
+    w = A.domain.field.from_int(2)
+    g = A.domain.field.gen
+    x, c = A.var(0), A.constant(g)
+    assert x * c == A.constant(g ** 3) * x + A.constant(w * (g ** 3 - g))
