@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .linalg import Matrix
-from .gf import FieldElement, parse_element, split_list
-from .skewpoly import OreRing, SkewPoly, field_index, lclm_list, norms_i, right_eval
+from .gf import parse_element, split_list
+from .skewpoly import OreRing, SkewPoly, field_index, lclm_list, norms_i, operator_powers_i, right_eval
 
 
 def _sorted_points(points):
@@ -45,28 +45,23 @@ def rank_of_set(ring: OreRing, points) -> int:
     return r
 
 
-def vandermonde(ring: OreRing, points, nrows: int | None = None) -> Matrix:
-    """V_r(Z): row i holds N_i(z_j)."""
+def _point_matrix(ring: OreRing, points, nrows, column) -> Matrix:
+    """Column j holds column(ring, z_j, r - 1): r entries for the point z_j."""
     pts = list(points)
     r = len(pts) if nrows is None else nrows
     field = ring.field
-    cols = [norms_i(ring, field_index(field, z), r - 1) for z in pts]
-    rows = [[FieldElement(field, col[i]) for col in cols] for i in range(r)]
-    return Matrix.over_field(field, rows, len(pts))
+    cols = [column(ring, field_index(field, z), r - 1) for z in pts]
+    return Matrix.from_indices(field, [[col[i] for col in cols] for i in range(r)], len(pts))
+
+
+def vandermonde(ring: OreRing, points, nrows: int | None = None) -> Matrix:
+    """V_r(Z): row i holds N_i(z_j)."""
+    return _point_matrix(ring, points, nrows, norms_i)
 
 
 def wronskian(ring: OreRing, points, nrows: int | None = None) -> Matrix:
     """Wr_r(Z): row i holds D^i(z_j), D = sigma if delta = 0 else delta."""
-    pts = list(points)
-    op = ring.sigma if ring.delta.is_zero else ring.delta
-    r = len(pts) if nrows is None else nrows
-    rows = []
-    cur = list(pts)
-    for i in range(r):
-        if i:
-            cur = [op(z) for z in cur]
-        rows.append(list(cur))
-    return Matrix.over_field(ring.field, rows, len(pts))
+    return _point_matrix(ring, points, nrows, operator_powers_i)
 
 
 def is_w_polynomial(g: SkewPoly) -> bool:

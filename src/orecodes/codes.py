@@ -10,9 +10,11 @@ that setting.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import DomainError
 from .linalg import Matrix, identity
-from .skewpoly import OreRing, SkewPoly, gcrd, gcrd_bezout, lclm, two_sided_test
+from .skewpoly import OreRing, SkewPoly, gcrd, gcrd_bezout, lclm, residue_rows_i, two_sided_test
 
 
 class LinearCode:
@@ -117,13 +119,8 @@ class SkewCyclicCode:
 
     def generator_matrix(self) -> Matrix:
         """Rows are the coefficients of x^i g mod f, i = 0..dim-1."""
-        rows = []
-        cur = self.g
-        for i in range(self.dim):
-            if i:
-                cur = (self.ring.x * cur).right_divmod(self.f)[1]
-            rows.append([cur[j] for j in range(self.n)])
-        return Matrix.over_field(self.ring.field, rows, self.n)
+        rows = itertools.islice(residue_rows_i(self.g, self.f), self.dim)
+        return Matrix.from_indices(self.ring.field, rows, self.n)
 
     def to_linear(self) -> LinearCode:
         return LinearCode(self.ring.field, self.generator_matrix())
@@ -159,14 +156,7 @@ def right_mult_matrix(ring: OreRing, g: SkewPoly, n: int) -> Matrix:
     """M(g): row i holds the coefficients of x^i * g mod (x^n - 1), so that
     p_f(Z M(g)) = p_f(Z) g for every row vector Z."""
     f = _check_cyclic_setting(ring, n)
-    gbar = g.right_divmod(f)[1]
-    rows = []
-    cur = gbar
-    for i in range(n):
-        if i:
-            cur = (ring.x * cur).right_divmod(f)[1]
-        rows.append([cur[j] for j in range(n)])
-    return Matrix.over_field(ring.field, rows, n)
+    return Matrix.from_indices(ring.field, itertools.islice(residue_rows_i(g, f), n), n)
 
 
 def theta(ring: OreRing, g: SkewPoly, n: int) -> SkewPoly:

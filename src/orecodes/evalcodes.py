@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, GuardError
 from .gf import fixed_field_coordinates
-from .linalg import Matrix, rank_i
+from .linalg import Matrix, dot_i, rank_i
 from .skewpoly import OreRing
 from .algset import vandermonde, wronskian
 from .codes import LinearCode
@@ -49,14 +49,11 @@ def _eval_code(support: Support, k: int) -> LinearCode:
     if not 1 <= k <= r:
         raise DomainError("need 1 <= k <= r")
     full = support.matrix()
-    if full.rank() < k:
-        raise DomainError(f"support matrix rank {full.rank()} < k = {k}")
-    ring = support.ring
-    if support.kind == "remainder":
-        G = vandermonde(ring, support.points, nrows=k)
-    else:
-        G = wronskian(ring, support.points, nrows=k)
-    code = LinearCode(ring.field, G)
+    rank = full.rank()
+    if rank < k:
+        raise DomainError(f"support matrix rank {rank} < k = {k}")
+    G = Matrix(full.rows[:k], full.ncols, full.zero, full.one)
+    code = LinearCode(support.ring.field, G)
     assert code.dim == k
     return code
 
@@ -174,18 +171,9 @@ def _gabidulin_check(code: LinearCode, ring: OreRing, cap: int = 1 << 16):
     if len(sub) ** (m * n) > cap:
         return None
     F = code.field
-    add, mul = F.add_i, F.mul_i
     H = _index_rows(code.parity_check())
     # the rows of Y H^T are the images y H^T of the rows of Y
-    image = {}
-    for y in itertools.product(sub, repeat=n):
-        out = []
-        for h in H:
-            acc = 0
-            for a, b in zip(y, h):
-                acc = add(acc, mul(a, b))
-            out.append(acc)
-        image[y] = out
+    image = {y: [dot_i(F, y, h) for h in H] for y in itertools.product(sub, repeat=n)}
     for Y in itertools.product(image, repeat=m):
         if rank_i(F, Y) < m:
             continue

@@ -13,7 +13,6 @@ of order t = q^k - 1, found by testing z0^(t/p) != 1 for each prime p | t.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import re
 
@@ -488,41 +487,40 @@ def element_str(z: FieldElement) -> str:
     return "g" if e == 1 else f"g^{e}"
 
 
-@functools.lru_cache(maxsize=None)
-def basis_over_fixed_subfield(sigma: Automorphism):
-    """Greedy basis of F as a vector space over the fixed subfield F^sigma,
-    scanning elements in index order."""
-    field = sigma.field
-    sub = sigma.fixed_subfield()
-    basis: list[FieldElement] = []
-    span = {field.zero}
-    for z in field.elements():
-        if z in span:
+def subfield_coordinates(field: FiniteField, sub, candidates):
+    """Greedy basis of F over a subfield, whose element indices are sub: scan
+    the candidate element indices in order and keep each one outside the span
+    so far.  Returns (basis, table), table[i] being the coordinate tuple (as
+    element indices of the subfield) of the element with index i, or None when
+    the candidates do not span F."""
+    table = {0: ()}
+    basis = []
+    for z in candidates:
+        if z in table:
             continue
+        multiples = [(c, field.mul_i(c, z)) for c in sub]
+        table = {field.add_i(s, m): coords + (c,) for s, coords in table.items() for c, m in multiples}
         basis.append(z)
-        span = {s + c * z for s in span for c in sub}
-        if len(span) == field.size:
-            break
-    return tuple(basis)
+    if len(table) != field.size:
+        return None
+    return basis, [table[i] for i in range(field.size)]
 
 
 @functools.lru_cache(maxsize=None)
 def fixed_field_coordinates(sigma: Automorphism):
-    """(basis, table) expanding every element of F over the F^sigma-basis;
-    table[i] is the coordinate tuple of the element with index i, as element
-    indices of F^sigma."""
+    """(basis, table): the greedy basis of F over the fixed subfield F^sigma,
+    scanning elements in index order, and table[i] the coordinate tuple of the
+    element with index i, as element indices of F^sigma."""
     field = sigma.field
     sub = [z.idx for z in sigma.fixed_subfield()]
-    basis = basis_over_fixed_subfield(sigma)
-    table = [None] * field.size
-    for coords in itertools.product(sub, repeat=len(basis)):
-        z = 0
-        for c, b in zip(coords, basis):
-            z = field.add_i(z, field.mul_i(c, b.idx))
-        table[z] = coords
-    if None in table:  # pragma: no cover
-        raise RuntimeError("fixed-subfield expansion is not a bijection")
-    return basis, table
+    basis, table = subfield_coordinates(field, sub, range(field.size))
+    return tuple(FieldElement(field, b) for b in basis), table
+
+
+@functools.lru_cache(maxsize=None)
+def basis_over_fixed_subfield(sigma: Automorphism):
+    """The greedy F^sigma-basis of F (see fixed_field_coordinates)."""
+    return fixed_field_coordinates(sigma)[0]
 
 
 # -- literals: a sum of signed terms, each a product of factors ----------------

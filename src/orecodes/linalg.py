@@ -8,6 +8,7 @@ A Matrix carries explicit zero/one scalars so empty matrices stay usable.
 from __future__ import annotations
 
 from .errors import DomainError
+from .gf import FieldElement
 
 
 class Matrix:
@@ -30,6 +31,11 @@ class Matrix:
                 raise DomainError("cannot infer width of an empty matrix")
             ncols = len(rows[0])
         return cls(rows, ncols, field.zero, field.one)
+
+    @classmethod
+    def from_indices(cls, field, rows, ncols):
+        """The matrix over a FiniteField whose rows are lists of element indices."""
+        return cls([[FieldElement(field, v) for v in r] for r in rows], ncols, field.zero, field.one)
 
     @property
     def nrows(self):
@@ -179,6 +185,17 @@ def identity(n, zero, one):
     return Matrix(
         [[one if i == j else zero for j in range(n)] for i in range(n)], n, zero, one
     )
+
+
+def dot_i(field, a, b) -> int:
+    """Index of sum a_j * b_j over a FiniteField, for index sequences a and b
+    (zip stops at the shorter one)."""
+    add, mul = field.add_i, field.mul_i
+    acc = 0
+    for x, y in zip(a, b):
+        if x and y:
+            acc = add(acc, mul(x, y))
+    return acc
 
 
 def rank_i(field, rows):

@@ -12,10 +12,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .algset import wronskian
 from .errors import DomainError, GuardError
-from .gf import FieldElement, FiniteField
+from .gf import FieldElement, FiniteField, subfield_coordinates
 from .linalg import Matrix
-from .skewpoly import OreRing, SkewPoly
+from .skewpoly import OreRing, SkewPoly, operator_eval
 
 MAX_ALGEBRA_FIELD = 64
 
@@ -33,14 +34,8 @@ class LinearizedPoly:
         self.coeffs = tuple(cs)
 
     def __call__(self, z: FieldElement) -> FieldElement:
-        acc = self.field.zero
-        cur = z
-        for i, c in enumerate(self.coeffs):
-            if i:
-                cur = FieldElement(self.field, self.field.frob_i(cur.idx, 1))
-            if c:
-                acc = acc + c * cur
-        return acc
+        """g(z) = sum g_i phi^i(z), the operator evaluation in F[x;phi]."""
+        return operator_eval(OreRing(self.field, 1).poly(self.coeffs), z)
 
     def __eq__(self, other):
         return (
@@ -115,23 +110,13 @@ def canonical_basis(field: FiniteField):
 
 def _zq_coordinates(field: FiniteField, X):
     """Z_q coordinates over X of every element of F, as a list indexed by
-    element index, or None when X is not a Z_q-basis (the map from
-    coordinate tuples to elements must be a bijection)."""
-    X = list(X)
+    element index holding tuples of prime-subfield element indices, or None
+    when X is not a Z_q-basis."""
+    X = [z.idx for z in X]
     if len(X) != field.k:
         return None
-    table = {0: ()}
-    for z in X:
-        multiples = [field.mul_i(field.from_int(c).idx, z.idx) for c in range(field.q)]
-        grown = {
-            field.add_i(s, m): coords + (c,)
-            for s, coords in table.items()
-            for c, m in enumerate(multiples)
-        }
-        if len(grown) != len(table) * field.q:
-            return None
-        table = grown
-    return [table[i] for i in range(field.size)]
+    found = subfield_coordinates(field, [field.from_int(c).idx for c in range(field.q)], X)
+    return found and found[1]
 
 
 def is_zq_basis(field: FiniteField, X) -> bool:
@@ -139,15 +124,9 @@ def is_zq_basis(field: FiniteField, X) -> bool:
 
 
 def moore_matrix(field: FiniteField, X) -> Matrix:
-    """Rows z_j^{q^i}; invertible exactly when X is a Z_q-basis."""
-    X = list(X)
-    rows = []
-    cur = list(X)
-    for i in range(len(X)):
-        if i:
-            cur = [FieldElement(field, field.frob_i(z.idx, 1)) for z in cur]
-        rows.append(list(cur))
-    return Matrix.over_field(field, rows, len(X))
+    """Rows z_j^{q^i}, the Wronskian of X in F[x;phi]; invertible exactly
+    when X is a Z_q-basis."""
+    return wronskian(OreRing(field, 1), X)
 
 
 def eval_matrix(g: LinearizedPoly, X=None) -> Matrix:
@@ -158,15 +137,14 @@ def eval_matrix(g: LinearizedPoly, X=None) -> Matrix:
     table = _zq_coordinates(field, X)
     if table is None:
         raise DomainError("X is not a Z_q-basis")
-    return _coordinate_matrix(g, X, table)
+    return _coordinate_matrix(OreRing(field, 1), g, X, table)
 
 
-def _coordinate_matrix(g: LinearizedPoly, X, table) -> Matrix:
-    """M_g from the Z_q coordinate table of the basis X."""
-    field = g.field
-    prime = [field.from_int(c) for c in range(field.q)]
-    cols = [table[g(z).idx] for z in X]
-    return Matrix.over_field(field, [[prime[col[i]] for col in cols] for i in range(len(X))], len(X))
+def _coordinate_matrix(ring: OreRing, g: LinearizedPoly, X, table) -> Matrix:
+    """M_g from the Z_q coordinate table of the basis X; ring is F[x;phi]."""
+    p = ring.poly(g.coeffs)
+    cols = [table[operator_eval(p, z).idx] for z in X]
+    return Matrix.from_indices(ring.field, zip(*cols), len(X))
 
 
 def dickson_matrix(g: LinearizedPoly) -> Matrix:
@@ -176,12 +154,8 @@ def dickson_matrix(g: LinearizedPoly) -> Matrix:
     gs = list(g.coeffs) + [field.zero] * (k - len(g.coeffs))
     if len(gs) > k:
         raise DomainError("linearized polynomial does not fit k coefficients")
-    rows = []
-    for i in range(k):
-        rows.append(
-            [FieldElement(field, field.frob_i(gs[(j - i) % k].idx, i)) for j in range(k)]
-        )
-    return Matrix.over_field(field, rows, k)
+    rows = [[field.frob_i(gs[(j - i) % k].idx, i) for j in range(k)] for i in range(k)]
+    return Matrix.from_indices(field, rows, k)
 
 
 def dickson_identity_holds(g: LinearizedPoly, X=None) -> bool:
@@ -207,7 +181,7 @@ def matrix_algebra_check(field: FiniteField) -> dict:
     table = _zq_coordinates(field, X)
 
     def mat(poly):
-        return _coordinate_matrix(to_linearized(poly.right_divmod(f)[1]), X, table)
+        return _coordinate_matrix(ring, to_linearized(poly.right_divmod(f)[1]), X, table)
 
     # images of an F-basis of A/(x^k-1), expanded over Z_q, must span k^2 dims
     rows = []
@@ -229,7 +203,7 @@ def matrix_algebra_check(field: FiniteField) -> dict:
         "surjective": surjective,
         "injective": injective,
         "identity_ok": mat(ring.monomial(k)).rows
-        == _coordinate_matrix(LinearizedPoly(field, [field.one]), X, table).rows,
+        == _coordinate_matrix(ring, LinearizedPoly(field, [field.one]), X, table).rows,
         "multiplicative_ok": True,
         "additive_ok": True,
         "pairs_checked": 0,

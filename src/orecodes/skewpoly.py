@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .errors import DomainError, GuardError
 from .gf import (Automorphism, FieldElement, FiniteField, InnerDerivation, element_str, parse_element,
                  split_factors, split_terms)
-from .linalg import Matrix
+from .linalg import Matrix, dot_i
 
 
 class OreRing:
@@ -336,6 +336,20 @@ def norms_i(ring: OreRing, z: int, r: int) -> list:
     return out
 
 
+def operator_powers_i(ring: OreRing, z: int, r: int) -> list:
+    """Indices of D^0(z), ..., D^r(z) for the point with index z, where
+    D = sigma when delta = 0 and D = delta otherwise."""
+    field = ring.field
+    frob, l, w = field.frob_i, ring.sigma.l, ring._w
+    out = [z]
+    for _ in range(r):
+        v = frob(out[-1], l)
+        if w:
+            v = field.mul_i(w, field.sub_i(v, out[-1]))
+        out.append(v)
+    return out
+
+
 def norm(ring: OreRing, i: int, z: FieldElement) -> FieldElement:
     """N_i(z) (see norms_i)."""
     if i < 0:
@@ -351,11 +365,7 @@ def right_eval(g: SkewPoly, z: FieldElement) -> FieldElement:
     zi = field_index(field, z)
     r = _right_divmod_i(ring, g.idx, [field.neg_i(zi), 1])[1]
     rem = r[0] if r else 0
-    add, mul = field.add_i, field.mul_i
-    acc = 0
-    for c, n in zip(g.idx, norms_i(ring, zi, g.degree)):
-        if c:
-            acc = add(acc, mul(c, n))
+    acc = dot_i(field, g.idx, norms_i(ring, zi, g.degree))
     if acc != rem:  # pragma: no cover - the two evaluations always agree
         raise AssertionError("norm-sum and division-remainder evaluation disagree")
     return FieldElement(field, rem)
@@ -363,16 +373,9 @@ def right_eval(g: SkewPoly, z: FieldElement) -> FieldElement:
 
 def operator_eval(g: SkewPoly, z: FieldElement) -> FieldElement:
     """Sum g_i D^i(z) with D = sigma when delta = 0 and D = delta otherwise."""
-    ring = g.ring
-    op = ring.sigma if ring.delta.is_zero else ring.delta
-    acc = ring.field.zero
-    cur = z
-    for i, c in enumerate(g.coeffs):
-        if i:
-            cur = op(cur)
-        if c:
-            acc = acc + c * cur
-    return acc
+    field = g.ring.field
+    powers = operator_powers_i(g.ring, field_index(field, z), g.degree)
+    return FieldElement(field, dot_i(field, g.idx, powers))
 
 
 # -- gcrd / lclm --------------------------------------------------------------
@@ -481,7 +484,7 @@ def two_sided_test(g: SkewPoly) -> TwoSidedWitness:
     ring = g.ring
     if not ring.is_auto_type:
         raise DomainError("two_sided_test requires delta = 0; change variable first")
-    field, sigma, s = ring.field, ring.sigma, ring.s
+    field, sigma = ring.field, ring.sigma
     if not g:
         return TwoSidedWitness(True, field.zero, 0, ring.one)
     t = next(i for i, c in enumerate(g.coeffs) if c)
@@ -489,9 +492,8 @@ def two_sided_test(g: SkewPoly) -> TwoSidedWitness:
     h_coeffs = [sigma(ci / c, -t) if ci else ci for ci in g.coeffs[t:]]
     h = ring.poly(h_coeffs)
     assert c * (ring.monomial(t) * h) == g
-    for i, ci in enumerate(h.coeffs):
-        if ci and (i % s != 0 or sigma(ci) != ci):
-            return TwoSidedWitness(False, None, None, None)
+    if not is_central(h):
+        return TwoSidedWitness(False, None, None, None)
     return TwoSidedWitness(True, c, t, h)
 
 
@@ -505,26 +507,32 @@ def is_central(g: SkewPoly) -> bool:
     )
 
 
+def residue_rows_i(g: SkewPoly, f: SkewPoly):
+    """Index rows of x^i * g mod f for i = 0, 1, 2, ..., each of length deg f."""
+    ring, n = g.ring, f.degree
+    cur = _right_divmod_i(ring, g.idx, f.idx)[1]
+    while True:
+        yield cur + [0] * (n - len(cur))
+        cur = _right_divmod_i(ring, _x_times_i(ring, cur), f.idx)[1]
+
+
 def annihilator_poly(a: SkewPoly, f: SkewPoly) -> SkewPoly:
     """Monic generator f_a of {h : h*a in A*f}, by linear algebra on h*a mod f."""
     if not f.is_monic or f.degree < 1:
         raise DomainError("annihilator requires a monic modulus of degree >= 1")
     ring = a.ring
     field = ring.field
-    n = f.degree
-    cur = a.right_divmod(f)[1]
-    if not cur:
+    rows = residue_rows_i(a, f)
+    basis = [next(rows)]  # x^i * a mod f, i = 0 .. D-1
+    if not any(basis[0]):
         return ring.one
-    rows = []  # coefficient vectors of x^i * a mod f, i = 0 .. D-1
-    bound = ring.s * n * field.k + 1
-    for _ in range(bound):
-        rows.append([cur[j] for j in range(n)])
-        cur = (ring.x * cur).right_divmod(f)[1]
-        # monic h of degree D = len(rows): x^D a + sum_{i<D} h_i x^i a = 0 mod f
-        target = [-cur[j] for j in range(n)]
-        sol = Matrix.over_field(field, rows, n).transpose().solve(target)
+    for row in itertools.islice(rows, ring.s * f.degree * field.k + 1):
+        # monic h of degree D = len(basis): x^D a + sum_{i<D} h_i x^i a = 0 mod f
+        target = [FieldElement(field, field.neg_i(v)) for v in row]
+        sol = Matrix.from_indices(field, basis, f.degree).transpose().solve(target)
         if sol is not None:
             return ring.poly(list(sol) + [field.one])
+        basis.append(row)
     raise AssertionError("annihilator search bound exceeded")  # pragma: no cover
 
 
@@ -599,13 +607,9 @@ def similarity_test(g: SkewPoly, h: SkewPoly):
             continue
         if gcrd(p, h).degree != 0:
             continue
-        rows = []
-        cur = p
-        for _ in range(m):
-            rows.append([cur[j] for j in range(m)])
-            cur = (ring.x * cur).right_divmod(h)[1]
-        B = Matrix.over_field(field, rows, m)
-        sB = Matrix.over_field(field, [[ring.sigma(v) for v in r] for r in rows], m)
+        rows = list(itertools.islice(residue_rows_i(p, h), m))
+        B = Matrix.from_indices(field, rows, m)
+        sB = Matrix.from_indices(field, [[field.frob_i(v, ring.sigma.l) for v in r] for r in rows], m)
         assert companion_matrix(g) * B == sB * companion_matrix(h)
         return True, B
     return False, None

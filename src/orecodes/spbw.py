@@ -83,12 +83,11 @@ class PBWPresentation:
     @property
     def has_trivial_coefficient_maps(self) -> bool:
         return all(d is None for d in self._deltas) and all(
-            s is None or getattr(s, "is_identity", True) for s in self._sigmas
+            getattr(s, "is_identity", True) for s in self._sigmas
         )
 
     def _sigma_apply(self, i, c):
-        s = self._sigmas[i]
-        return c if s is None else s(c)
+        return self._sigmas[i](c)
 
     def _delta_apply(self, i, c):
         d = self._deltas[i]
@@ -441,7 +440,10 @@ def two_sided_closure(gens, max_rounds: int = 32) -> list:
         if not new:
             return G
         G = groebner_left(G + new).basis
-    raise GuardError("two-sided closure did not stabilize")
+    raise GuardError(
+        f"two-sided closure did not stabilize: basis of {len(G)} elements after "
+        f"{max_rounds} rounds (cap {max_rounds})"
+    )
 
 
 def in_two_sided_ideal(f: PBWPoly, gens) -> bool:
@@ -504,6 +506,21 @@ def _entry(data: dict, key: str, where: str):
     return data[key]
 
 
+_JSON_KINDS = {"a string": str, "an integer": int, "a list": list, "an object": dict, "null": type(None)}
+
+
+def _typed(value, what: str, *kinds):
+    """value, if its JSON type is one of kinds (keys of _JSON_KINDS); otherwise
+    a DomainError naming the entry what."""
+    if isinstance(value, bool) or not isinstance(value, tuple(_JSON_KINDS[k] for k in kinds)):
+        raise DomainError(f"presentation entry {what} must be {' or '.join(kinds)}, not {json.dumps(value)}")
+    return value
+
+
+def _scalar(domain, value, what: str):
+    return domain.parse(str(_typed(value, what, "a string", "an integer")))
+
+
 def load_presentation(path_or_dict) -> PBWPresentation:
     """Load a presentation from its JSON description (file path or dict)."""
     if isinstance(path_or_dict, dict):
@@ -518,21 +535,29 @@ def load_presentation(path_or_dict) -> PBWPresentation:
         raise DomainError(f"a presentation is a JSON object, not {type(data).__name__}")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise DomainError(f"unsupported presentation schema_version {data.get('schema_version')!r}")
-    names = _entry(data, "vars", "document")
-    domain = domain_by_name(_entry(data, "field", "document"))
+    names = _typed(_entry(data, "vars", "document"), "'vars'", "a list")
+    if not all(isinstance(v, str) and v.isidentifier() for v in names) or len(set(names)) != len(names):
+        raise DomainError(f"presentation entry 'vars' must list distinct variable names, not {json.dumps(names)}")
+    domain = domain_by_name(_typed(_entry(data, "field", "document"), "'field'", "a string"))
     n = len(names)
+    sigma = _typed(data.get("sigma"), "'sigma'", "a list", "null")
+    delta = _typed(data.get("delta"), "'delta'", "a list", "null")
+    for s in sigma or []:
+        _typed(s, "'sigma' item", "an integer", "null")
+    for d in delta or []:
+        _typed(d, "'delta' item", "a string", "an integer", "null")
     relations = {}
-    for rel in data.get("relations", []):
-        i = int(_entry(rel, "i", "relation")) - 1
-        j = int(_entry(rel, "j", "relation")) - 1
-        c = domain.parse(str(rel.get("c", "1")))
-        a = [domain.parse(str(v)) for v in rel.get("a", ["0"] * n)]
+    for rel in _typed(data.get("relations", []), "'relations'", "a list"):
+        _typed(rel, "'relations' item", "an object")
+        i = _typed(_entry(rel, "i", "relation"), "relation 'i'", "an integer") - 1
+        j = _typed(_entry(rel, "j", "relation"), "relation 'j'", "an integer") - 1
+        c = _scalar(domain, rel.get("c", "1"), "relation 'c'")
+        a = _typed(rel.get("a", ["0"] * n), "relation 'a'", "a list")
+        a = [_scalar(domain, v, "relation 'a' item") for v in a]
         if len(a) != n:
             raise DomainError("relation linear part must list one entry per variable")
-        d = domain.parse(str(rel.get("d", "0")))
+        d = _scalar(domain, rel.get("d", "0"), "relation 'd'")
         relations[(i, j)] = (c, a, d)
-    sigma = data.get("sigma")
-    delta = data.get("delta")
     return PBWPresentation(names, domain, relations, sigma, delta)
 
 

@@ -155,14 +155,21 @@ def _solve_multiplier(f: PBWPoly, target: PBWPoly, side: str):
     return u
 
 
+MAX_MULTIPLIER_SEARCH = 1 << 16
+
+
 def _brute_multiplier(f: PBWPoly, target: PBWPoly, side: str):
     pres = f.pres
     dom = pres.domain
     if not dom.is_finite:
         raise GuardError("brute multiplier search needs a finite field")
     els = dom.elements()
-    if len(els) ** (pres.n + 1) > 1 << 16:
-        raise GuardError("multiplier search space exceeds desk scale")
+    size = len(els) ** (pres.n + 1)
+    if size > MAX_MULTIPLIER_SEARCH:
+        raise GuardError(
+            f"multiplier search space |F|^(n+1) = {len(els)}^{pres.n + 1} = {size} "
+            f"exceeds the cap {MAX_MULTIPLIER_SEARCH}"
+        )
     basis = [pres.one] + list(pres.gens)
     for combo in itertools.product(els, repeat=pres.n + 1):
         u = pres.zero
@@ -230,11 +237,7 @@ def _scalar_mover(f: PBWPoly, r, left: bool):
 
 def _untwist(pres: PBWPresentation, alpha, value):
     """sigma^{-alpha}(value) for finite-field coefficient automorphisms."""
-    total = 0
-    for i, e in enumerate(alpha):
-        s = pres._sigmas[i]
-        l = 0 if s is None else getattr(s, "l", 0)
-        total += l * e
+    total = sum(s.l * e for s, e in zip(pres._sigmas, alpha))
     field = pres.domain.field
     k = field.k
     from .gf import FieldElement

@@ -1,9 +1,13 @@
+import copy
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from orecodes.errors import DomainError
+from orecodes.cli import main
+from orecodes.errors import DomainError, GuardError
 from orecodes.scalars import QQ, QQI, GaussianRational, domain_by_name
 from orecodes.spbw import (
     PBWPresentation,
@@ -404,3 +408,56 @@ def test_presentation_integer_delta_spec():
     g = A.domain.field.gen
     x, c = A.var(0), A.constant(g)
     assert x * c == A.constant(g ** 3) * x + A.constant(w * (g ** 3 - g))
+
+
+# -- wrongly typed entries: a DomainError naming the entry, exit 3 in the CLI -----------
+
+# (entry, value, whether the entry belongs to the relation, expected message)
+BAD_ENTRIES = [
+    ("i", "x", True, r"relation 'i' must be an integer, not \"x\""),
+    ("j", 2.0, True, r"relation 'j' must be an integer, not 2\.0"),
+    ("i", True, True, r"relation 'i' must be an integer, not true"),
+    ("sigma", ["x", None], False, r"'sigma' item must be an integer or null, not \"x\""),
+    ("sigma", 1, False, r"'sigma' must be a list or null, not 1"),
+    ("delta", [[1], None], False, r"'delta' item must be a string or an integer or null, not \[1\]"),
+    ("relations", 5, False, r"'relations' must be a list, not 5"),
+    ("relations", [5], False, r"'relations' item must be an object, not 5"),
+    ("a", 5, True, r"relation 'a' must be a list, not 5"),
+    ("a", [None, "0"], True, r"relation 'a' item must be a string or an integer, not null"),
+    ("c", [1], True, r"relation 'c' must be a string or an integer, not \[1\]"),
+    ("d", None, True, r"relation 'd' must be a string or an integer, not null"),
+    ("field", 9, False, r"'field' must be a string, not 9"),
+    ("vars", "xy", False, r"'vars' must be a list, not \"xy\""),
+    ("vars", ["x", "x"], False, r"'vars' must list distinct variable names"),
+    ("vars", ["x", 1], False, r"'vars' must list distinct variable names"),
+    ("vars", ["x", "y+z"], False, r"'vars' must list distinct variable names"),
+]
+BAD_IDS = [f"{key}={json.dumps(value)}" for key, value, _, _ in BAD_ENTRIES]
+
+
+def _bad_presentation(key, value, rel):
+    data = copy.deepcopy(GF9_PLANE)
+    (data["relations"][0] if rel else data)[key] = value
+    return data
+
+
+@pytest.mark.parametrize("key, value, rel, message", BAD_ENTRIES, ids=BAD_IDS)
+def test_presentation_wrong_entry_type(key, value, rel, message):
+    with pytest.raises(DomainError, match=message):
+        load_presentation(_bad_presentation(key, value, rel))
+
+
+@pytest.mark.parametrize("key, value, rel, message", BAD_ENTRIES, ids=BAD_IDS)
+def test_presentation_wrong_entry_type_cli(tmp_path, capsys, key, value, rel, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_bad_presentation(key, value, rel)))
+    argv = ["spbw", "mul", "--presentation", str(path), "--a", "x", "--b", "y", "--format", "json"]
+    assert main(argv) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == 3 and re.search(message, error["message"])
+
+
+def test_two_sided_closure_guard_reports_rounds_and_cap():
+    A = load_presentation(GF9_PLANE)
+    with pytest.raises(GuardError, match=r"basis of 1 elements after 0 rounds \(cap 0\)"):
+        two_sided_closure([A.parse("x+y")], max_rounds=0)

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from orecodes.errors import DomainError
+from orecodes.errors import DomainError, GuardError
 from orecodes.gf import GF
 from orecodes.scalars import GFDomain, QQ
 from orecodes.skewpoly import OreRing, right_eval
@@ -266,3 +266,10 @@ def test_point_closure_cache_lives_on_the_presentation():
     del pres, first
     gc.collect()
     assert ref() is None
+
+
+def test_multiplier_search_guard_reports_size_and_cap():
+    dom = GFDomain(GF(2, 8))
+    A = PBWPresentation(["x", "y"], dom, {}, sigma=[1, 0])
+    with pytest.raises(GuardError, match=r"\|F\|\^\(n\+1\) = 256\^3 = 16777216 exceeds the cap 65536"):
+        normality_test(A.parse("x"))
