@@ -68,6 +68,32 @@ CALLS = [
     # algebraic sets
     'algset rank --field "GF(9)" --sigma 1 --delta-w "w" --points "1,w,w^2,w^5"',
     'algset rank --field "GF(16)" --sigma 2 --points "1,g,g^5,g^7"',
+    # skew PBW extensions on every shipped presentation
+    'spbw mul --presentation presentations/qplane4.json --a "y^2*x+w*y" --b "x*y+1"',
+    'spbw mul --presentation presentations/qspace3.json --a "z*y+i*x" --b "y*x-2"',
+    'spbw mul --presentation presentations/weyl1z.json --a "y^2*x" --b "x^2*y+z"',
+    'spbw mul --presentation presentations/witten.json --a "z*y+x" --b "y*x^2-1/2*z"',
+    'spbw divide --presentation presentations/qplane9.json --f "x^3*y+w*x*y^2+y" --by "x*y-1,y^2+w"',
+    'spbw reduce --presentation presentations/witten.json --f "z^2*y*x+x^2" --by "x*y-1,z-2"',
+    'spbw reduce --presentation presentations/qplane4.json --f "x^3*y^2+w*x*y+1" --by "x^2+w,y^2-x"',
+    'spbw reduce --presentation presentations/qspace3.json --f "z^2*y*x+i*x^2" --by "x*y-1,z-i"',
+    'spbw groebner --presentation presentations/qplane9.json --gens "x^2*y+y,x*y^2-x"',
+    'spbw groebner --presentation presentations/weyl1z.json --gens "x^2*z+y,x*y^2"',
+    'spbw groebner --presentation presentations/qspace3.json --gens "x*y+z,y*z"',
+    'spbw groebner --presentation presentations/witten.json --gens "x*y-z,y^2"',
+    'spbw closure --presentation presentations/qplane4.json --gens "x^3+y"',
+    'spbw closure --presentation presentations/qplane4.json --gens "x*y+w*y^2"',
+    'spbw closure --presentation presentations/qspace3.json --gens "x*z+y^2"',
+    'spbwsets variety --presentation presentations/qplane4.json --gens "x*y+w" --domain full',
+    'spbwsets variety --presentation presentations/qspace3.json --gens "x*y,z-1" --domain "0,0,1;1,0,1;0,i,1;1,1,0"',
+    'spbwsets roots --presentation presentations/qspace3.json --f "x*y+z" --point "0,1,0"',
+    'spbwsets normal --presentation presentations/qplane4.json --f "x*y"',
+    'spbwsets normal --presentation presentations/qplane9.json --f "x^2+y^2"',
+    'spbwsets normal --presentation presentations/qspace3.json --f "x*y+z"',
+    'spbwsets center --presentation presentations/qplane4.json --degree 3',
+    'spbwsets center --presentation presentations/qplane9.json --degree 4',
+    'spbwsets nullstellensatz --presentation presentations/qplane4.json --gens "x^3-1,y" --degree 3 --samples 10 --seed 2',
+    'spbwsets nullstellensatz --presentation presentations/qplane9.json --gens "x*y-1" --degree 2 --samples 8 --seed 3',
 ]
 
 
