@@ -359,11 +359,6 @@ class FieldElement:
     def __repr__(self):
         return element_str(self)
 
-    def multiplicative_order(self) -> int:
-        if self.idx == 0:
-            raise DomainError("zero has no multiplicative order")
-        return self.field.t // math.gcd(self.field.t, self.idx - 1)
-
 
 class Automorphism:
     """sigma = phi^l where phi is the Frobenius z -> z^q."""
@@ -384,9 +379,6 @@ class Automorphism:
 
     def __call__(self, z: FieldElement, power: int = 1) -> FieldElement:
         return FieldElement(self.field, self.field.frob_i(z.idx, self.l * (power % self.order)))
-
-    def inverse_apply(self, z: FieldElement) -> FieldElement:
-        return self(z, self.order - 1)
 
     def fixed_subfield(self):
         """F^sigma together with 0; a subfield of size q^gcd(l, k)."""

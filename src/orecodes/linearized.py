@@ -82,17 +82,20 @@ class LinearizedPoly:
         return "+".join(parts)
 
 
+def _require_frobenius_ring(ring: OreRing):
+    # sigma.l is reduced mod k, so phi itself is l = 1 % k (0 on a prime field)
+    if ring.sigma.l != 1 % ring.field.k or not ring.is_auto_type:
+        raise DomainError("linearized correspondence requires the ring F[x;phi]")
+
+
 def to_linearized(g: SkewPoly) -> LinearizedPoly:
     """Coefficient transport F[x;phi] -> L; requires sigma = phi."""
-    ring = g.ring
-    if ring.sigma.l != 1 or not ring.is_auto_type:
-        raise DomainError("linearized correspondence requires the ring F[x;phi]")
-    return LinearizedPoly(ring.field, g.coeffs)
+    _require_frobenius_ring(g.ring)
+    return LinearizedPoly(g.ring.field, g.coeffs)
 
 
 def from_linearized(ring: OreRing, g: LinearizedPoly) -> SkewPoly:
-    if ring.sigma.l != 1 or not ring.is_auto_type:
-        raise DomainError("linearized correspondence requires the ring F[x;phi]")
+    _require_frobenius_ring(ring)
     if g.field is not ring.field:
         raise DomainError("field mismatch")
     return ring.poly(list(g.coeffs))

@@ -86,12 +86,14 @@ class PBWPresentation:
             getattr(s, "is_identity", True) for s in self._sigmas
         )
 
-    def _sigma_apply(self, i, c):
-        return self._sigmas[i](c)
-
-    def _delta_apply(self, i, c):
-        d = self._deltas[i]
-        return None if d is None else d(c)
+    @property
+    def twisting_scalars(self) -> list:
+        """The scalars a polynomial must also commute with to be central: the
+        generator of a finite field when some sigma_i or delta_i moves it (the
+        set of scalars that commute is a subfield), otherwise none."""
+        if self.domain.is_finite and not self.has_trivial_coefficient_maps:
+            return [self.domain.field.gen]
+        return []
 
     def _rel(self, i, j):
         """(c, a, d) with x_j x_i = c x_i x_j + sum a_k x_k + d, for i < j."""
@@ -107,9 +109,8 @@ class PBWPresentation:
             alpha = tuple(int(e) for e in alpha)
             if len(alpha) != self.n or any(e < 0 for e in alpha):
                 raise DomainError(f"bad exponent tuple {alpha}")
-            if c:
-                clean[alpha] = clean.get(alpha, self.domain.zero) + c
-        return PBWPoly(self, {a: c for a, c in clean.items() if c})
+            _addto(clean, {alpha: c}, self.domain.one)  # the factor 1 brings an int into the domain
+        return PBWPoly(self, clean)
 
     def var(self, i) -> "PBWPoly":
         alpha = tuple(1 if v == i else 0 for v in range(self.n))
@@ -130,23 +131,28 @@ class PBWPresentation:
     def parse(self, text: str) -> "PBWPoly":
         return parse_pbw(self, text)
 
+    def combination(self, coeffs, polys) -> "PBWPoly":
+        """sum_i coeffs[i] * polys[i]."""
+        out = {}
+        for c, f in zip(coeffs, polys):
+            if c:
+                _addto(out, f.terms, c)
+        return PBWPoly(self, out)
+
     # -- core rewriting -------------------------------------------------------
 
     def _var_times_terms(self, i: int, terms: dict) -> dict:
         """Normal form of x_i * (sum_beta c_beta x^beta)."""
+        sigma, delta = self._sigmas[i], self._deltas[i]
         out = {}
         for beta, c in terms.items():
-            sc = self._sigma_apply(i, c)
-            if sc:
-                for gamma, u in self._mono_left(i, beta).items():
-                    _acc(out, gamma, sc * u)
-            dc = self._delta_apply(i, c)
-            if dc:
-                _acc(out, beta, dc)
-        return {a: v for a, v in out.items() if v}
+            _addto(out, self._mono_left(i, beta), sigma(c))
+            if delta is not None:
+                _addto(out, {beta: delta(c)})
+        return out
 
     def _mono_left(self, i: int, beta: tuple) -> dict:
-        """Normal form of x_i * x^beta as a term dict."""
+        """Normal form of x_i * x^beta as a term dict (cached: callers only read it)."""
         key = (i, beta)
         cached = self._mono_cache.get(key)
         if cached is not None:
@@ -159,39 +165,47 @@ class PBWPresentation:
             j = first  # j < i: swap x_i past x_j using the (j, i) relation
             beta2 = tuple(e - 1 if v == j else e for v, e in enumerate(beta))
             c, a, d = self._rel(j, i)
-            inner = self._mono_left(i, beta2)
-            result = {}
-            swapped = self._var_times_terms(j, inner)
-            for gamma, u in swapped.items():
-                _acc(result, gamma, c * u)
+            result = _addto({}, self._var_times_terms(j, self._mono_left(i, beta2)), c)
             for k, ak in enumerate(a):
                 if ak:
-                    for gamma, u in self._mono_left(k, beta2).items():
-                        _acc(result, gamma, ak * u)
-            if d:
-                _acc(result, beta2, d)
-            result = {g: v for g, v in result.items() if v}
+                    _addto(result, self._mono_left(k, beta2), ak)
+            _addto(result, {beta2: d})
         self._mono_cache[key] = result
         return result
+
+    def _mono_times(self, alpha: tuple, terms: dict) -> dict:
+        """Normal form of x^alpha * (sum_beta c_beta x^beta).  alpha is an
+        exponent tuple the code built, so poly()'s checks are skipped; the
+        result is terms itself when alpha is 0, so callers only read it."""
+        for v in range(self.n - 1, -1, -1):
+            for _ in range(alpha[v]):
+                terms = self._var_times_terms(v, terms)
+        return terms
 
     def mul_terms(self, fterms: dict, gterms: dict) -> dict:
         out = {}
         for alpha, a in fterms.items():
-            cur = gterms
-            for v in range(self.n - 1, -1, -1):
-                for _ in range(alpha[v]):
-                    cur = self._var_times_terms(v, cur)
-            for gamma, u in cur.items():
-                _acc(out, gamma, a * u)
-        return {g: v for g, v in out.items() if v}
+            _addto(out, self._mono_times(alpha, gterms), a)
+        return out
 
     def __repr__(self):
         return f"sigma({self.domain!r})<{','.join(self.names)}>"
 
 
-def _acc(d, key, val):
-    cur = d.get(key)
-    d[key] = val if cur is None else cur + val
+def _addto(out: dict, terms: dict, c=None) -> dict:
+    """out += c * terms in place (c = None adds terms as they are), dropping
+    the entries that cancel to zero; returns out."""
+    for alpha, v in terms.items():
+        if c is not None:
+            v = c * v
+        cur = out.get(alpha)
+        if cur is not None:
+            v = cur + v
+        if v:
+            out[alpha] = v
+        elif cur is not None:
+            del out[alpha]
+    return out
 
 
 class PBWPoly:
@@ -220,17 +234,14 @@ class PBWPoly:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            _acc(out, a, c)
-        return PBWPoly(self.pres, {a: c for a, c in out.items() if c})
+        return PBWPoly(self.pres, _addto(dict(self.terms), other.terms))
 
     def __neg__(self):
-        z = self.pres.domain.zero
-        return PBWPoly(self.pres, {a: z - c for a, c in self.terms.items()})
+        return self.pres.zero - self
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return PBWPoly(self.pres, _addto(dict(self.terms), other.terms, -self.pres.domain.one))
 
     def __mul__(self, other):
         if isinstance(other, PBWPoly):
@@ -242,8 +253,7 @@ class PBWPoly:
         # left scalar multiple (scalars sit to the left of standard monomials)
         if isinstance(other, int):
             other = self.pres.domain.parse(str(other))
-        out = {a: other * c for a, c in self.terms.items()}
-        return PBWPoly(self.pres, {a: c for a, c in out.items() if c})
+        return PBWPoly(self.pres, _addto({}, self.terms, other))
 
     def scale(self, c):
         return self.__rmul__(c)
@@ -303,40 +313,36 @@ def _division_engine(f: PBWPoly, divisors, freeze_rest: bool) -> DivisionResult:
     for d in divisors:
         f._check(d)
     lms = [d.lm() for d in divisors]
-    q = [pres.zero for _ in divisors]
-    h = pres.zero
-    work = f
+    q = [{} for _ in divisors]
+    h = {}
+    work = dict(f.terms)
     while work:
-        alpha = work.lm()
+        alpha = max(work, key=_deglex_key)
+        if freeze_rest:  # the non-leading terms pass to the remainder
+            c = work.pop(alpha)
+            _addto(h, work)
+            work = {alpha: c}
         i = next((t for t, lm in enumerate(lms) if _mono_divides(lm, alpha)), None)
         if i is None:
-            if freeze_rest:
-                h = h + work
-                break
-            lt = work.lt()
-            h = h + lt
-            work = work - lt
+            _addto(h, {alpha: work.pop(alpha)})
             continue
-        if freeze_rest:
-            lt = work.lt()
-            h = h + (work - lt)
-            work = lt
         gamma = tuple(a - b for a, b in zip(alpha, lms[i]))
-        prod = pres.monomial(gamma) * divisors[i]
-        r = work.terms[alpha] / prod.terms[alpha]
-        q[i] = q[i] + pres.monomial(gamma, r)
-        work = work - prod.scale(r)
+        prod = pres._mono_times(gamma, divisors[i].terms)
+        r = work[alpha] / prod[alpha]
+        q[i][gamma] = r  # the leading monomial of work falls at every step, so gamma is new to q[i]
+        _addto(work, prod, -r)
     # exact reconstruction and the Prop-style degree condition
-    recon = h
-    for qi, di in zip(q, divisors):
-        recon = recon + qi * di
-    assert recon == f
+    products = [pres.mul_terms(qi, d.terms) for qi, d in zip(q, divisors) if qi]
+    recon = dict(h)
+    for p in products:
+        _addto(recon, p)
+    assert recon == f.terms
     if f:
-        keys = [_deglex_key((qi * di).lm()) for qi, di in zip(q, divisors) if qi]
+        keys = [max(map(_deglex_key, p)) for p in products]
         if h:
-            keys.append(_deglex_key(h.lm()))
+            keys.append(max(map(_deglex_key, h)))
         assert max(keys) == _deglex_key(f.lm())
-    return DivisionResult(q, h)
+    return DivisionResult([PBWPoly(pres, qi) for qi in q], PBWPoly(pres, h))
 
 
 def divide(f: PBWPoly, divisors) -> DivisionResult:
@@ -358,6 +364,7 @@ def reduce_full(f: PBWPoly, divisors) -> PBWPoly:
 class GroebnerResult:
     basis: list
     complete: bool
+    cap: str  # the cap completion stopped at, e.g. "max_pairs 4096"; "" when complete
 
 
 def groebner_left(gens, max_basis: int = 64, max_pairs: int = 4096) -> GroebnerResult:
@@ -366,31 +373,30 @@ def groebner_left(gens, max_basis: int = 64, max_pairs: int = 4096) -> GroebnerR
     if not gens:
         raise DomainError("no nonzero generators")
     pres = gens[0].pres
+    one = pres.domain.one
     G = [g.monic() for g in gens]
     pairs = list(itertools.combinations(range(len(G)), 2))
     processed = 0
-    complete = True
+    cap = ""
     while pairs:
         processed += 1
         if processed > max_pairs or len(G) > max_basis:
-            complete = False
+            cap = f"max_pairs {max_pairs}" if processed > max_pairs else f"max_basis {max_basis}"
             break
         i, j = pairs.pop(0)
         gi, gj = G[i], G[j]
         lmi, lmj = gi.lm(), gj.lm()
         gamma = tuple(max(a, b) for a, b in zip(lmi, lmj))
-        A = pres.monomial(tuple(a - b for a, b in zip(gamma, lmi))) * gi
-        B = pres.monomial(tuple(a - b for a, b in zip(gamma, lmj))) * gj
-        S = A.scale(pres.domain.one / A.terms[gamma]) - B.scale(
-            pres.domain.one / B.terms[gamma]
-        )
+        A = pres._mono_times(tuple(a - b for a, b in zip(gamma, lmi)), gi.terms)
+        B = pres._mono_times(tuple(a - b for a, b in zip(gamma, lmj)), gj.terms)
+        S = _addto(_addto({}, A, one / A[gamma]), B, -one / B[gamma])
         if not S:
             continue
-        h = reduce_full(S, G)
+        h = reduce_full(PBWPoly(pres, S), G)
         if h:
             G.append(h.monic())
             pairs.extend((t, len(G) - 1) for t in range(len(G) - 1))
-    return GroebnerResult(_interreduce(G), complete)
+    return GroebnerResult(_interreduce(G), not cap, cap)
 
 
 def _interreduce(G):
@@ -416,6 +422,18 @@ def in_left_ideal(f: PBWPoly, basis) -> bool:
 
 # -- two-sided closure ---------------------------------------------------------------
 
+def _complete_left_basis(gens) -> list:
+    """groebner_left(gens).basis; a basis cut short by a cap would make the
+    closure, and every membership answer read from it, wrong."""
+    res = groebner_left(gens)
+    if not res.complete:
+        raise GuardError(
+            f"two-sided closure: left Groebner completion stopped at its cap ({res.cap}) "
+            f"with a basis of {len(res.basis)} elements"
+        )
+    return res.basis
+
+
 def two_sided_closure(gens, max_rounds: int = 32) -> list:
     """Left Groebner basis generating (as a left ideal) the two-sided ideal
     spanned by gens; quasi-commutative presentations only."""
@@ -425,21 +443,18 @@ def two_sided_closure(gens, max_rounds: int = 32) -> list:
     pres = gens[0].pres
     if not pres.is_quasi_commutative:
         raise DomainError("two-sided closure implemented for quasi-commutative presentations only")
-    right_mults = [pres.var(v) for v in range(pres.n)]
-    scalar_gens = []
-    if pres.domain.is_finite and not pres.has_trivial_coefficient_maps:
-        scalar_gens = [pres.constant(pres.domain.field.gen)]
-    G = groebner_left(gens).basis
+    right_mults = pres.gens + [pres.constant(r) for r in pres.twisting_scalars]
+    G = _complete_left_basis(gens)
     for _ in range(max_rounds):
         new = []
         for g in G:
-            for m in right_mults + scalar_gens:
+            for m in right_mults:
                 r = reduce_full(g * m, G)
                 if r:
                     new.append(r)
         if not new:
             return G
-        G = groebner_left(G + new).basis
+        G = _complete_left_basis(G + new)
     raise GuardError(
         f"two-sided closure did not stabilize: basis of {len(G)} elements after "
         f"{max_rounds} rounds (cap {max_rounds})"

@@ -19,6 +19,7 @@ from .spbw import (
     PBWPoly,
     PBWPresentation,
     _deglex_key,
+    in_left_ideal,
     reduce_full,
     two_sided_closure,
 )
@@ -84,35 +85,34 @@ def standard_monomials(pres: PBWPresentation, degree: int):
     return sorted(monos, key=_deglex_key)
 
 
+def _coefficient_rows(polys):
+    """The joint support of polys in increasing deglex order, and the
+    coefficient row of each polynomial over it."""
+    zero = polys[0].pres.domain.zero
+    support = sorted({m for f in polys for m in f.terms}, key=_deglex_key)
+    return support, [[f.terms.get(m, zero) for m in support] for f in polys]
+
+
 def truncated_ideal_of_points(pres: PBWPresentation, X, degree: int):
     """Basis of {f : deg f <= degree, f in I(X)} by linear algebra on the
     reduction maps of the point closures.  The basis is truncated: no finite
     generation procedure is attempted beyond the degree bound."""
     X = [tuple(Z) for Z in X]
-    monos = standard_monomials(pres, degree)
+    monos = [pres.monomial(a) for a in standard_monomials(pres, degree)]
     dom = pres.domain
     if not X:
-        return [pres.monomial(a) for a in monos]
-    closures = [point_closure(pres, Z) for Z in X]
-    reductions = {
-        (mono, t): reduce_full(pres.monomial(mono), G)
-        for mono in monos
-        for t, G in enumerate(closures)
-    }
-    residual_monos = sorted(
-        {m for red in reductions.values() for m in red.terms}, key=_deglex_key
-    )
+        return monos
+    # sum c_m m lies in I(X) iff sum c_m reduce(m) = 0 modulo every point
+    # closure: one equation per closure and monomial of the reductions' support
     rows = []
-    for mono in monos:
-        col = []
-        for t in range(len(closures)):
-            red = reductions[(mono, t)]
-            col.extend(red.terms.get(m, dom.zero) for m in residual_monos)
-        rows.append(col)
-    kernel = Matrix(rows, len(residual_monos) * len(closures), dom.zero, dom.one).transpose().kernel()
+    for Z in X:
+        G = point_closure(pres, Z)
+        _, coeffs = _coefficient_rows([reduce_full(m, G) for m in monos])
+        rows.extend(zip(*coeffs))
+    kernel = Matrix(rows, len(monos), dom.zero, dom.one).kernel()
     out = []
     for coeffs in kernel.rows:
-        f = pres.poly({m: c for m, c in zip(monos, coeffs) if c})
+        f = pres.combination(coeffs, monos)
         assert ideal_of_points_membership(f, X)
         out.append(f)
     return out
@@ -134,25 +134,11 @@ def _solve_multiplier(f: PBWPoly, target: PBWPoly, side: str):
     unknown coefficients enter linearly."""
     pres = f.pres
     dom = pres.domain
-    basis = [pres.one] + list(pres.gens)
+    basis = [pres.one] + pres.gens
     cols = [(f * b if side == "right" else b * f) for b in basis]
-    monos = sorted(
-        {m for c in cols for m in c.terms} | set(target.terms), key=_deglex_key
-    )
-    mat = Matrix(
-        [[c.terms.get(m, dom.zero) for c in cols] for m in monos],
-        len(basis),
-        dom.zero,
-        dom.one,
-    )
-    sol = mat.solve([target.terms.get(m, dom.zero) for m in monos])
-    if sol is None:
-        return None
-    u = pres.zero
-    for c, b in zip(sol, basis):
-        if c:
-            u = u + b.scale(c)
-    return u
+    support, rows = _coefficient_rows(cols + [target])
+    sol = Matrix(rows[:-1], len(support), dom.zero, dom.one).transpose().solve(rows[-1])
+    return None if sol is None else pres.combination(sol, basis)
 
 
 MAX_MULTIPLIER_SEARCH = 1 << 16
@@ -170,12 +156,9 @@ def _brute_multiplier(f: PBWPoly, target: PBWPoly, side: str):
             f"multiplier search space |F|^(n+1) = {len(els)}^{pres.n + 1} = {size} "
             f"exceeds the cap {MAX_MULTIPLIER_SEARCH}"
         )
-    basis = [pres.one] + list(pres.gens)
+    basis = [pres.one] + pres.gens
     for combo in itertools.product(els, repeat=pres.n + 1):
-        u = pres.zero
-        for c, b in zip(combo, basis):
-            if c:
-                u = u + b.scale(c)
+        u = pres.combination(combo, basis)
         if (f * u if side == "right" else u * f) == target:
             return u
     return None
@@ -205,8 +188,7 @@ def normality_test(f: PBWPoly) -> NormalityWitness:
         left_movers.append(u)
         right_movers.append(v)
     scalar_movers = []
-    if pres.domain.is_finite and not trivial:
-        r = pres.domain.field.gen
+    for r in pres.twisting_scalars:
         w = _scalar_mover(f, r, left=True)
         wp = _scalar_mover(f, r, left=False)
         if w is None or wp is None:
@@ -227,7 +209,7 @@ def _scalar_mover(f: PBWPoly, r, left: bool):
         if left:
             cand = _untwist(pres, alpha, r)
         else:
-            cand = pres.mul_terms({alpha: pres.domain.one}, {(0,) * pres.n: r})[alpha]
+            cand = pres._mono_times(alpha, {(0,) * pres.n: r})[alpha]
         if w is None:
             w = cand
         elif w != cand:
@@ -253,14 +235,10 @@ def center_basis(pres: PBWPresentation, degree: int):
     if not pres.is_quasi_commutative:
         raise DomainError("center computation implemented for quasi-commutative presentations")
     out = []
-    gen_scalar = None
-    if pres.domain.is_finite and not pres.has_trivial_coefficient_maps:
-        gen_scalar = pres.constant(pres.domain.field.gen)
+    tests = pres.gens + [pres.constant(r) for r in pres.twisting_scalars]
     for alpha in standard_monomials(pres, degree):
         m = pres.monomial(alpha)
-        if all(pres.var(i) * m == m * pres.var(i) for i in range(pres.n)) and (
-            gen_scalar is None or gen_scalar * m == m * gen_scalar
-        ):
+        if all(t * m == m * t for t in tests):
             out.append(m)
     return out
 
@@ -284,13 +262,6 @@ def nullstellensatz_check(
         raise DomainError("the executable check needs a finite base field")
     G2 = two_sided_closure(gens)
     variety = vanishing_set(gens)
-
-    def in_ideal(f):
-        return not reduce_full(f, G2)
-
-    def in_ideal_of_variety(f):
-        return all(root_test(f, Z) for Z in variety)
-
     report = {
         "variety_size": len(variety),
         "exercised": [],
@@ -306,20 +277,16 @@ def nullstellensatz_check(
     candidates = list(cmonos)
     els = pres.domain.elements()
     for _ in range(sample_budget):
-        f = pres.zero
-        for m in cmonos:
-            c = rng.choice(els)
-            if c:
-                f = f + m.scale(c)
+        f = pres.combination([rng.choice(els) for _ in cmonos], cmonos)
         if f:
             candidates.append(f)
     checked = confirmed = 0
     for f in candidates:
         power = f
         for m in range(1, power_bound + 1):
-            if in_ideal(power):
+            if in_left_ideal(power, G2):
                 checked += 1
-                if in_ideal_of_variety(f):
+                if ideal_of_points_membership(f, variety):
                     confirmed += 1
                 break
             power = power * f
@@ -332,7 +299,7 @@ def nullstellensatz_check(
     report["exercised"].append("central f with f^m in I implies f in I(V(I))")
 
     # (b) center side: generators of <I_Z(A)(V_Z(A)(J))> land in I(V(I))
-    center_report = _center_side(pres, G2, variety, degree, in_ideal_of_variety)
+    center_report = _center_side(pres, G2, variety, degree, cmonos)
     report["center_side"] = center_report
     if center_report.get("holds") is not None:
         report["exercised"].append(
@@ -342,9 +309,8 @@ def nullstellensatz_check(
     return report
 
 
-def _center_side(pres, G2, variety, degree, in_ideal_of_variety):
+def _center_side(pres, G2, variety, degree, cmonos):
     dom = pres.domain
-    cmonos = center_basis(pres, degree)
     # center generators x_i^{L_i}
     L = []
     for i in range(pres.n):
@@ -361,41 +327,21 @@ def _center_side(pres, G2, variety, degree, in_ideal_of_variety):
             return {"holds": None, "note": "center is not the expected polynomial ring at this degree"}
 
     # J = I n Z(A) up to the degree bound, by linear algebra over the field
-    alphas = [next(iter(m.terms)) for m in cmonos]
-    reductions = [reduce_full(pres.monomial(a), G2) for a in alphas]
-    monos_res = sorted({m for r in reductions for m in r.terms}, key=_deglex_key)
-    mat = Matrix(
-        [[r.terms.get(m, dom.zero) for r in reductions] for m in monos_res],
-        len(reductions),
-        dom.zero,
-        dom.one,
-    )
-    J_basis = []
-    for coeffs in mat.kernel().rows:
-        f = pres.zero
-        for c, a in zip(coeffs, alphas):
-            if c:
-                f = f + pres.monomial(a, c)
-        if f:
-            J_basis.append(f)
+    support, rows = _coefficient_rows([reduce_full(m, G2) for m in cmonos])
+    kernel = Matrix(rows, len(support), dom.zero, dom.one).transpose().kernel()
+    J_basis = [pres.combination(coeffs, cmonos) for coeffs in kernel.rows]
 
     # V_{Z(A)}(J) in the w-affine space, w_i = x_i^{L_i}
-    field_els = dom.elements()
-    wpoints = []
-    for w in itertools.product(field_els, repeat=pres.n):
-        ok = True
-        for f in J_basis:
-            val = dom.zero
-            for alpha, c in f.terms.items():
-                term = c
-                for i, (a, l) in enumerate(zip(alpha, L)):
-                    term = term * w[i] ** (a // l)
-                val = val + term
-            if val:
-                ok = False
-                break
-        if ok:
-            wpoints.append(w)
+    def w_value(f, w):
+        return sum(
+            (c * _eval_wmono([a // l for a, l in zip(alpha, L)], w, dom) for alpha, c in f.terms.items()),
+            dom.zero,
+        )
+
+    wpoints = [
+        w for w in itertools.product(dom.elements(), repeat=pres.n)
+        if not any(w_value(f, w) for f in J_basis)
+    ]
 
     # I_{Z(A)}(V_{Z(A)}(J)) up to w-degree bound, then map w_i -> x_i^{L_i}
     wdeg = max(degree // max(L), 1)
@@ -410,15 +356,9 @@ def _center_side(pres, G2, variety, degree, in_ideal_of_variety):
         ker = ev.kernel().rows
     else:
         ker = [[dom.one if i == j else dom.zero for i in range(len(wmonos))] for j in range(len(wmonos))]
-    generators = []
-    for coeffs in ker:
-        f = pres.zero
-        for c, a in zip(coeffs, wmonos):
-            if c:
-                f = f + pres.monomial(tuple(ai * li for ai, li in zip(a, L)), c)
-        if f:
-            generators.append(f)
-    holds = all(in_ideal_of_variety(g) for g in generators)
+    xmonos = [pres.monomial(tuple(ai * li for ai, li in zip(a, L))) for a in wmonos]
+    generators = [pres.combination(coeffs, xmonos) for coeffs in ker]
+    holds = all(ideal_of_points_membership(g, variety) for g in generators)
     return {
         "holds": holds,
         "J_basis_size": len(J_basis),

@@ -41,6 +41,25 @@ def test_requires_frobenius_ring():
     R = OreRing(GF(2, 2), 0)
     with pytest.raises(DomainError):
         to_linearized(R.one)
+    with pytest.raises(DomainError):
+        from_linearized(R, LinearizedPoly(R.field, [R.field.one]))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_prime_field_is_a_frobenius_ring(p):
+    # phi is the identity on GF(p), so F[x;phi] is F[x] and x + 1 is y^p + y
+    R = OreRing(GF(p, 1), 1)
+    g = to_linearized(R.parse("x+1"))
+    assert repr(g) == f"y^{p}+y"
+    assert from_linearized(R, g) == R.parse("x+1")
+    assert matrix_algebra_check(R.field)["all_ok"]
+
+
+def test_prime_field_cli(capsys):
+    from orecodes.cli import main
+
+    assert main(["linearized", "map", "--field", "GF(3)", "--poly", "x+1", "--format", "json"]) == 0
+    assert '"linearized": "y^3+y"' in capsys.readouterr().out
 
 
 def test_evaluation_is_additive_and_zq_linear(R4):

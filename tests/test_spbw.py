@@ -461,3 +461,27 @@ def test_two_sided_closure_guard_reports_rounds_and_cap():
     A = load_presentation(GF9_PLANE)
     with pytest.raises(GuardError, match=r"basis of 1 elements after 0 rounds \(cap 0\)"):
         two_sided_closure([A.parse("x+y")], max_rounds=0)
+
+
+@pytest.fixture
+def capped_groebner(monkeypatch):
+    """groebner_left stopped by max_pairs = 0 wherever the closure calls it."""
+    import orecodes.spbw as spbw
+
+    real = spbw.groebner_left
+    monkeypatch.setattr(spbw, "groebner_left", lambda gens: real(gens, max_pairs=0))
+
+
+def test_two_sided_closure_refuses_a_capped_basis(capped_groebner):
+    A = load_presentation(GF9_PLANE)
+    with pytest.raises(GuardError, match=r"stopped at its cap \(max_pairs 0\) with a basis of 2 elements"):
+        two_sided_closure([A.parse("x^2+y"), A.parse("x*y+1")])
+
+
+def test_two_sided_closure_capped_basis_exits_4(capped_groebner, tmp_path, capsys):
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(GF9_PLANE))
+    argv = ["spbw", "closure", "--presentation", str(path), "--gens", "x^2+y,x*y+1", "--format", "json"]
+    assert main(argv) == 4
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == 4 and "max_pairs 0" in error["message"]
