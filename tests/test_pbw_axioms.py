@@ -17,7 +17,7 @@ LITERALS = {"Q": ["1", "-1", "2", "1/2", "-3/2"], "Q(i)": ["1", "i", "-i", "1+i"
 
 
 @pytest.fixture(scope="module", params=NAMES)
-def pres(request):
+def A(request):
     return load_presentation(os.path.join(ROOT, "presentations", f"{request.param}.json"))
 
 
@@ -35,8 +35,7 @@ def polys(A):
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
-def test_ring_axioms(pres, data):
-    A = pres
+def test_ring_axioms(A, data):
     f, g, h = (data.draw(polys(A)) for _ in range(3))
     assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
@@ -50,8 +49,7 @@ def test_ring_axioms(pres, data):
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
-def test_division_reconstructs(pres, data):
-    A = pres
+def test_division_reconstructs(A, data):
     f, d1, d2 = (data.draw(polys(A)) for _ in range(3))
     assume(d1 and d2)
     for divisors in ([d1, d2], [d2]):
