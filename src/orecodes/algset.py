@@ -8,7 +8,7 @@ left-to-right in that order so every output is deterministic.
 
 from __future__ import annotations
 
-from .errors import DomainError
+from .errors import DomainError, verify
 from .linalg import Matrix
 from .gf import parse_element, split_list
 from .skewpoly import OreRing, SkewPoly, field_index, lclm_list, norms_i, operator_powers_i, right_eval
@@ -32,17 +32,13 @@ def minimal_polynomial(ring: OreRing, points) -> SkewPoly:
     if not pts:
         return ring.one
     m = lclm_list(ring.linear(z) for z in pts)
-    assert m.degree <= len(pts)
+    verify(m.degree <= len(pts), "deg m_X <= |X|")
     return m
 
 
 def rank_of_set(ring: OreRing, points) -> int:
-    """rank(X) = deg m_X; cross-checked against the Vandermonde rank."""
-    pts = _sorted_points(points)
-    r = minimal_polynomial(ring, pts).degree
-    if pts:
-        assert r == vandermonde(ring, pts).rank()
-    return r
+    """rank(X) = deg m_X, which equals the rank of the Vandermonde matrix V(X)."""
+    return minimal_polynomial(ring, points).degree
 
 
 def _point_matrix(ring: OreRing, points, nrows, column) -> Matrix:

@@ -2,8 +2,9 @@
 
 One invocation, one computation, deterministic output.  Exit codes: 0 ok,
 2 usage error (argparse), 3 domain precondition violation, 4 desk-scale
-guard exceeded.  With --format json every result (or error) is a single
-machine-readable JSON object on stdout.
+guard exceeded, 5 a result failed its certificate (a defect in the program,
+reported with or without python -O).  With --format json every result (or
+error) is a single machine-readable JSON object on stdout.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .errors import DomainError, GuardError
+from .errors import DomainError, GuardError, VerificationError
 from . import algset, codes, evalcodes, linearized, spbw, spbwsets
 from .gf import element_str, parse_element, parse_field, split_list
 from .linalg import Matrix
@@ -29,7 +30,8 @@ from .skewpoly import (
     two_sided_test,
 )
 
-USAGE_EXIT, DOMAIN_EXIT, GUARD_EXIT = 2, 3, 4
+# the typed errors' exit codes; argparse exits 2 on a usage error
+EXIT_CODES = {DomainError: 3, ZeroDivisionError: 3, GuardError: 4, VerificationError: 5}
 
 
 def _ring(args) -> OreRing:
@@ -492,12 +494,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ZeroDivisionError) as exc:
-        _error(args, DOMAIN_EXIT, str(exc))
-        return DOMAIN_EXIT
-    except GuardError as exc:
-        _error(args, GUARD_EXIT, str(exc))
-        return GUARD_EXIT
+    except tuple(EXIT_CODES) as exc:
+        code = next(c for kind, c in EXIT_CODES.items() if isinstance(exc, kind))
+        _error(args, code, str(exc))
+        return code
 
 
 def _error(args, code, message):

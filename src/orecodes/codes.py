@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import DomainError
+from .errors import DomainError, verify
 from .linalg import Matrix, identity
 from .skewpoly import OreRing, SkewPoly, gcrd, gcrd_bezout, lclm, residue_rows_i, two_sided_test
 
@@ -203,10 +203,10 @@ def bezout_idempotent(ring: OreRing, g: SkewPoly, h: SkewPoly, n: int) -> SkewPo
     if g.degree + h.degree != n or lclm(g, h) != f:
         raise DomainError("need lclm(g, h) = x^n - 1 and deg g + deg h = n")
     d, u, _ = gcrd_bezout(g, h)
-    assert d.degree == 0
+    verify(d.degree == 0, "gcrd(g, h) = 1 when lclm(g, h) = x^n - 1 and deg g + deg h = n")
     e = (u * g).right_divmod(f)[1]
-    assert (e * e).right_divmod(f)[1] == e
-    assert idempotent_to_generator(ring, e, n) == g  # A ebar = A gbar
+    verify((e * e).right_divmod(f)[1] == e, "e = u*g is idempotent mod x^n - 1")
+    verify(idempotent_to_generator(ring, e, n) == g, "A*ebar = A*gbar")
     return e
 
 
@@ -232,5 +232,5 @@ def dual_skew_cyclic(code: SkewCyclicCode) -> SkewCyclicCode:
     te = theta(ring, comp, n)
     gperp = idempotent_to_generator(ring, te, n)
     dual_code = SkewCyclicCode(ring, f, gperp)
-    assert dual_code.to_linear().same_code(code.to_linear().dual())
+    verify(dual_code.to_linear().same_code(code.to_linear().dual()), "idempotent-path dual = kernel dual")
     return dual_code

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import DomainError, GuardError
+from .errors import DomainError, GuardError, verify
 from .gf import fixed_field_coordinates
 from .linalg import Matrix, dot_i, rank_i
 from .skewpoly import OreRing
@@ -53,9 +53,7 @@ def _eval_code(support: Support, k: int) -> LinearCode:
     if rank < k:
         raise DomainError(f"support matrix rank {rank} < k = {k}")
     G = Matrix(full.rows[:k], full.ncols, full.zero, full.one)
-    code = LinearCode(support.ring.field, G)
-    assert code.dim == k
-    return code
+    return LinearCode(support.ring.field, G)
 
 
 # -- metrics -----------------------------------------------------------------------
@@ -128,22 +126,16 @@ def certify(code: LinearCode, kind: str, ring: OreRing | None = None) -> Certifi
     if kind == "MDS":
         d = min_distance(code, "hamming")
         holds = d == bound
-        crossed = _mds_column_check(code) == holds
-        if not crossed:  # pragma: no cover
-            raise AssertionError("parity-check column criterion disagrees with distance")
+        verify(_mds_column_check(code) == holds, "the parity-check column criterion agrees with d_H")
         return Certificate(kind, holds, d, bound, True)
     if kind == "MRD":
         if ring is None:
             raise DomainError("MRD certification needs the Ore ring")
         d = min_distance(code, "rank", ring)
         holds = d == bound
-        crossed = False
-        gab = _gabidulin_check(code, ring)
-        if gab is not None:
-            if gab != holds:  # pragma: no cover
-                raise AssertionError("Gabidulin criterion disagrees with rank distance")
-            crossed = True
-        return Certificate(kind, holds, d, bound, crossed)
+        gab = _gabidulin_check(code, ring)  # None when the Y-space is too large
+        verify(gab in (None, holds), "the Gabidulin criterion agrees with d_rank")
+        return Certificate(kind, holds, d, bound, gab is not None)
     raise DomainError(f"unknown certificate kind {kind!r}")
 
 

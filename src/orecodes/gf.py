@@ -452,6 +452,8 @@ def parse_field(text: str) -> FiniteField:
     base = int(m.group(1))
     if m.group(2) is not None:
         return GF(base, int(m.group(2)))
+    if base > MAX_FIELD_SIZE:  # before the trial division below, which is O(n)
+        raise GuardError(f"field size {base} exceeds table cap {MAX_FIELD_SIZE}")
     # factor n as q^k with q prime
     for q in range(2, base + 1):
         if base % q == 0:

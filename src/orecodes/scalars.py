@@ -130,8 +130,8 @@ class RationalDomain:
         return "Q"
 
 
-# a rational magnitude, optionally times i (2*i, 2i), or i alone
-_GAUSS_TERM = re.compile(r"(\d+(?:/\d+)?)(\*?i)?|i")
+# a rational magnitude with a nonzero denominator, optionally times i (2*i, 2i), or i alone
+_GAUSS_TERM = re.compile(r"(\d+(?:/\d*[1-9]\d*)?)(\*?i)?|i")
 
 
 class GaussianDomain:

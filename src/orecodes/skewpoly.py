@@ -14,7 +14,7 @@ import itertools
 import re
 from typing import NamedTuple
 
-from .errors import DomainError, GuardError
+from .errors import DomainError, GuardError, verify
 from .gf import (Automorphism, FieldElement, FiniteField, InnerDerivation, element_str, parse_element,
                  split_factors, split_terms)
 from .linalg import Matrix, dot_i
@@ -359,16 +359,11 @@ def norm(ring: OreRing, i: int, z: FieldElement) -> FieldElement:
 
 
 def right_eval(g: SkewPoly, z: FieldElement) -> FieldElement:
-    """Remainder of g by (x - z); cross-checked against the norm-sum formula."""
-    ring = g.ring
-    field = ring.field
-    zi = field_index(field, z)
-    r = _right_divmod_i(ring, g.idx, [field.neg_i(zi), 1])[1]
-    rem = r[0] if r else 0
-    acc = dot_i(field, g.idx, norms_i(ring, zi, g.degree))
-    if acc != rem:  # pragma: no cover - the two evaluations always agree
-        raise AssertionError("norm-sum and division-remainder evaluation disagree")
-    return FieldElement(field, rem)
+    """g(z), the remainder of g by x - z, as the norm sum sum_i g_i N_i(z)
+    (Lam-Leroy 1988)."""
+    field = g.ring.field
+    norms = norms_i(g.ring, field_index(field, z), g.degree)
+    return FieldElement(field, dot_i(field, g.idx, norms))
 
 
 def operator_eval(g: SkewPoly, z: FieldElement) -> FieldElement:
@@ -386,23 +381,31 @@ class BezoutData(NamedTuple):
     v: SkewPoly
 
 
-def gcrd_bezout(g1: SkewPoly, g2: SkewPoly) -> BezoutData:
-    if not g1 and not g2:
-        raise DomainError("gcrd(0, 0) is undefined")
+def _right_euclid(g1: SkewPoly, g2: SkewPoly):
+    """Right Euclid on g1, g2 with the left cofactors of g1 only: (r, u, u_next)
+    with r the last nonzero remainder (a gcrd up to a unit), r = u*g1 + v*g2
+    for some v, and u_next*g1 in A*g2 (the cofactor of the zero remainder)."""
     ring = g1.ring
     r0, r1 = g1, g2
     u0, u1 = ring.one, ring.zero
-    v0, v1 = ring.zero, ring.one
     while r1:
         q, r2 = r0.right_divmod(r1)
         r0, r1 = r1, r2
         u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    lead = r0.lc().inverse()
-    d = lead * r0
-    res = BezoutData(d, lead * u0, lead * v0)
-    assert res.u * g1 + res.v * g2 == d
-    return res
+    return r0, u0, u1
+
+
+def gcrd_bezout(g1: SkewPoly, g2: SkewPoly) -> BezoutData:
+    """Monic gcrd d with d = u*g1 + v*g2; v is the exact right quotient of
+    d - u*g1 by g2, so the division's zero remainder certifies the identity."""
+    if not g1 and not g2:
+        raise DomainError("gcrd(0, 0) is undefined")
+    r, u, _ = _right_euclid(g1, g2)
+    lead = r.lc().inverse()
+    d, u = lead * r, lead * u
+    v, rem = (d - u * g1).right_divmod(g2) if g2 else (g2, d - u * g1)
+    verify(not rem, "gcrd Bezout identity: d - u*g1 = v*g2 exactly")
+    return BezoutData(d, u, v)
 
 
 def gcrd(g1: SkewPoly, g2: SkewPoly) -> SkewPoly:
@@ -410,21 +413,15 @@ def gcrd(g1: SkewPoly, g2: SkewPoly) -> SkewPoly:
 
 
 def lclm(g1: SkewPoly, g2: SkewPoly) -> SkewPoly:
-    """Monic generator of A*g1 n A*g2, via the terminal Bezout cofactors."""
+    """Monic generator of A*g1 n A*g2, c*u*g1 for the cofactor u of the zero
+    remainder; it is a left multiple of g1 by construction."""
     if not g1 or not g2:
         raise DomainError("lclm requires nonzero polynomials")
-    ring = g1.ring
-    r0, r1 = g1, g2
-    u0, u1 = ring.one, ring.zero
-    while r1:
-        q, r2 = r0.right_divmod(r1)
-        r0, r1 = r1, r2
-        u0, u1 = u1, u0 - q * u1
-    # at exit u1 is the cofactor of the zero remainder: u1*g1 = -v1*g2
-    m = (u1 * g1).monic()
+    r, _, u = _right_euclid(g1, g2)
+    m = (u * g1).monic()
     # eq (2.4a): deg gcrd + deg lclm = deg g1 + deg g2
-    assert m.degree + r0.degree == g1.degree + g2.degree
-    assert g1.right_divides(m) and g2.right_divides(m)
+    verify(m.degree + r.degree == g1.degree + g2.degree, "deg gcrd + deg lclm = deg g1 + deg g2")
+    verify(g2.right_divides(m), "g2 right-divides lclm(g1, g2)")
     return m
 
 
@@ -491,7 +488,7 @@ def two_sided_test(g: SkewPoly) -> TwoSidedWitness:
     c = g.lc()
     h_coeffs = [sigma(ci / c, -t) if ci else ci for ci in g.coeffs[t:]]
     h = ring.poly(h_coeffs)
-    assert c * (ring.monomial(t) * h) == g
+    verify(c * (ring.monomial(t) * h) == g, "two-sided decomposition g = c*x^t*h")
     if not is_central(h):
         return TwoSidedWitness(False, None, None, None)
     return TwoSidedWitness(True, c, t, h)
@@ -526,14 +523,16 @@ def annihilator_poly(a: SkewPoly, f: SkewPoly) -> SkewPoly:
     basis = [next(rows)]  # x^i * a mod f, i = 0 .. D-1
     if not any(basis[0]):
         return ring.one
+    sol = None
     for row in itertools.islice(rows, ring.s * f.degree * field.k + 1):
         # monic h of degree D = len(basis): x^D a + sum_{i<D} h_i x^i a = 0 mod f
         target = [FieldElement(field, field.neg_i(v)) for v in row]
         sol = Matrix.from_indices(field, basis, f.degree).transpose().solve(target)
         if sol is not None:
-            return ring.poly(list(sol) + [field.one])
+            break
         basis.append(row)
-    raise AssertionError("annihilator search bound exceeded")  # pragma: no cover
+    verify(sol is not None, "an annihilator of degree <= s*k*deg f exists")
+    return ring.poly(list(sol) + [field.one])
 
 
 def bound_polynomial(f: SkewPoly) -> SkewPoly:
@@ -554,8 +553,8 @@ def bound_polynomial(f: SkewPoly) -> SkewPoly:
         for i in range(ring.s):
             a = ring.monomial(i, b)
             acc = lclm(acc, annihilator_poly(a, f))
-    assert two_sided_test(acc).is_two_sided
-    assert f.right_divides(acc)
+    verify(two_sided_test(acc).is_two_sided, "the bound polynomial is two-sided")
+    verify(f.right_divides(acc), "f right-divides its bound polynomial")
     return acc
 
 
@@ -610,7 +609,7 @@ def similarity_test(g: SkewPoly, h: SkewPoly):
         rows = list(itertools.islice(residue_rows_i(p, h), m))
         B = Matrix.from_indices(field, rows, m)
         sB = Matrix.from_indices(field, [[field.frob_i(v, ring.sigma.l) for v in r] for r in rows], m)
-        assert companion_matrix(g) * B == sB * companion_matrix(h)
+        verify(companion_matrix(g) * B == sB * companion_matrix(h), "similarity C_g B = sigma(B) C_h")
         return True, B
     return False, None
 
@@ -662,7 +661,7 @@ def factor_irreducible(g: SkewPoly):
             factors.insert(0, cur)
             break
         q, r = cur.right_divmod(d)
-        assert not r
+        verify(not r, "a found right divisor divides exactly")
         factors.insert(0, d)
         cur = q
         if cur.degree == 0:
@@ -672,7 +671,7 @@ def factor_irreducible(g: SkewPoly):
     prod = factors[0]
     for p in factors[1:]:
         prod = prod * p
-    assert prod == g
+    verify(prod == g, "the factors multiply back to g")
     return factors
 
 

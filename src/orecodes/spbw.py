@@ -27,7 +27,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .errors import DomainError, GuardError
+from .errors import DomainError, GuardError, verify
 from .gf import split_factors, split_terms
 from .scalars import domain_by_name
 
@@ -336,12 +336,12 @@ def _division_engine(f: PBWPoly, divisors, freeze_rest: bool) -> DivisionResult:
     recon = dict(h)
     for p in products:
         _addto(recon, p)
-    assert recon == f.terms
+    verify(recon == f.terms, "division reconstruction f = sum q_i*d_i + h")
     if f:
         keys = [max(map(_deglex_key, p)) for p in products]
         if h:
             keys.append(max(map(_deglex_key, h)))
-        assert max(keys) == _deglex_key(f.lm())
+        verify(max(keys) == _deglex_key(f.lm()), "division degree condition lm(f) = max(lm(q_i*d_i), lm(h))")
     return DivisionResult([PBWPoly(pres, qi) for qi in q], PBWPoly(pres, h))
 
 

@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import DomainError, GuardError
+from .errors import DomainError, GuardError, verify
 from .linalg import Matrix
 from .spbw import (
     PBWPoly,
@@ -113,7 +113,7 @@ def truncated_ideal_of_points(pres: PBWPresentation, X, degree: int):
     out = []
     for coeffs in kernel.rows:
         f = pres.combination(coeffs, monos)
-        assert ideal_of_points_membership(f, X)
+        verify(ideal_of_points_membership(f, X), "a truncated ideal-of-points element vanishes on X")
         out.append(f)
     return out
 
@@ -184,7 +184,7 @@ def normality_test(f: PBWPoly) -> NormalityWitness:
             v = _brute_multiplier(f, f * xi, "left")
         if u is None or v is None:
             return NormalityWitness(False)
-        assert f * u == xi * f and v * f == f * xi
+        verify(f * u == xi * f and v * f == f * xi, "normality multipliers f*u = x_i*f and v*f = f*x_i")
         left_movers.append(u)
         right_movers.append(v)
     scalar_movers = []

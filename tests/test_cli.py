@@ -1,6 +1,7 @@
 import json
 import os
 import shlex
+import signal
 
 import pytest
 
@@ -170,6 +171,22 @@ def test_guard_error_json_reports_size_and_cap(capsys):
     assert json.loads(out) == {
         "error": {"code": 4, "message": "factorization guard: degree 7 (cap 6), |F| = 4 (cap 64)"}
     }
+
+
+def test_large_prime_field_literal_is_refused_at_once(capsys):
+    """GF(n) above the table cap is refused before n is factored by trial division."""
+    def too_slow(signum, frame):
+        raise TimeoutError("GF(1000000007) was still being factored after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        code, out, _ = run(capsys, ["field", "info", "GF(1000000007)", "--format", "json"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 4
+    assert json.loads(out) == {"error": {"code": 4, "message": "field size 1000000007 exceeds table cap 65536"}}
 
 
 def test_usage_error_exit_code():

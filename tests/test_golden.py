@@ -129,6 +129,17 @@ def test_cli_calls_match_golden():
     assert _cli_text() == _read("cli.txt")
 
 
+def test_cli_calls_match_golden_under_O():
+    """python -O drops assert statements; the certificates run all the same,
+    and the output is byte-identical."""
+    path = os.pathsep.join([os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", "import sys, test_golden; sys.stdout.write(test_golden._cli_text())"],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == _read("cli.txt")
+
+
 @pytest.mark.parametrize("name", SCRIPTS)
 def test_script_matches_golden(name):
     assert _script_text(name) == _read(f"{name}.out")

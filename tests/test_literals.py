@@ -158,6 +158,7 @@ def test_pbw_reversed_variables(name, product):
 
 POLY = ["poly", "mul", "--field", "GF(4)", "--sigma", "1", "--b", "1", "--a={}"]
 LINEARIZED = ["linearized", "dickson", "--field", "GF(4)", "--poly={}"]
+GAUSSIAN = ["spbw", "mul", "--presentation", os.path.join(PRES, "qspace3.json"), "--b", "1", "--a={}"]
 MALFORMED = [
     (POLY, "+", "'+'"),
     (POLY, "-", "'-'"),
@@ -168,6 +169,7 @@ MALFORMED = [
     (POLY, "g^-1*x", "'g^-1'"),
     (LINEARIZED, "y^2*y", "'y^2*y'"),
     (POLY, "(w*x", "'(w*x'"),
+    (GAUSSIAN, "1/0*x", "bad Gaussian rational literal '1/0'"),
 ]
 
 

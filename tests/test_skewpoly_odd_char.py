@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orecodes.gf import GF
-from orecodes.skewpoly import OreRing, norm, right_eval
+from orecodes.skewpoly import OreRing, right_eval
 
 RINGS = [
     (q, k, l, w)
@@ -97,10 +97,9 @@ def test_divmod_edge_cases(params):
 @settings(max_examples=40, deadline=None)
 @given(g=coeffs, z=st.integers(0, 10 ** 6))
 def test_right_eval_is_norm_sum(params, g, z):
+    """right_eval, the norm sum sum_i g_i N_i(z), is the remainder of g by x - z."""
     ring = ring_of(params)
     F = ring.field
     g, z = make(ring, g), F.element(z % F.size)
-    expected = F.zero
-    for i, c in enumerate(g.coeffs):
-        expected = expected + c * norm(ring, i, z)
+    expected = g.right_divmod(ring.linear(z))[1][0]
     assert right_eval(g, z) == expected
