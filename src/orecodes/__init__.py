@@ -9,7 +9,19 @@ cli (command-line front end).
 """
 
 from .gf import GF, parse_field
-from .skewpoly import OreRing
-from .spbw import PBWPresentation, load_presentation
 
 __all__ = ["GF", "parse_field", "OreRing", "PBWPresentation", "load_presentation"]
+
+
+def __getattr__(name):
+    """OreRing and the PBW names are imported on first use (PEP 562), so that
+    importing the package, or the command line, loads no more than gf."""
+    if name == "OreRing":
+        from .skewpoly import OreRing
+
+        return OreRing
+    if name in ("PBWPresentation", "load_presentation"):
+        from . import spbw
+
+        return getattr(spbw, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,29 +12,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, GuardError, VerificationError
-from . import algset, codes, evalcodes, linearized, spbw, spbwsets
 from .gf import element_str, parse_element, parse_field, split_list
-from .linalg import Matrix
-from .skewpoly import (
-    OreRing,
-    bound_polynomial,
-    factor_irreducible,
-    gcrd_bezout,
-    lclm,
-    operator_eval,
-    poly_str,
-    right_eval,
-    similarity_test,
-    two_sided_test,
-)
+
+if TYPE_CHECKING:
+    from .linalg import Matrix
+    from .skewpoly import OreRing
+
+# Each command imports the modules it needs when it runs, so a process loads
+# only its own subcommand's part of the package; the names are looked up at
+# call time, so a replaced module attribute is seen.
 
 # the typed errors' exit codes; argparse exits 2 on a usage error
 EXIT_CODES = {DomainError: 3, ZeroDivisionError: 3, GuardError: 4, VerificationError: 5}
 
 
 def _ring(args) -> OreRing:
+    from .skewpoly import OreRing
+
     field = parse_field(args.field)
     w = parse_element(field, args.delta_w) if getattr(args, "delta_w", None) else None
     return OreRing(field, args.sigma, w)
@@ -46,6 +43,8 @@ def _matrix_payload(m: Matrix):
 
 def _poly_payload(g):
     """Text plus the JSON form: coefficient strings, low degree first."""
+    from .skewpoly import poly_str
+
     return {"text": poly_str(g), "coeffs": [element_str(c) for c in g.coeffs]}
 
 
@@ -89,6 +88,9 @@ def cmd_field_info(args):
 # -- poly -----------------------------------------------------------------------
 
 def cmd_poly(args):
+    from .skewpoly import (bound_polynomial, factor_irreducible, gcrd_bezout, lclm, operator_eval, poly_str,
+                           right_eval, similarity_test, two_sided_test)
+
     ring = _ring(args)
     P = ring.parse
     op = args.op
@@ -141,6 +143,9 @@ def cmd_poly(args):
 # -- algset ---------------------------------------------------------------------
 
 def cmd_algset(args):
+    from . import algset
+    from .skewpoly import poly_str
+
     ring = _ring(args)
     if args.op == "vanish":
         pts = algset.vanishing_set(ring.parse(args.g))
@@ -163,6 +168,9 @@ def cmd_algset(args):
 # -- codes ----------------------------------------------------------------------
 
 def cmd_codes(args):
+    from . import codes
+    from .skewpoly import poly_str
+
     ring = _ring(args)
     P = ring.parse
     if args.op == "build":
@@ -207,6 +215,8 @@ def _support(ring, text):
 
 
 def cmd_evalcodes(args):
+    from . import evalcodes
+
     ring = _ring(args)
     Z = _support(ring, args.support)
     build = evalcodes.remainder_code if args.code == "remainder" else evalcodes.operator_code
@@ -239,6 +249,9 @@ def cmd_evalcodes(args):
 def _parse_linearized(field, text):
     """Sums of c*y^(q^i), e.g. y^2 over GF(4) or y^4+y: a polynomial in the
     commutative ring F[y] whose exponents must all be powers of q."""
+    from . import linearized
+    from .skewpoly import OreRing
+
     g = OreRing(field).parse(text, var="y")
     powers = [field.q ** i for i in range(max(g.degree, 1).bit_length())]
     bad = [e for e, c in enumerate(g.coeffs) if c and e not in powers]
@@ -249,6 +262,9 @@ def _parse_linearized(field, text):
 
 
 def cmd_linearized(args):
+    from . import linearized
+    from .skewpoly import OreRing
+
     field = parse_field(args.field)
     if args.op == "map":
         ring = OreRing(field, 1)
@@ -276,10 +292,14 @@ def cmd_linearized(args):
 # -- spbw -----------------------------------------------------------------------
 
 def _pres(args):
+    from . import spbw
+
     return spbw.load_presentation(args.presentation)
 
 
 def cmd_spbw(args):
+    from . import spbw
+
     A = _pres(args)
     if args.op == "mul":
         out = A.parse(args.a) * A.parse(args.b)
@@ -326,6 +346,8 @@ def _parse_point(A, text):
 
 
 def cmd_spbwsets(args):
+    from . import spbw, spbwsets
+
     A = _pres(args)
     if args.op == "roots":
         ok = spbwsets.root_test(A.parse(args.f), _parse_point(A, args.point))

@@ -8,12 +8,21 @@ every arithmetic operation is O(1) table lookups.  Fields are built once per
 lexicographically least (highest coefficients compared first) monic
 irreducible polynomial of degree k over GF(q).  z0 is the least element code
 of order t = q^k - 1, found by testing z0^(t/p) != 1 for each prime p | t.
+
+An element's code is sum(c_i * q^i) over its coefficients in the polynomial
+basis.  Multiplication by z0 is F_q-linear, so the exp table z0^0, z0^1, ...
+is built from the k images z0*x^j: z0*c is tabulated over the low and the
+high half of a code's digits, and each step is one lookup per half plus one
+digitwise addition mod q (see FiniteField._powers).  A Zech entry needs only
+c + 1, which changes the lowest digit, and one code -> index list serves both
+the Zech table and from_code.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 
 from .errors import DomainError, GuardError
@@ -80,15 +89,17 @@ def _irreducible(m, q):
 
 
 class FiniteField:
-    """GF(q^k) with exp/log/Zech tables; immutable after construction."""
+    """GF(q^k) with exp and Zech tables and a code -> index list; immutable
+    after construction."""
 
     def __init__(self, q: int, k: int):
-        if not is_prime(q):
-            raise DomainError(f"characteristic {q} is not prime")
+        # the size checks come first: is_prime is trial division up to sqrt(q)
         if not 1 <= k <= 16:
             raise DomainError(f"extension degree {k} out of range [1, 16]")
         if q ** k > MAX_FIELD_SIZE:
             raise GuardError(f"field size {q}^{k} exceeds table cap {MAX_FIELD_SIZE}")
+        if not is_prime(q):
+            raise DomainError(f"characteristic {q} is not prime")
         self.q = q
         self.k = k
         self.size = q ** k
@@ -130,12 +141,6 @@ class FiniteField:
             c = c * self.q + d
         return c
 
-    def _code_add(self, a, b):
-        if self.q == 2:
-            return a ^ b
-        da, db = self._code_digits(a), self._code_digits(b)
-        return self._digits_code([(x + y) % self.q for x, y in zip(da, db)])
-
     def _code_mul(self, a, b):
         pa = self._code_digits(a)
         pb = self._code_digits(b)
@@ -152,6 +157,62 @@ class FiniteField:
             code = self._code_mul(code, code)
             e >>= 1
         return acc
+
+    def _powers(self, z0):
+        """[z0^0, ..., z0^(t-1)] as codes.  c -> z0*c is F_q-linear, so it is
+        tabulated once on the low h = k//2 base-q digits of a code and once on
+        the high k-h digits, from the k images z0*x^j; each power is then one
+        lookup per half and one digitwise addition mod q.  For q = 2 that is
+        XOR.  Otherwise the digits sit in b-bit slots of one int (a packed
+        code), 2^(b-1) >= q, so the sum of two slots never carries into the
+        next one, and q is subtracted from every slot that reached q."""
+        q, k, h = self.q, self.k, self.k // 2
+        exp = [1] * self.t
+        if k == 1:  # codes are residues mod q
+            for e in range(1, self.t):
+                exp[e] = exp[e - 1] * z0 % q
+            return exp
+        if q == 2:
+            b, add = 1, operator.xor
+        else:
+            b = (q - 1).bit_length() + 1
+            ones = sum(1 << b * i for i in range(k))
+            high = ones << (b - 1)  # the top bit of every slot
+            offset = ((1 << (b - 1)) - q) * ones  # a slot holding v >= q gets its top bit set
+
+            def add(x, y):
+                s = x + y
+                return s - (((s + offset) & high) >> (b - 1)) * q
+
+        def pack(code):
+            return sum(d << b * i for i, d in enumerate(self._code_digits(code)))
+
+        def span(vectors):
+            """table[c] = sum_j c_j * vectors[j] over the codes c < q^len(vectors)."""
+            table = [0]
+            for v in vectors:
+                multiples = [0]
+                for _ in range(q - 1):
+                    multiples.append(add(multiples[-1], v))
+                table = [add(x, m) for m in multiples for x in table]
+            return table
+
+        images = [pack(self._code_mul(q ** j, z0)) for j in range(k)]
+        units = [1 << b * j for j in range(k)]  # x^j, packed
+        shift, mask = b * h, (1 << b * h) - 1
+        # indexed by the packed low digits (v & mask) and high digits (v >> shift)
+        times_lo, code_lo = [0] * (mask + 1), [0] * (mask + 1)
+        times_hi, code_hi = [0] * (1 << b * (k - h)), [0] * (1 << b * (k - h))
+        for c, (key, image) in enumerate(zip(span(units[:h]), span(images[:h]))):
+            times_lo[key], code_lo[key] = image, c
+        for c, (key, image) in enumerate(zip(span(units[:k - h]), span(images[h:]))):
+            times_hi[key], code_hi[key] = image, c * q ** h
+        v = 1
+        for e in range(self.t):
+            lo, hi = v & mask, v >> shift
+            exp[e] = code_lo[lo] + code_hi[hi]
+            v = add(times_lo[lo], times_hi[hi])
+        return exp
 
     def _build_tables(self):
         t = self.t
@@ -172,25 +233,19 @@ class FiniteField:
                     z0 = code
                     break
         self.gen_code = z0
-        exp = [1] * t
-        for e in range(1, t):
-            exp[e] = self._code_mul(exp[e - 1], z0)
+        exp = self._powers(z0)
         self._exp = exp
-        log = {1: 0}
-        for e, c in enumerate(exp):
-            log[c] = e
-        self._log = log
         # index <-> code maps (index 0 is zero, index e+1 is z0^e)
         self._idx_to_code = [0] + exp
-        self._code_to_idx = {0: 0}
-        for e, c in enumerate(exp):
-            self._code_to_idx[c] = e + 1
-        # Zech logarithms: zech[e] = log(z0^e + 1), None when z0^e = -1
-        zech = [None] * t
-        for e in range(t):
-            c = self._code_add(exp[e], 1)
-            zech[e] = None if c == 0 else log[c]
-        self._zech = zech
+        code_to_idx = [0] * self.size
+        for i, c in enumerate(exp, 1):
+            code_to_idx[c] = i
+        self._code_to_idx = code_to_idx
+        # Zech logarithms: zech[e] = log(z0^e + 1), None when z0^e = -1; adding 1
+        # changes only the lowest base-q digit of a code
+        q = self.q
+        plus_one = [c ^ 1 for c in exp] if q == 2 else [c - c % q + (c + 1) % q for c in exp]
+        self._zech = [code_to_idx[c] - 1 if c else None for c in plus_one]
         # index of -1: exponent offset for negation
         self._neg_shift = 0 if self.q == 2 else t // 2
         # phi^p multiplies the exponent by q^p mod t

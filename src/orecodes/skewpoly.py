@@ -249,11 +249,18 @@ def _addmul(field: FiniteField, acc: list, k: int, row, off: int) -> None:
             acc[j] = add(acc[j], mul(k, v))
 
 
+MAX_DELTA_ROWS = 1 << 20
+
+
 def _x_power_rows(ring: OreRing, d, count: int) -> list:
     """(off, row) for e = 0 .. count-1 with x^e * d = sum_j row[j] x^{off+j}.
     With delta = 0 the row is sigma^e(d) at offset e, and sigma^e depends only
-    on e mod s; otherwise each row is x times the previous one."""
+    on e mod s; otherwise each row is x times the previous one, and the rows
+    hold count*len(d) + count*(count-1)/2 coefficients, which is capped."""
     if ring._w:
+        size = count * len(d) + count * (count - 1) // 2
+        if size > MAX_DELTA_ROWS:
+            raise GuardError(f"x^e*d rows in a ring with delta: {size} coefficients exceed the cap {MAX_DELTA_ROWS}")
         rows = [list(d)]
         for _ in range(count - 1):
             rows.append(_x_times_i(ring, rows[-1]))

@@ -2,11 +2,14 @@ import json
 import os
 import shlex
 import signal
+import subprocess
+import sys
 
 import pytest
 
 from orecodes.cli import main
 
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 PRES = os.path.join(os.path.dirname(__file__), "..", "presentations")
 
 
@@ -173,20 +176,78 @@ def test_guard_error_json_reports_size_and_cap(capsys):
     }
 
 
-def test_large_prime_field_literal_is_refused_at_once(capsys):
-    """GF(n) above the table cap is refused before n is factored by trial division."""
+def run_within(capsys, argv, seconds=5):
+    """run(), failing if the command is still running after the given seconds."""
     def too_slow(signum, frame):
-        raise TimeoutError("GF(1000000007) was still being factored after 5 s")
+        raise TimeoutError(f"{argv} was still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(5)
+    signal.alarm(seconds)
     try:
-        code, out, _ = run(capsys, ["field", "info", "GF(1000000007)", "--format", "json"])
+        return run(capsys, argv)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_large_prime_field_literal_is_refused_at_once(capsys):
+    """GF(n) above the table cap is refused before n is factored by trial division."""
+    code, out, _ = run_within(capsys, ["field", "info", "GF(1000000007)", "--format", "json"])
     assert code == 4
     assert json.loads(out) == {"error": {"code": 4, "message": "field size 1000000007 exceeds table cap 65536"}}
+
+
+def test_huge_characteristic_is_refused_at_once(capsys):
+    """GF(q^k) above the table cap is refused before q is tested for primality."""
+    code, out, _ = run_within(capsys, ["field", "info", "GF(2305843009213693951^1)", "--format", "json"])
+    assert code == 4
+    assert json.loads(out) == {
+        "error": {"code": 4, "message": "field size 2305843009213693951^1 exceeds table cap 65536"}
+    }
+
+
+def test_delta_ring_product_above_row_cap_is_refused_at_once(capsys):
+    argv = ["poly", "mul", "--field", "GF(4)", "--sigma", "1", "--delta-w", "w", "--a", "x^20000", "--b", "x^20000"]
+    code, out, _ = run_within(capsys, argv + ["--format", "json"])
+    assert code == 4
+    assert json.loads(out) == {"error": {"code": 4, "message": (
+        "x^e*d rows in a ring with delta: 600050001 coefficients exceed the cap 1048576")}}
+
+
+# a fresh process per case, since the test session has imported every module
+IMPORTS_AFTER = """import json, sys
+from orecodes.cli import main
+main({argv!r})
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def _modules_after(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", IMPORTS_AFTER.format(argv=argv)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_field_info_imports_only_gf():
+    loaded = _modules_after(["field", "info", "GF(4)"])
+    assert {m for m in loaded if m.split(".")[0] == "orecodes"} == {
+        "orecodes", "orecodes.cli", "orecodes.errors", "orecodes.gf"}
+
+
+def test_poly_mul_imports_no_pbw_modules():
+    loaded = _modules_after(["poly", "mul", "--field", "GF(4)", "--sigma", "1", "--a", "x^2+w*x+w", "--b", "x+w"])
+    assert "orecodes.skewpoly" in loaded
+    assert not loaded & {"orecodes.spbw", "orecodes.spbwsets", "orecodes.scalars", "fractions"}
+
+
+def test_package_names_resolve_on_first_use():
+    script = ("import orecodes\nfrom orecodes import *\n"
+              "print(OreRing is orecodes.OreRing, PBWPresentation.__name__, load_presentation.__name__, GF(2, 2).size)")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.split() == ["True", "PBWPresentation", "load_presentation", "4"]
 
 
 def test_usage_error_exit_code():

@@ -25,7 +25,8 @@ SHIPPED = ["witten", "qspace3", "qplane4", "qplane9", "weyl1z"]
 
 FIELDS = ["GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "GF(8)", "GF(9)", "GF(11)", "GF(13)", "GF(16)",
           "GF(2^3)", "GF(3^2)", "GF(2^4)"]
-BAD_FIELDS = ["GF(6)", "GF(1)", "GF(0)", "GF(2^0)", "GF(4^2)", "GF(2^17)", "GF(", "gf(4)", "", "Q", "GF(1000003)"]
+BAD_FIELDS = ["GF(6)", "GF(1)", "GF(0)", "GF(2^0)", "GF(4^2)", "GF(2^17)", "GF(", "gf(4)", "", "Q", "GF(1000003)",
+              "GF(2305843009213693951^1)"]
 JUNK = st.text(alphabet="xyzwgai0123456789^*+-()/,; ", max_size=10)
 
 exponent = st.integers(0, 6)

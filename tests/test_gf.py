@@ -4,7 +4,7 @@ import math
 import pytest
 
 from orecodes.errors import DomainError, GuardError
-from orecodes.gf import GF, Automorphism, InnerDerivation, is_prime, parse_element, parse_field
+from orecodes.gf import GF, Automorphism, FiniteField, InnerDerivation, is_prime, parse_element, parse_field
 
 
 def brute_field_tables(q, k, modulus):
@@ -65,6 +65,46 @@ def test_primitive_element_is_least_of_full_order():
             assert F.gen_code == least, (q, k)
 
 
+def per_entry_tables(q, k):
+    """The reference build: the least irreducible modulus, the least code of
+    full order, then one digit-list product per exp entry and one digit-list
+    sum per Zech entry.  Returns (exp, zech, gen_code, modulus, code -> index)."""
+    F = FiniteField.__new__(FiniteField)
+    F.q, F.k = q, k
+    F.modulus = F._least_irreducible()
+    t = q ** k - 1
+    primes = [p for p in range(2, t + 1) if t % p == 0 and is_prime(p)]
+    z0 = next((c for c in range(2, q ** k) if all(F._code_pow(c, t // p) != 1 for p in primes)), 1)
+    exp = [1] * t
+    for e in range(1, t):
+        exp[e] = F._code_mul(exp[e - 1], z0)
+    log = {c: e for e, c in enumerate(exp)}
+
+    def add(a, b):
+        return F._digits_code([(x + y) % q for x, y in zip(F._code_digits(a), F._code_digits(b))])
+
+    zech = [log.get(add(c, 1)) for c in exp]
+    code_to_idx = {0: 0, **{c: e + 1 for e, c in enumerate(exp)}}
+    return exp, zech, z0, F.modulus, code_to_idx
+
+
+def built_tables(F):
+    return F._exp, F._zech, F.gen_code, F.modulus, dict(enumerate(F._code_to_idx))
+
+
+def test_tables_equal_per_entry_build_for_small_fields():
+    for q in filter(is_prime, range(2, 1025)):
+        for k in range(1, 11):
+            if q ** k > 1024:
+                break
+            assert built_tables(GF(q, k)) == per_entry_tables(q, k), (q, k)
+
+
+@pytest.mark.parametrize("q,k", [(2, 12), (2, 14), (3, 8), (5, 6)])
+def test_tables_equal_per_entry_build_for_large_fields(q, k):
+    assert built_tables(GF(q, k)) == per_entry_tables(q, k)
+
+
 def test_gf4_matches_w_relations():
     F = GF(2, 2)
     w = F.gen
@@ -112,6 +152,8 @@ def test_build_field_rejects_bad_parameters():
         GF(2, 0)
     with pytest.raises(GuardError):
         GF(3, 16)
+    with pytest.raises(GuardError):  # the size is checked before q is tested for primality
+        GF(1000, 3)
 
 
 def test_frobenius_on_gf4():
