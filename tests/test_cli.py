@@ -222,11 +222,15 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
-def _modules_after(argv):
+def _child_stdout(script):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, "-c", IMPORTS_AFTER.format(argv=argv)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60, check=True)
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return proc.stdout
+
+
+def _modules_after(argv):
+    return set(json.loads(_child_stdout(IMPORTS_AFTER.format(argv=argv)).splitlines()[-1]))
 
 
 def test_field_info_imports_only_gf():
@@ -244,10 +248,7 @@ def test_poly_mul_imports_no_pbw_modules():
 def test_package_names_resolve_on_first_use():
     script = ("import orecodes\nfrom orecodes import *\n"
               "print(OreRing is orecodes.OreRing, PBWPresentation.__name__, load_presentation.__name__, GF(2, 2).size)")
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.split() == ["True", "PBWPresentation", "load_presentation", "4"]
+    assert _child_stdout(script).split() == ["True", "PBWPresentation", "load_presentation", "4"]
 
 
 def test_usage_error_exit_code():
