@@ -24,6 +24,7 @@ import functools
 import math
 import operator
 import re
+import sys
 
 from .errors import DomainError, GuardError
 
@@ -504,9 +505,9 @@ def parse_field(text: str) -> FiniteField:
     m = _FIELD_RE.match(text.strip())
     if not m:
         raise DomainError(f"bad field literal {text!r}")
-    base = int(m.group(1))
+    base = literal_int(m.group(1), "field")
     if m.group(2) is not None:
-        return GF(base, int(m.group(2)))
+        return GF(base, literal_int(m.group(2), "field"))
     if base > MAX_FIELD_SIZE:  # before the trial division below, which is O(n)
         raise GuardError(f"field size {base} exceeds table cap {MAX_FIELD_SIZE}")
     # factor n as q^k with q prime
@@ -609,6 +610,18 @@ def split_factors(term: str):
     return [f[1:-1] if f[0] == "(" and f[-1] == ")" else f for f in parts]
 
 
+def literal_int(digits: str, what: str) -> int:
+    """The integer a literal's digit run spells; a run longer than the
+    interpreter's integer-conversion limit raises DomainError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise DomainError(
+            f"bad {what} literal: an integer of {len(digits)} digits "
+            f"exceeds the {sys.get_int_max_str_digits()}-digit limit"
+        ) from None
+
+
 def split_list(text: str, sep: str = ","):
     """The items of a sep-separated list, stripped; an empty item raises
     DomainError quoting the list."""
@@ -633,9 +646,10 @@ def parse_element(field: FiniteField, text: str) -> FieldElement:
         if not m:
             raise DomainError(f"bad element literal {''.join(text.split())!r}")
         if m.group(1):
-            val = field.from_int(int(m.group(1)))
+            val = field.from_int(literal_int(m.group(1), "element"))
         else:
             base = a if m.group(3) == "a" else field.gen
-            val = field.from_int(int(m.group(2) or 1)) * base ** int(m.group(4) or 1)
+            coeff, e = (literal_int(m.group(g) or "1", "element") for g in (2, 4))
+            val = field.from_int(coeff) * base ** e
         total = total + val if sign == 1 else total - val
     return total

@@ -149,7 +149,10 @@ class GaussianDomain:
             m = _GAUSS_TERM.fullmatch(term)
             if not m:
                 raise DomainError(f"bad Gaussian rational literal {''.join(text.split())!r}")
-            mag = Fraction(m.group(1) or 1)
+            try:
+                mag = Fraction(m.group(1) or 1)
+            except ValueError:  # a digit run past the interpreter's integer-conversion limit
+                raise DomainError(f"bad Gaussian rational literal: a magnitude of {len(m.group(1))} characters") from None
             part = GaussianRational(0, mag) if term.endswith("i") else GaussianRational(mag)
             total = total + part if sign == 1 else total - part
         return total

@@ -15,9 +15,20 @@ import re
 from typing import NamedTuple
 
 from .errors import DomainError, GuardError, verify
-from .gf import (Automorphism, FieldElement, FiniteField, InnerDerivation, element_str, parse_element,
-                 split_factors, split_terms)
+from .gf import (Automorphism, FieldElement, FiniteField, InnerDerivation, element_str, literal_int,
+                 parse_element, split_factors, split_terms)
 from .linalg import Matrix, dot_i
+
+
+MAX_DEGREE = 1 << 16
+
+
+def degree_capped(degree: int, what: str) -> int:
+    """degree, if at most MAX_DEGREE: a dense polynomial holds degree + 1
+    coefficients, so a larger one is refused before it is allocated."""
+    if degree > MAX_DEGREE:
+        raise GuardError(f"{what} of degree {degree} exceeds the cap {MAX_DEGREE}")
+    return degree
 
 
 class OreRing:
@@ -47,7 +58,7 @@ class OreRing:
         return SkewPoly(self, coeffs)
 
     def monomial(self, degree: int, coeff=1) -> "SkewPoly":
-        return _from_idx(self, [0] * degree + [field_index(self.field, coeff)])
+        return _from_idx(self, [0] * degree_capped(degree, "monomial") + [field_index(self.field, coeff)])
 
     def linear(self, z: FieldElement) -> "SkewPoly":
         """The polynomial x - z."""
@@ -734,11 +745,13 @@ def parse_poly(ring: OreRing, text: str, var: str = "x") -> SkewPoly:
     power = re.compile(rf"{re.escape(var)}(?:\^(\d+))?")
     total = ring.zero
     for sign, term in split_terms(text, "polynomial"):
-        prod = ring.one
+        prod, degree = ring.one, 0
         for factor in split_factors(term):
             m = power.fullmatch(factor)
             if m:
-                prod = prod * ring.monomial(int(m.group(1) or 1))
+                e = literal_int(m.group(1) or "1", "polynomial")
+                degree = degree_capped(degree + e, "polynomial term")
+                prod = prod * ring.monomial(e)
             else:
                 prod = prod * ring.poly([parse_element(ring.field, factor)])
         total = total + prod if sign == 1 else total - prod

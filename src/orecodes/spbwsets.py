@@ -3,9 +3,13 @@ ideals of points, normality, centers, and the executable consequences of the
 noncommutative Nullstellensatz.
 
 A point Z is a root of f when f lies in the two-sided ideal <Z> generated by
-x_1 - z_1, ..., x_n - z_n; membership is decided through the two-sided
-closure, so every oracle here is restricted to quasi-commutative
-presentations (the closure refuses anything else)."""
+x_1 - z_1, ..., x_n - z_n.  A/<Z> is spanned by the image of the field R, so
+it is R or 0: it is R exactly when x_i -> z_i respects every defining
+relation (Z is admissible), and then f lies in <Z> iff f(Z) = 0.  Membership
+is therefore decided by an admissibility check and plain evaluation; the
+Groebner closure spbw.two_sided_closure of <Z> is kept as the independent
+reference the tests compare against.  Every oracle here is restricted to
+quasi-commutative presentations."""
 
 from __future__ import annotations
 
@@ -25,31 +29,64 @@ from .spbw import (
 )
 
 
-def point_poly(pres: PBWPresentation, Z) -> list:
-    """The generators x_i - z_i of <Z>."""
+def _coords(pres: PBWPresentation, Z) -> tuple:
+    """Z with int/str coordinates parsed into the domain."""
     Z = tuple(Z)
     if len(Z) != pres.n:
         raise DomainError("point arity mismatch")
-    gens = []
-    for i, z in enumerate(Z):
-        if isinstance(z, (int, str)):
-            z = pres.domain.parse(str(z))
-        gens.append(pres.var(i) - pres.constant(z))
-    return gens
+    return tuple(pres.domain.parse(str(z)) if isinstance(z, (int, str)) else z for z in Z)
+
+
+def point_poly(pres: PBWPresentation, Z) -> list:
+    """The generators x_i - z_i of <Z>."""
+    return [pres.var(i) - pres.constant(z) for i, z in enumerate(_coords(pres, Z))]
+
+
+def admissible(pres: PBWPresentation, Z) -> bool:
+    """Whether x_i -> z_i respects the defining relations, i.e. <Z> != A:
+    z_j z_i = c_ij z_i z_j for every relation, and z_i r = sigma_i(r) z_i for
+    the field generators in twisting_scalars (the scalars satisfying it form
+    a subfield)."""
+    if not pres.is_quasi_commutative:
+        raise DomainError("two-sided closure implemented for quasi-commutative presentations only")
+    Z = _coords(pres, Z)
+    return all(Z[j] * Z[i] == c * Z[i] * Z[j] for (i, j), (c, _, _) in pres.relations.items()) and all(
+        z * r == sigma(r) * z for r in pres.twisting_scalars for z, sigma in zip(Z, pres._sigmas)
+    )
 
 
 def point_closure(pres: PBWPresentation, Z) -> list:
-    """Two-sided closure of <Z>, cached on the presentation."""
+    """The reduced left Groebner basis of <Z>, cached on the presentation: the
+    x_i - z_i by deglex leading monomial when Z is admissible, otherwise [1]
+    (what spbw.two_sided_closure(point_poly(pres, Z)) computes)."""
     Z = tuple(Z)
     cache = pres._closure_cache
     if Z not in cache:
-        cache[Z] = two_sided_closure(point_poly(pres, Z))
+        gens = point_poly(pres, Z)
+        cache[Z] = sorted(gens, key=lambda g: _deglex_key(g.lm())) if admissible(pres, Z) else [pres.one]
     return cache[Z]
 
 
+def _mono_value(alpha, Z, one):
+    """prod_i z_i^alpha_i, by repeated multiplication (Q(i) scalars have no pow)."""
+    val = one
+    for a, z in zip(alpha, Z):
+        for _ in range(a):
+            val = val * z
+    return val
+
+
+def evaluate(f: PBWPoly, Z):
+    """f(Z) = sum_alpha c_alpha prod_i z_i^alpha_i."""
+    dom = f.pres.domain
+    Z = _coords(f.pres, Z)
+    return sum((c * _mono_value(alpha, Z, dom.one) for alpha, c in f.terms.items()), dom.zero)
+
+
 def root_test(f: PBWPoly, Z) -> bool:
-    """f(Z) = 0 iff f lies in the two-sided ideal <Z>."""
-    return not reduce_full(f, point_closure(f.pres, Z))
+    """f(Z) = 0 iff f lies in the two-sided ideal <Z>: always when <Z> = A,
+    otherwise iff f evaluates to 0 at Z."""
+    return point_closure(f.pres, Z) == [f.pres.one] or not evaluate(f, Z)
 
 
 def all_points(pres: PBWPresentation):
@@ -95,20 +132,18 @@ def _coefficient_rows(polys):
 
 def truncated_ideal_of_points(pres: PBWPresentation, X, degree: int):
     """Basis of {f : deg f <= degree, f in I(X)} by linear algebra on the
-    reduction maps of the point closures.  The basis is truncated: no finite
+    evaluation maps of the points.  The basis is truncated: no finite
     generation procedure is attempted beyond the degree bound."""
     X = [tuple(Z) for Z in X]
-    monos = [pres.monomial(a) for a in standard_monomials(pres, degree)]
+    alphas = standard_monomials(pres, degree)
+    monos = [pres.monomial(a) for a in alphas]
     dom = pres.domain
     if not X:
         return monos
-    # sum c_m m lies in I(X) iff sum c_m reduce(m) = 0 modulo every point
-    # closure: one equation per closure and monomial of the reductions' support
-    rows = []
-    for Z in X:
-        G = point_closure(pres, Z)
-        _, coeffs = _coefficient_rows([reduce_full(m, G) for m in monos])
-        rows.extend(zip(*coeffs))
+    # sum c_m m lies in I(X) iff sum c_m m(Z) = 0 at every admissible Z: one
+    # equation per admissible point (<Z> = A imposes none)
+    points = [_coords(pres, Z) for Z in X]
+    rows = [[_mono_value(a, Z, dom.one) for a in alphas] for Z in points if admissible(pres, Z)]
     kernel = Matrix(rows, len(monos), dom.zero, dom.one).kernel()
     out = []
     for coeffs in kernel.rows:
@@ -334,7 +369,7 @@ def _center_side(pres, G2, variety, degree, cmonos):
     # V_{Z(A)}(J) in the w-affine space, w_i = x_i^{L_i}
     def w_value(f, w):
         return sum(
-            (c * _eval_wmono([a // l for a, l in zip(alpha, L)], w, dom) for alpha, c in f.terms.items()),
+            (c * _mono_value([a // l for a, l in zip(alpha, L)], w, dom.one) for alpha, c in f.terms.items()),
             dom.zero,
         )
 
@@ -348,7 +383,7 @@ def _center_side(pres, G2, variety, degree, cmonos):
     wmonos = [a for a in itertools.product(range(wdeg + 1), repeat=pres.n) if sum(a) <= wdeg]
     if wpoints:
         ev = Matrix(
-            [[_eval_wmono(a, p, dom) for a in wmonos] for p in wpoints],
+            [[_mono_value(a, p, dom.one) for a in wmonos] for p in wpoints],
             len(wmonos),
             dom.zero,
             dom.one,
@@ -366,10 +401,3 @@ def _center_side(pres, G2, variety, degree, cmonos):
         "generators_checked": len(generators),
         "center_generators": [f"{n}^{l}" for n, l in zip(pres.names, L)],
     }
-
-
-def _eval_wmono(alpha, point, dom):
-    val = dom.one
-    for a, p in zip(alpha, point):
-        val = val * p ** a
-    return val

@@ -214,6 +214,46 @@ def test_delta_ring_product_above_row_cap_is_refused_at_once(capsys):
         "x^e*d rows in a ring with delta: 600050001 coefficients exceed the cap 1048576")}}
 
 
+@pytest.mark.parametrize("literal, degree", [("x^65537", 65537), ("x^40000*x^40000", 80000)])
+def test_skew_polynomial_term_above_degree_cap_is_refused_at_once(capsys, literal, degree):
+    argv = ["poly", "mul", "--field", "GF(4)", "--sigma", "1", "--a", literal, "--b", "x", "--format", "json"]
+    code, out, _ = run_within(capsys, argv)
+    assert code == 4
+    assert json.loads(out) == {"error": {"code": 4, "message": (
+        f"polynomial term of degree {degree} exceeds the cap 65536")}}
+
+
+def test_monomial_above_degree_cap_is_refused():
+    from orecodes.errors import GuardError
+    from orecodes.gf import GF
+    from orecodes.skewpoly import OreRing
+
+    with pytest.raises(GuardError, match="monomial of degree 65537 exceeds the cap 65536"):
+        OreRing(GF(2, 2), 1).monomial(65537)
+
+
+@pytest.mark.parametrize("literal, degree", [("x^100000000", 100000000), ("x^40*y^30", 70)])
+def test_pbw_term_above_degree_cap_is_refused_at_once(capsys, literal, degree):
+    argv = ["spbw", "mul", "--presentation", os.path.join(PRES, "qplane4.json"), "--a", literal, "--b", "1",
+            "--format", "json"]
+    code, out, _ = run_within(capsys, argv)
+    assert code == 4
+    assert json.loads(out) == {"error": {"code": 4, "message": f"polynomial term of degree {degree} exceeds the cap 64"}}
+
+
+NON_ASSOCIATIVE = {"schema_version": 1, "vars": ["x", "y", "z"], "field": "Q", "relations": [
+    {"i": 1, "j": 2, "a": ["0", "0", "1"]}, {"i": 1, "j": 3, "c": "2"}, {"i": 2, "j": 3}]}
+
+
+def test_non_associative_presentation_exits_3(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(NON_ASSOCIATIVE))
+    argv = ["spbw", "mul", "--presentation", str(path), "--a", "x", "--b", "y", "--format", "json"]
+    assert main(argv) == 3
+    assert json.loads(capsys.readouterr().out) == {"error": {"code": 3, "message": (
+        "the presentation is not associative: (z*y)*x = 2*x*y*z+2*z^2 but z*(y*x) = 2*x*y*z+z^2")}}
+
+
 # a fresh process per case, since the test session has imported every module
 IMPORTS_AFTER = """import json, sys
 from orecodes.cli import main

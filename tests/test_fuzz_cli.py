@@ -25,9 +25,12 @@ SHIPPED = ["witten", "qspace3", "qplane4", "qplane9", "weyl1z"]
 
 FIELDS = ["GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "GF(8)", "GF(9)", "GF(11)", "GF(13)", "GF(16)",
           "GF(2^3)", "GF(3^2)", "GF(2^4)"]
+# a digit run longer than the interpreter's 4300-digit integer-conversion limit
+LONG = "9" * 5000
 BAD_FIELDS = ["GF(6)", "GF(1)", "GF(0)", "GF(2^0)", "GF(4^2)", "GF(2^17)", "GF(", "gf(4)", "", "Q", "GF(1000003)",
-              "GF(2305843009213693951^1)"]
-JUNK = st.text(alphabet="xyzwgai0123456789^*+-()/,; ", max_size=10)
+              "GF(2305843009213693951^1)", f"GF({LONG})"]
+JUNK = st.one_of(st.text(alphabet="xyzwgai0123456789^*+-()/,; ", max_size=10),
+                 st.sampled_from([f"x^{LONG}", f"w^{LONG}", LONG]))
 
 exponent = st.integers(0, 6)
 

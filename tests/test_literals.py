@@ -184,6 +184,26 @@ def test_malformed_literal_is_one_json_error(argv, literal, quoted):
     assert quoted in error["message"]
 
 
+# digit runs one past the interpreter's default 4300-digit conversion limit and beyond
+LONG = [
+    (["field", "info", "GF(" + "1" * 5000 + ")"], "bad field literal: an integer of 5000 digits"),
+    (["field", "info", "GF(2^" + "1" * 4301 + ")"], "bad field literal: an integer of 4301 digits"),
+    (POLY[:-1] + ["--a=x^" + "9" * 5000], "bad polynomial literal: an integer of 5000 digits"),
+    (POLY[:-1] + ["--a=w^" + "9" * 5000 + "*x"], "bad element literal: an integer of 5000 digits"),
+    (GAUSSIAN[:-1] + ["--a=" + "9" * 5000 + "*x"], "bad Gaussian rational literal: a magnitude of 5000"),
+    (GAUSSIAN[:-1] + ["--a=x^" + "9" * 5000], "bad polynomial literal: an integer of 5000 digits"),
+]
+
+
+@pytest.mark.parametrize("argv, message", LONG, ids=["field", "field-degree", "poly-exponent", "element-exponent",
+                                                     "gaussian", "pbw-exponent"])
+def test_long_integer_literal_is_a_bad_literal(argv, message):
+    code, out = run_json(argv)
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["code"] == 3 and error["message"].startswith(message)
+
+
 @pytest.mark.parametrize("argv", [
     ["evalcodes", "build", "--field", "GF(8)", "--sigma", "1", "--support", "1,,g", "--k", "2"],
     ["algset", "rank", "--field", "GF(4)", "--sigma", "1", "--points", "1,w,"],

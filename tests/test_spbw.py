@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import random
 import re
 from fractions import Fraction
@@ -403,7 +404,8 @@ def test_presentation_map_list_length(key):
 
 
 def test_presentation_integer_delta_spec():
-    A = load_presentation(dict(GF9_PLANE, sigma=[1, 1], delta=[2, None]))
+    # x and y commute: with delta_1 != 0, y x = -x y would break (y x) r = y (x r)
+    A = load_presentation(dict(GF9_PLANE, relations=[], sigma=[1, 1], delta=[2, None]))
     w = A.domain.field.from_int(2)
     g = A.domain.field.gen
     x, c = A.var(0), A.constant(g)
@@ -455,6 +457,29 @@ def test_presentation_wrong_entry_type_cli(tmp_path, capsys, key, value, rel, me
     assert main(argv) == 3
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["code"] == 3 and re.search(message, error["message"])
+
+
+# -- associativity: the overlap conditions are checked when a presentation is built ------
+
+def test_shipped_presentations_are_associative():
+    for name in ["qplane4", "qplane9", "qspace3", "weyl1z", "witten"]:
+        load_presentation(os.path.join(os.path.dirname(__file__), "..", "presentations", f"{name}.json"))
+
+
+def test_non_associative_relations_are_refused():
+    # y x = x y + z, z x = 2 x z, z y = y z over Q
+    data = {"schema_version": 1, "vars": ["x", "y", "z"], "field": "Q", "relations": [
+        {"i": 1, "j": 2, "a": ["0", "0", "1"]}, {"i": 1, "j": 3, "c": "2"}, {"i": 2, "j": 3}]}
+    with pytest.raises(DomainError, match=re.escape("(z*y)*x = 2*x*y*z+2*z^2 but z*(y*x) = 2*x*y*z+z^2")):
+        load_presentation(data)
+
+
+def test_relation_incompatible_with_sigma_is_refused():
+    # y x = x y + 1 with x r = r^2 x over GF(4): (y*x)*w = w^2*x*y+w but y*(x*w) = w^2*x*y+w^2
+    data = {"schema_version": 1, "vars": ["x", "y"], "field": "GF(4)", "sigma": [1, None],
+            "relations": [{"i": 1, "j": 2, "d": "1"}]}
+    with pytest.raises(DomainError, match=re.escape("(y*x)*g = g^2*x*y+g but y*(x*g) = g^2*x*y+g^2")):
+        load_presentation(data)
 
 
 def test_two_sided_closure_guard_reports_rounds_and_cap():
