@@ -31,9 +31,6 @@ class LinearCode:
     def dim(self) -> int:
         return self.G.nrows
 
-    def rref(self) -> Matrix:
-        return self.G.rref()[0]
-
     def dual(self) -> "LinearCode":
         """Code generated by the kernel of G; its matrix is a parity check
         matrix of this code."""

@@ -16,44 +16,27 @@ from .codes import LinearCode
 MAX_MESSAGES = 1 << 20
 
 
-@dataclass(frozen=True)
-class Support:
-    """An evaluation support: points Z and the code kind."""
-
-    ring: OreRing
-    points: tuple
-    kind: str  # "remainder" or "operator"
-
-    def __post_init__(self):
-        if self.kind not in ("remainder", "operator"):
-            raise DomainError(f"unknown code kind {self.kind!r}")
-
-    def matrix(self) -> Matrix:
-        if self.kind == "remainder":
-            return vandermonde(self.ring, self.points)
-        return wronskian(self.ring, self.points)
-
-
 def remainder_code(ring: OreRing, points, k: int) -> LinearCode:
     """C_k(Z): generator matrix is the first k rows of V_r(Z)."""
-    return _eval_code(Support(ring, tuple(points), "remainder"), k)
+    return _eval_code(vandermonde, ring, points, k)
 
 
 def operator_code(ring: OreRing, points, k: int) -> LinearCode:
     """C_{k,L}(Z): generator matrix is the first k rows of Wr_r(Z)."""
-    return _eval_code(Support(ring, tuple(points), "operator"), k)
+    return _eval_code(wronskian, ring, points, k)
 
 
-def _eval_code(support: Support, k: int) -> LinearCode:
-    r = len(support.points)
-    if not 1 <= k <= r:
+def _eval_code(support_matrix, ring: OreRing, points, k: int) -> LinearCode:
+    """The code generated by the first k rows of support_matrix(ring, points)."""
+    points = tuple(points)
+    if not 1 <= k <= len(points):
         raise DomainError("need 1 <= k <= r")
-    full = support.matrix()
+    full = support_matrix(ring, points)
     rank = full.rank()
     if rank < k:
         raise DomainError(f"support matrix rank {rank} < k = {k}")
     G = Matrix(full.rows[:k], full.ncols, full.zero, full.one)
-    return LinearCode(support.ring.field, G)
+    return LinearCode(ring.field, G)
 
 
 # -- metrics -----------------------------------------------------------------------

@@ -229,7 +229,9 @@ class FiniteField:
             primes.append(n)
         z0 = 1
         if t > 1:
-            for code in range(2, self.size):
+            # for k > 1 the codes below q form the prime subfield, whose orders
+            # divide q - 1 < t, so the search starts at q
+            for code in range(2 if self.k == 1 else self.q, self.size):
                 if all(self._code_pow(code, t // p) != 1 for p in primes):
                     z0 = code
                     break

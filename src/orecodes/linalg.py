@@ -41,9 +41,6 @@ class Matrix:
     def nrows(self):
         return len(self.rows)
 
-    def copy(self):
-        return Matrix(self.rows, self.ncols, self.zero, self.one)
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)

@@ -33,16 +33,19 @@ from .scalars import domain_by_name
 
 SCHEMA_VERSION = 1
 
+# rewriting x_i*x^beta recurses once per unit of the exponents before x_i: from
+# a bare interpreter the recursion limit was hit at degree 986-991 on every
+# shipped presentation (y*x^985 in qspace3), and half that leaves the caller's
+# frames room
+MAX_REWRITE_DEGREE = 512
+
 
 def _deglex_key(alpha):
     return (sum(alpha), alpha)
 
 
 class PBWPresentation:
-    def __init__(self, names, domain, relations=None, sigma=None, delta=None, order="deglex"):
-        if order != "deglex":
-            raise DomainError("only the deglex monomial order ships")
-        self.order = order
+    def __init__(self, names, domain, relations=None, sigma=None, delta=None):
         self.names = list(names)
         self.n = len(self.names)
         if self.n == 0:
@@ -181,6 +184,9 @@ class PBWPresentation:
             gamma = tuple(e + 1 if v == i else e for v, e in enumerate(beta))
             result = {gamma: self.domain.one}
         else:
+            degree = sum(beta) + 1
+            if degree > MAX_REWRITE_DEGREE:
+                raise GuardError(f"rewriting a monomial of degree {degree} exceeds the cap {MAX_REWRITE_DEGREE}")
             j = first  # j < i: swap x_i past x_j using the (j, i) relation
             beta2 = tuple(e - 1 if v == j else e for v, e in enumerate(beta))
             c, a, d = self._rel(j, i)
@@ -294,10 +300,6 @@ class PBWPoly:
 
     def lc(self):
         return self.terms[self.lm()]
-
-    def lt(self) -> "PBWPoly":
-        a = self.lm()
-        return PBWPoly(self.pres, {a: self.terms[a]})
 
     def monic(self) -> "PBWPoly":
         if not self.terms:
@@ -516,8 +518,8 @@ def pbw_str(f: PBWPoly) -> str:
 
 # a product of two terms of this degree takes under half a second on the
 # shipped presentations (0.4 s for (y^32*x^32)^2 in weyl1z, 2.7 s at twice the
-# degree, Python 3.11 on a Xeon core), and the nested rewriting of _mono_left
-# reaches the interpreter's recursion limit near degree 1000
+# degree, Python 3.11 on a Xeon core), and its degree 128 is far below
+# MAX_REWRITE_DEGREE
 MAX_TERM_DEGREE = 64
 
 

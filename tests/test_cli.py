@@ -241,6 +241,26 @@ def test_pbw_term_above_degree_cap_is_refused_at_once(capsys, literal, degree):
     assert json.loads(out) == {"error": {"code": 4, "message": f"polynomial term of degree {degree} exceeds the cap 64"}}
 
 
+@pytest.mark.parametrize("op, gens, degree, message", [
+    ("center", [], 33, "center degree 33 exceeds the cap 32"),
+    ("center", [], 10 ** 9, "center degree 1000000000 exceeds the cap 32"),
+    ("nullstellensatz", ["--gens", "x^2-1,y"], 9, "Nullstellensatz degree 9 exceeds the cap 8"),
+    ("nullstellensatz", ["--gens", "x^2-1,y"], 10 ** 9, "Nullstellensatz degree 1000000000 exceeds the cap 8"),
+])
+def test_spbwsets_degree_above_cap_is_refused_at_once(capsys, op, gens, degree, message):
+    argv = ["spbwsets", op, "--presentation", os.path.join(PRES, "qplane9.json"), *gens, "--degree", str(degree),
+            "--format", "json"]
+    code, out, _ = run_within(capsys, argv)
+    assert code == 4
+    assert json.loads(out) == {"error": {"code": 4, "message": message}}
+
+
+def test_spbwsets_center_at_the_degree_cap_runs(capsys):
+    argv = ["spbwsets", "center", "--presentation", os.path.join(PRES, "qplane9.json"), "--degree", "32"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out.split()[-1] == "x^32"
+
+
 NON_ASSOCIATIVE = {"schema_version": 1, "vars": ["x", "y", "z"], "field": "Q", "relations": [
     {"i": 1, "j": 2, "a": ["0", "0", "1"]}, {"i": 1, "j": 3, "c": "2"}, {"i": 2, "j": 3}]}
 

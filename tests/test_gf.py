@@ -105,6 +105,11 @@ def test_tables_equal_per_entry_build_for_large_fields(q, k):
     assert built_tables(GF(q, k)) == per_entry_tables(q, k)
 
 
+def test_primitive_search_skips_the_prime_subfield():
+    # the codes below q = 251 lie in the prime subfield, whose orders divide 250 < t
+    assert GF(251, 2).gen_code == 256
+
+
 def test_gf4_matches_w_relations():
     F = GF(2, 2)
     w = F.gen

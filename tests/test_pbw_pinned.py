@@ -44,7 +44,7 @@ def test_gf4_sigma_on_one_variable_pinned():
     assert strs(two_sided_closure([A.parse("x^2+y")])) == ["x^2+y"]
     assert strs(two_sided_closure([A.parse("x*y+w*y")])) == ["y"]
     for f, movers, scalar in [("x^2+y", ["x", "y"], ("g", "g", "g")), ("x*y", ["x", "y"], ("g", "g^2", "g^2"))]:
-        res = normality_test(A.parse(f))  # the brute multiplier search: sigma is not the identity
+        res = normality_test(A.parse(f))  # sigma is not the identity: movers solved over the prime field
         assert res.is_normal
         assert strs(res.left_movers) == movers and strs(res.right_movers) == movers
         assert [tuple(str(v) for v in m) for m in res.scalar_movers] == [scalar]

@@ -11,6 +11,7 @@ from orecodes.cli import main
 from orecodes.errors import DomainError, GuardError
 from orecodes.scalars import QQ, QQI, GaussianRational, domain_by_name
 from orecodes.spbw import (
+    MAX_REWRITE_DEGREE,
     PBWPresentation,
     divide,
     groebner_left,
@@ -510,3 +511,26 @@ def test_two_sided_closure_capped_basis_exits_4(capped_groebner, tmp_path, capsy
     assert main(argv) == 4
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["code"] == 4 and "max_pairs 0" in error["message"]
+
+
+# -- the rewrite guard: x_i*x^beta recurses once per unit of the earlier exponents -----
+
+@pytest.mark.parametrize("name", ["qplane4", "qplane9", "qspace3", "weyl1z", "witten"])
+def test_deepest_rewrite_below_the_cap_runs_and_above_is_refused(name):
+    path = os.path.join(os.path.dirname(__file__), "..", "presentations", f"{name}.json")
+    for j in range(load_presentation(path).n - 1):
+        A = load_presentation(path)  # a fresh cache, so the whole recursion runs
+        beta = tuple(MAX_REWRITE_DEGREE - 1 if v == j else 0 for v in range(A.n))
+        assert (A.var(j + 1) * A.monomial(beta)).degree == MAX_REWRITE_DEGREE
+        beta = tuple(MAX_REWRITE_DEGREE if v == j else 0 for v in range(A.n))
+        with pytest.raises(GuardError, match=rf"degree {MAX_REWRITE_DEGREE + 1} exceeds the cap {MAX_REWRITE_DEGREE}"):
+            A.var(j + 1) * A.monomial(beta)
+
+
+def test_deep_products_and_division_steps_are_refused_not_recursion_errors():
+    A = load_presentation(os.path.join(os.path.dirname(__file__), "..", "presentations", "qplane9.json"))
+    with pytest.raises(GuardError, match=r"degree 1001 exceeds the cap 512"):
+        A.var(1) * A.monomial((1000, 0))
+    with pytest.raises(GuardError, match=r"degree 1001 exceeds the cap 512"):
+        divide(A.monomial((1000, 1)), [A.monomial((1000, 0))])
+    assert (A.var(0) * A.monomial((0, 1000))).lm() == (1, 1000)  # no swap, no recursion

@@ -1,15 +1,18 @@
 import gc
 import itertools
+import json
 import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orecodes.errors import DomainError, GuardError
+from orecodes.cli import main
+from orecodes.errors import DomainError
 from orecodes.gf import GF
 from orecodes.scalars import GFDomain, QQ
 from orecodes.skewpoly import OreRing, right_eval
-from orecodes.spbw import PBWPresentation, reduce_full, two_sided_closure
+from orecodes.spbw import PBWPresentation, pbw_str, presentation_to_dict, reduce_full, two_sided_closure
 from orecodes.spbwsets import (
     center_basis,
     ideal_of_points_membership,
@@ -268,8 +271,65 @@ def test_point_closure_cache_lives_on_the_presentation():
     assert ref() is None
 
 
-def test_multiplier_search_guard_reports_size_and_cap():
-    dom = GFDomain(GF(2, 8))
-    A = PBWPresentation(["x", "y"], dom, {}, sigma=[1, 0])
-    with pytest.raises(GuardError, match=r"\|F\|\^\(n\+1\) = 256\^3 = 16777216 exceeds the cap 65536"):
-        normality_test(A.parse("x"))
+def test_twisted_gf256_normality_is_exact(tmp_path, capsys):
+    # x*r = r^2*x over GF(2^8), y central: 2^24 degree-one candidates per mover,
+    # solved as one linear system over F_2
+    A = PBWPresentation(["x", "y"], GFDomain(GF(2, 8)), {}, sigma=[1, 0])
+    res = normality_test(A.parse("w*x"))
+    assert res.is_normal
+    assert [pbw_str(u) for u in res.left_movers] == ["g^128*x", "y"]
+    assert [pbw_str(v) for v in res.right_movers] == ["g^254*x", "y"]
+    assert [tuple(str(v) for v in m) for m in res.scalar_movers] == [("g", "g^128", "g^2")]
+    assert not normality_test(A.parse("x^2+y")).is_normal
+    path = tmp_path / "twisted256.json"
+    path.write_text(json.dumps(presentation_to_dict(A)))
+    assert main(["spbwsets", "normal", "--presentation", str(path), "--f", "w*x", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "result": {"left_movers": ["g^128*x", "y"], "normal": True, "right_movers": ["g^254*x", "y"]}
+    }
+
+
+def brute_mover(f, target, side):
+    """The degree-<=1 u with f*u = target ("right") or u*f = target ("left"),
+    searched over all of F^(n+1)."""
+    A = f.pres
+    for combo in itertools.product(A.domain.elements(), repeat=A.n + 1):
+        u = A.combination(combo, [A.one] + A.gens)
+        if (f * u if side == "right" else u * f) == target:
+            return u
+    return None
+
+
+def brute_scalar_mover(f, target, side):
+    """The scalar w with f*w = target ("right") or w*f = target ("left")."""
+    A = f.pres
+    return next((w for w in A.domain.elements() if (f * A.constant(w) if side == "right" else A.constant(w) * f) == target), None)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    qk=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+    n=st.integers(1, 2),
+    data=st.data(),
+)
+def test_movers_equal_a_brute_force_search_on_twisted_fields(qk, n, data):
+    F = GF(*qk)
+    dom = GFDomain(F)
+    sigma = data.draw(st.lists(st.integers(0, F.k - 1), min_size=n, max_size=n).filter(any))
+    rels = {}
+    if n == 2:
+        c = F.element(data.draw(st.integers(1, F.size - 1)))
+        rels = {(0, 1): (c, [dom.zero] * 2, dom.zero)}
+    A = PBWPresentation(["x", "y"][:n], dom, rels, sigma=sigma)
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    terms = data.draw(st.dictionaries(exps, st.integers(1, F.size - 1), min_size=1, max_size=3))
+    f = A.poly({alpha: F.element(c) for alpha, c in terms.items()})
+    res = normality_test(f)
+    left = [brute_mover(f, x * f, "right") for x in A.gens]
+    right = [brute_mover(f, f * x, "left") for x in A.gens]
+    r = F.gen
+    scalar = (r, brute_scalar_mover(f, A.constant(r) * f, "right"), brute_scalar_mover(f, f * A.constant(r), "left"))
+    assert res.is_normal == (None not in left + right + list(scalar))
+    if res.is_normal:
+        assert res.left_movers == left and res.right_movers == right
+        assert res.scalar_movers == [scalar]
