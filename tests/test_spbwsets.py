@@ -303,7 +303,10 @@ def brute_mover(f, target, side):
 def brute_scalar_mover(f, target, side):
     """The scalar w with f*w = target ("right") or w*f = target ("left")."""
     A = f.pres
-    return next((w for w in A.domain.elements() if (f * A.constant(w) if side == "right" else A.constant(w) * f) == target), None)
+    for w in A.domain.elements():
+        if (f * A.constant(w) if side == "right" else A.constant(w) * f) == target:
+            return w
+    return None
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
