@@ -1,7 +1,7 @@
 """Dense exact linear algebra over any field-like scalar type.
 
 Scalars must support +, -, *, / exactly and be falsy exactly when zero
-(FieldElement, fractions.Fraction and GaussianRational all qualify).
+(FieldElement and GaussianRational both qualify).
 A Matrix carries explicit zero/one scalars so empty matrices stay usable.
 """
 

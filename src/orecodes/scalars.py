@@ -1,62 +1,74 @@
-"""Coefficient domains for skew PBW extensions: exact rationals, Gaussian
-rationals (pairs over Fraction with i^2 = -1), and finite fields.
-
-Each domain object knows how to parse/print its scalars and exposes the
-automorphism hooks the presentation layer needs (nontrivial ones exist only
-over finite fields)."""
+"""Coefficient domains for skew PBW extensions: Q and Q(i), whose one exact
+scalar GaussianRational is (a + b*i)/d over the integers (Q is b = 0), and
+finite fields.  Each domain object knows how to parse/print its scalars and
+exposes the automorphism hooks the presentation layer needs (nontrivial ones
+exist only over finite fields)."""
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+import sys
+from math import gcd
 
 from .errors import DomainError
 from .gf import FiniteField, element_str, parse_element, parse_field, split_terms
 
 
-class GaussianRational:
-    """a + b*i with exact rational a, b."""
+def _q_str(n: int, d: int) -> str:
+    """n/d in lowest terms, printed as str(Fraction(n, d)) prints it."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
-    __slots__ = ("re", "im")
+
+class GaussianRational:
+    """(a + b*i)/d with integers d > 0 and gcd(a, b, d) = 1, so equal values
+    have equal triples.  Operands may be anything with integer numerator and
+    denominator (int, Fraction), and b = 0 values equal and hash like them."""
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        p, q, r, s = re.numerator, re.denominator, im.numerator, im.denominator
+        g = gcd(p * s, r * q, q * s)
+        self.a, self.b, self.d = p * s // g, r * q // g, q * s // g
 
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
+    @classmethod
+    def _make(cls, a, b, d):
+        """(a + b*i)/d for integers a, b and d > 0."""
+        z, g = object.__new__(cls), gcd(a, b, d)
+        z.a, z.b, z.d = a // g, b // g, d // g
+        return z
+
+    @staticmethod
+    def _coerce(other):
+        if type(other) is GaussianRational:
             return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
+        n, d = getattr(other, "numerator", None), getattr(other, "denominator", None)
+        return GaussianRational._make(n, 0, d) if type(n) is int and type(d) is int else None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return self._make(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return self._make(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return NotImplemented if o is None else self + -o
 
     def __rsub__(self, other):
-        return (-self) + other
+        return -self + other
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        return self._make(self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a, self.d * o.d)
 
     __rmul__ = __mul__
 
@@ -64,114 +76,87 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = o.re * o.re + o.im * o.im
+        n = o.a * o.a + o.b * o.b
         if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n, (self.im * o.re - self.re * o.im) / n
-        )
+        # (a + b*i)/d * d'(a' - b'*i)/(a'^2 + b'^2)
+        return self._make((self.a * o.a + self.b * o.b) * o.d, (self.b * o.a - self.a * o.b) * o.d, self.d * n)
 
     def __rtruediv__(self, other):
-        return GaussianRational(other) / self
+        o = self._coerce(other)
+        return NotImplemented if o is None else o / self
 
     def __eq__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return NotImplemented if o is None else self.a == o.a and self.b == o.b and self.d == o.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        # the numeric hash of a/d, as int and Fraction compute it
+        P, inf = sys.hash_info.modulus, sys.hash_info.inf
+        return hash(self.a * pow(self.d, -1, P)) if self.d % P else (inf if self.a > 0 else -inf)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def __repr__(self):
-        if not self.im:
-            return str(self.re)
-        ims = "i" if self.im == 1 else ("-i" if self.im == -1 else f"{self.im}*i")
-        if not self.re:
-            return ims
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        imag = "i" if mag == 1 else f"{mag}*i"
-        return f"{self.re}{sign}{imag}"
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _q_str(a, d)
+        imag = "i" if b == d else ("-i" if b == -d else f"{_q_str(b, d)}*i")
+        if not a:
+            return imag
+        return f"{_q_str(a, d)}{'+-'[b < 0]}{imag.lstrip('-')}"
 
 
-class RationalDomain:
-    """The field Q via fractions.Fraction."""
+# a rational magnitude with a nonzero denominator, optionally times i (2*i, 2i), or i alone
+_GAUSS_TERM = re.compile(r"((\d+)(?:/(\d*[1-9]\d*))?)(\*?i)?|i")
 
-    name = "Q"
+
+class NumberField:
+    """Q, or Q(i) when gaussian: literals are sums of terms 3, 1/2, i, 2*i,
+    1/2i (Q refuses the terms in i), scalars are GaussianRationals, and the
+    only coefficient maps are the identity and the zero derivation."""
+
     is_finite = False
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = GaussianRational(0)
+    one = GaussianRational(1)
+
+    def __init__(self, name: str, gaussian: bool):
+        self.name, self.gaussian = name, gaussian
+        self.what = "Gaussian rational" if gaussian else "rational"
 
     def parse(self, text: str):
-        try:
-            return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"bad rational literal {text!r}") from exc
+        total = self.zero
+        for sign, term in split_terms(text, self.what):
+            m = _GAUSS_TERM.fullmatch(term)
+            imaginary = term.endswith("i")
+            if not m or imaginary and not self.gaussian:
+                raise DomainError(f"bad {self.what} literal {''.join(text.split())!r}")
+            try:
+                num, den = sign * int(m.group(2) or 1), int(m.group(3) or 1)
+            except ValueError:  # a digit run past the interpreter's integer-conversion limit
+                raise DomainError(f"bad {self.what} literal: a magnitude of {len(m.group(1))} characters") from None
+            total = total + GaussianRational._make(0 if imaginary else num, num if imaginary else 0, den)
+        return total
 
     def to_str(self, v) -> str:
         return str(v)
 
     def sigma(self, spec):
         if spec not in (None, 0):
-            raise DomainError("Q has no nontrivial automorphisms")
+            raise DomainError(f"no automorphisms of {self.name} are supported")
         return lambda v: v
 
     def delta(self, spec, sigma):
         if spec not in (None, 0, "0"):
-            raise DomainError("Q carries only the zero derivation")
+            raise DomainError(f"{self.name} carries only the zero derivation")
         return None
 
     def __repr__(self):
-        return "Q"
-
-
-# a rational magnitude with a nonzero denominator, optionally times i (2*i, 2i), or i alone
-_GAUSS_TERM = re.compile(r"(\d+(?:/\d*[1-9]\d*)?)(\*?i)?|i")
-
-
-class GaussianDomain:
-    """The field Q(i) of Gaussian rationals."""
-
-    name = "Q(i)"
-    is_finite = False
-
-    zero = GaussianRational(0)
-    one = GaussianRational(1)
-
-    def parse(self, text: str):
-        total = GaussianRational(0)
-        for sign, term in split_terms(text, "Gaussian rational"):
-            m = _GAUSS_TERM.fullmatch(term)
-            if not m:
-                raise DomainError(f"bad Gaussian rational literal {''.join(text.split())!r}")
-            try:
-                mag = Fraction(m.group(1) or 1)
-            except ValueError:  # a digit run past the interpreter's integer-conversion limit
-                raise DomainError(f"bad Gaussian rational literal: a magnitude of {len(m.group(1))} characters") from None
-            part = GaussianRational(0, mag) if term.endswith("i") else GaussianRational(mag)
-            total = total + part if sign == 1 else total - part
-        return total
-
-    def to_str(self, v) -> str:
-        return repr(v)
-
-    def sigma(self, spec):
-        if spec not in (None, 0):
-            raise DomainError("no automorphisms of Q(i) are supported")
-        return lambda v: v
-
-    def delta(self, spec, sigma):
-        if spec not in (None, 0, "0"):
-            raise DomainError("Q(i) carries only the zero derivation")
-        return None
-
-    def __repr__(self):
-        return "Q(i)"
+        return self.name
 
 
 class GFDomain:
@@ -213,8 +198,8 @@ class GFDomain:
         return self.name
 
 
-QQ = RationalDomain()
-QQI = GaussianDomain()
+QQ = NumberField("Q", gaussian=False)
+QQI = NumberField("Q(i)", gaussian=True)
 
 
 def domain_by_name(name: str):

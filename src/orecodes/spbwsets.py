@@ -225,6 +225,8 @@ MAX_CENTER_DEGREE = 32
 def center_basis(pres: PBWPresentation, degree: int):
     """All standard monomials of degree <= degree commuting with every
     variable and with the field (for nontrivial coefficient automorphisms)."""
+    if degree < 0:
+        raise DomainError(f"center degree {degree} is negative")
     if degree > MAX_CENTER_DEGREE:
         raise GuardError(f"center degree {degree} exceeds the cap {MAX_CENTER_DEGREE}")
     if not pres.is_quasi_commutative:
@@ -244,13 +246,22 @@ POWER_BOUND = 4
 # on qplane9 with I = <x^2-1, y> a fresh CLI process takes 0.7 / 2.9 / 8.6 /
 # 19.5 s at degree 4 / 6 / 8 / 10
 MAX_NULLSTELLENSATZ_DEGREE = 8
+# each sample costs ~10 ms there at degree 4: a fresh CLI process takes
+# 0.6 / 5.0 / 19.7 s for 50 / 500 / 2000 samples
+MAX_NULLSTELLENSATZ_SAMPLES = 500
 
 
 def nullstellensatz_check(gens, degree: int = 4, sample_budget: int = 50, seed: int = 0) -> dict:
     """Exercise the two checkable inclusions of the Nullstellensatz statement
     over a finite base field and report exactly what was (not) verified."""
+    if degree < 0:
+        raise DomainError(f"Nullstellensatz degree {degree} is negative")
+    if sample_budget < 0:
+        raise DomainError(f"Nullstellensatz sample budget {sample_budget} is negative")
     if degree > MAX_NULLSTELLENSATZ_DEGREE:
         raise GuardError(f"Nullstellensatz degree {degree} exceeds the cap {MAX_NULLSTELLENSATZ_DEGREE}")
+    if sample_budget > MAX_NULLSTELLENSATZ_SAMPLES:
+        raise GuardError(f"Nullstellensatz sample budget {sample_budget} exceeds the cap {MAX_NULLSTELLENSATZ_SAMPLES}")
     gens = [g for g in gens if g]
     if not gens:
         raise DomainError("need nonzero generators")

@@ -255,6 +255,22 @@ def test_spbwsets_degree_above_cap_is_refused_at_once(capsys, op, gens, degree, 
     assert json.loads(out) == {"error": {"code": 4, "message": message}}
 
 
+@pytest.mark.parametrize("op, flags, code, message", [
+    ("center", ["--degree", "-3"], 3, "center degree -3 is negative"),
+    ("nullstellensatz", ["--gens", "x^2-1,y", "--degree", "-2"], 3, "Nullstellensatz degree -2 is negative"),
+    ("nullstellensatz", ["--gens", "x^2-1,y", "--samples", "-5"], 3, "Nullstellensatz sample budget -5 is negative"),
+    ("nullstellensatz", ["--gens", "x^2-1,y", "--samples", "501"], 4,
+     "Nullstellensatz sample budget 501 exceeds the cap 500"),
+    ("nullstellensatz", ["--gens", "x^2-1,y", "--samples", str(10 ** 9)], 4,
+     "Nullstellensatz sample budget 1000000000 exceeds the cap 500"),
+])
+def test_spbwsets_negative_or_oversized_inputs_are_refused_at_once(capsys, op, flags, code, message):
+    argv = ["spbwsets", op, "--presentation", os.path.join(PRES, "qplane9.json"), *flags, "--format", "json"]
+    got, out, _ = run_within(capsys, argv)
+    assert got == code
+    assert json.loads(out) == {"error": {"code": code, "message": message}}
+
+
 def test_spbwsets_center_at_the_degree_cap_runs(capsys):
     argv = ["spbwsets", "center", "--presentation", os.path.join(PRES, "qplane9.json"), "--degree", "32"]
     code, out, _ = run(capsys, argv)
@@ -303,6 +319,14 @@ def test_poly_mul_imports_no_pbw_modules():
     loaded = _modules_after(["poly", "mul", "--field", "GF(4)", "--sigma", "1", "--a", "x^2+w*x+w", "--b", "x+w"])
     assert "orecodes.skewpoly" in loaded
     assert not loaded & {"orecodes.spbw", "orecodes.spbwsets", "orecodes.scalars", "fractions"}
+
+
+@pytest.mark.parametrize("name", ["witten", "qspace3"])
+def test_spbw_mul_over_q_and_qi_imports_no_fractions(name):
+    loaded = _modules_after(["spbw", "mul", "--presentation", os.path.join(PRES, f"{name}.json"),
+                             "--a", "(1/2+3)*x", "--b", "y"])
+    assert "orecodes.scalars" in loaded
+    assert not loaded & {"fractions", "decimal"}
 
 
 def test_package_names_resolve_on_first_use():

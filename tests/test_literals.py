@@ -108,7 +108,7 @@ def _coefficients(A):
     if dom.is_finite:
         return [(element_str(z), z) for z in dom.elements() if z]
     if dom.name == "Q":
-        return [("2", Fraction(2)), ("1/2", Fraction(1, 2)), ("(-3)", Fraction(-3))]
+        return [("2", Fraction(2)), ("1/2", Fraction(1, 2)), ("(-3)", Fraction(-3)), ("(1/2-3)", Fraction(-5, 2))]
     return [("i", GaussianRational(0, 1)), ("2", GaussianRational(2)), ("(1+i)", GaussianRational(1, 1)),
             ("(1/2-3*i)", GaussianRational(Fraction(1, 2), -3))]
 
@@ -154,11 +154,20 @@ def test_pbw_reversed_variables(name, product):
     assert json.loads(out) == {"result": {"product": product}}
 
 
+@pytest.mark.parametrize("name, literal, product", [("witten", "(1/2-3)*x", "-5/2*x")])
+def test_pbw_coefficient_sum_in_parentheses(name, literal, product):
+    code, out = run_json(["spbw", "mul", "--presentation", os.path.join(PRES, f"{name}.json"),
+                          "--a", literal, "--b", "1"])
+    assert code == 0
+    assert json.loads(out) == {"result": {"product": product}}
+
+
 # -- (c) malformed literals --------------------------------------------------------------
 
 POLY = ["poly", "mul", "--field", "GF(4)", "--sigma", "1", "--b", "1", "--a={}"]
 LINEARIZED = ["linearized", "dickson", "--field", "GF(4)", "--poly={}"]
 GAUSSIAN = ["spbw", "mul", "--presentation", os.path.join(PRES, "qspace3.json"), "--b", "1", "--a={}"]
+RATIONAL = ["spbw", "mul", "--presentation", os.path.join(PRES, "witten.json"), "--b", "1", "--a={}"]
 MALFORMED = [
     (POLY, "+", "'+'"),
     (POLY, "-", "'-'"),
@@ -170,10 +179,16 @@ MALFORMED = [
     (LINEARIZED, "y^2*y", "'y^2*y'"),
     (POLY, "(w*x", "'(w*x'"),
     (GAUSSIAN, "1/0*x", "bad Gaussian rational literal '1/0'"),
+    # Q reads the grammar of Q(i) without i: no decimals, exponents or digit separators
+    (RATIONAL, "1.5*x", "bad rational literal '1.5'"),
+    (RATIONAL, "1e2*x", "bad rational literal '1e2'"),
+    (RATIONAL, "1_0*x", "bad rational literal '1_0'"),
+    (RATIONAL, "1/0*x", "bad rational literal '1/0'"),
 ]
 
 
-@pytest.mark.parametrize("argv, literal, quoted", MALFORMED, ids=[repr(m[1]) for m in MALFORMED])
+@pytest.mark.parametrize("argv, literal, quoted", MALFORMED,
+                         ids=[("Q:" if m[0] is RATIONAL else "") + repr(m[1]) for m in MALFORMED])
 def test_malformed_literal_is_one_json_error(argv, literal, quoted):
     code, out = run_json(argv[:-1] + [argv[-1].format(literal)])
     assert code == 3
@@ -191,12 +206,13 @@ LONG = [
     (POLY[:-1] + ["--a=x^" + "9" * 5000], "bad polynomial literal: an integer of 5000 digits"),
     (POLY[:-1] + ["--a=w^" + "9" * 5000 + "*x"], "bad element literal: an integer of 5000 digits"),
     (GAUSSIAN[:-1] + ["--a=" + "9" * 5000 + "*x"], "bad Gaussian rational literal: a magnitude of 5000"),
+    (RATIONAL[:-1] + ["--a=" + "9" * 5000 + "*x"], "bad rational literal: a magnitude of 5000 characters"),
     (GAUSSIAN[:-1] + ["--a=x^" + "9" * 5000], "bad polynomial literal: an integer of 5000 digits"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", LONG, ids=["field", "field-degree", "poly-exponent", "element-exponent",
-                                                     "gaussian", "pbw-exponent"])
+                                                     "gaussian", "rational", "pbw-exponent"])
 def test_long_integer_literal_is_a_bad_literal(argv, message):
     code, out = run_json(argv)
     assert code == 3

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orecodes.cli import main
-from orecodes.errors import DomainError
+from orecodes.errors import DomainError, GuardError
 from orecodes.gf import GF
 from orecodes.scalars import GFDomain, QQ
 from orecodes.skewpoly import OreRing, right_eval
 from orecodes.spbw import PBWPresentation, pbw_str, presentation_to_dict, reduce_full, two_sided_closure
 from orecodes.spbwsets import (
+    MAX_NULLSTELLENSATZ_SAMPLES,
     center_basis,
     ideal_of_points_membership,
     normality_test,
@@ -257,6 +258,20 @@ def test_nullstellensatz_spec_ideal(QP9):
     assert report["holds"]
     assert report["center_side"]["holds"]
     assert report["center_side"]["center_generators"] == ["x^2", "y^2"]
+
+
+def test_negative_degree_and_sample_budget_are_refused(QP9):
+    gens = [QP9.parse("x^2-1"), QP9.parse("y")]
+    with pytest.raises(DomainError, match="center degree -3 is negative"):
+        center_basis(QP9, -3)
+    with pytest.raises(DomainError, match="Nullstellensatz degree -2 is negative"):
+        nullstellensatz_check(gens, degree=-2)
+    with pytest.raises(DomainError, match="Nullstellensatz sample budget -5 is negative"):
+        nullstellensatz_check(gens, sample_budget=-5)
+    with pytest.raises(GuardError, match=f"sample budget {MAX_NULLSTELLENSATZ_SAMPLES + 1} exceeds the cap "
+                                         f"{MAX_NULLSTELLENSATZ_SAMPLES}"):
+        nullstellensatz_check(gens, sample_budget=MAX_NULLSTELLENSATZ_SAMPLES + 1)
+    assert center_basis(QP9, 0) == [QP9.one]
 
 
 def test_point_closure_cache_lives_on_the_presentation():
