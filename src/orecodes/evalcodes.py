@@ -14,6 +14,8 @@ from .algset import vandermonde, wronskian
 from .codes import LinearCode
 
 MAX_MESSAGES = 1 << 20
+# _gabidulin_check enumerates the Y matrices only when there are at most this many
+MAX_GABIDULIN_SPACE = 1 << 16
 
 
 def remainder_code(ring: OreRing, points, k: int) -> LinearCode:
@@ -134,7 +136,7 @@ def _mds_column_check(code: LinearCode) -> bool:
     return True
 
 
-def _gabidulin_check(code: LinearCode, ring: OreRing, cap: int = 1 << 16):
+def _gabidulin_check(code: LinearCode, ring: OreRing):
     """MRD iff rank(Y H^T) = r - k for every (r-k) x r matrix Y over F^sigma
     of rank r - k; enumerated only when the Y-space is small."""
     if code.dim > 4:
@@ -143,7 +145,7 @@ def _gabidulin_check(code: LinearCode, ring: OreRing, cap: int = 1 << 16):
     n, m = code.n, code.n - code.dim
     if m == 0:
         return True
-    if len(sub) ** (m * n) > cap:
+    if len(sub) ** (m * n) > MAX_GABIDULIN_SPACE:
         return None
     F = code.field
     H = _index_rows(code.parity_check())

@@ -496,9 +496,6 @@ def GF(q: int, k: int = 1) -> FiniteField:
     return FiniteField(q, k)
 
 
-build_field = GF
-
-
 _FIELD_RE = re.compile(r"^GF\(\s*(\d+)\s*(?:\^\s*(\d+)\s*)?\)$")
 
 

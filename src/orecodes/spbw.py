@@ -381,6 +381,13 @@ def reduce_full(f: PBWPoly, divisors) -> PBWPoly:
 
 # -- Groebner bases ----------------------------------------------------------------
 
+# completion stops (and reports the cap) past this many basis elements or S-pairs
+MAX_GROEBNER_BASIS = 64
+MAX_GROEBNER_PAIRS = 4096
+# a two-sided closure that has not stabilized after this many rounds is refused
+MAX_CLOSURE_ROUNDS = 32
+
+
 @dataclass
 class GroebnerResult:
     basis: list
@@ -388,7 +395,7 @@ class GroebnerResult:
     cap: str  # the cap completion stopped at, e.g. "max_pairs 4096"; "" when complete
 
 
-def groebner_left(gens, max_basis: int = 64, max_pairs: int = 4096) -> GroebnerResult:
+def groebner_left(gens) -> GroebnerResult:
     """Left Groebner basis by overlap-pair completion, then interreduction."""
     gens = [g for g in gens if g]
     if not gens:
@@ -401,8 +408,9 @@ def groebner_left(gens, max_basis: int = 64, max_pairs: int = 4096) -> GroebnerR
     cap = ""
     while pairs:
         processed += 1
-        if processed > max_pairs or len(G) > max_basis:
-            cap = f"max_pairs {max_pairs}" if processed > max_pairs else f"max_basis {max_basis}"
+        if processed > MAX_GROEBNER_PAIRS or len(G) > MAX_GROEBNER_BASIS:
+            cap = (f"max_pairs {MAX_GROEBNER_PAIRS}" if processed > MAX_GROEBNER_PAIRS
+                   else f"max_basis {MAX_GROEBNER_BASIS}")
             break
         i, j = pairs.pop(0)
         gi, gj = G[i], G[j]
@@ -455,7 +463,7 @@ def _complete_left_basis(gens) -> list:
     return res.basis
 
 
-def two_sided_closure(gens, max_rounds: int = 32) -> list:
+def two_sided_closure(gens) -> list:
     """Left Groebner basis generating (as a left ideal) the two-sided ideal
     spanned by gens; quasi-commutative presentations only."""
     gens = [g for g in gens if g]
@@ -466,7 +474,7 @@ def two_sided_closure(gens, max_rounds: int = 32) -> list:
         raise DomainError("two-sided closure implemented for quasi-commutative presentations only")
     right_mults = pres.gens + [pres.constant(r) for r in pres.twisting_scalars]
     G = _complete_left_basis(gens)
-    for _ in range(max_rounds):
+    for _ in range(MAX_CLOSURE_ROUNDS):
         new = []
         for g in G:
             for m in right_mults:
@@ -478,7 +486,7 @@ def two_sided_closure(gens, max_rounds: int = 32) -> list:
         G = _complete_left_basis(G + new)
     raise GuardError(
         f"two-sided closure did not stabilize: basis of {len(G)} elements after "
-        f"{max_rounds} rounds (cap {max_rounds})"
+        f"{MAX_CLOSURE_ROUNDS} rounds (cap {MAX_CLOSURE_ROUNDS})"
     )
 
 

@@ -24,7 +24,6 @@ from .spbw import (
     PBWPoly,
     PBWPresentation,
     _deglex_key,
-    in_left_ideal,
     reduce_full,
     two_sided_closure,
 )
@@ -279,25 +278,32 @@ def nullstellensatz_check(gens, degree: int = 4, sample_budget: int = 50, seed: 
         ],
     }
 
-    # (a) radical side: central f with f^m in I must land in I(V(I))
+    # (a) radical side: central f with f^m in I must land in I(V(I)).  The
+    # candidates combine central monomials with the scalars every coefficient
+    # map fixes (sigma_i(b) = b, delta_i(b) = 0), so each one is central: with
+    # trivial maps that is all of F.  I is two-sided, so f^m - r*f =
+    # (f^(m-1) - r)*f lies in I for r = NF(f^(m-1)), and NF(f^m) = NF(r*f).
     rng = random.Random(seed)
     cmonos = center_basis(pres, degree)
     candidates = list(cmonos)
-    els = pres.domain.elements()
+    els = [
+        b for b in pres.domain.elements()
+        if all(s(b) == b for s in pres._sigmas) and all(d is None or not d(b) for d in pres._deltas)
+    ]
     for _ in range(sample_budget):
         f = pres.combination([rng.choice(els) for _ in cmonos], cmonos)
         if f:
             candidates.append(f)
     checked = confirmed = 0
     for f in candidates:
-        power = f
-        for m in range(1, POWER_BOUND + 1):
-            if in_left_ideal(power, G2):
-                checked += 1
-                if ideal_of_points_membership(f, variety):
-                    confirmed += 1
+        r = reduce_full(f, G2)
+        for _ in range(POWER_BOUND - 1):
+            if not r:
                 break
-            power = power * f
+            r = reduce_full(r * f, G2)
+        if not r:
+            checked += 1
+            confirmed += ideal_of_points_membership(f, variety)
     report["radical_side"] = {
         "candidates": len(candidates),
         "nilpotent_mod_I": checked,
@@ -318,58 +324,39 @@ def nullstellensatz_check(gens, degree: int = 4, sample_budget: int = 50, seed: 
 
 
 def _center_side(pres, G2, variety, degree, cmonos):
-    dom = pres.domain
-    # center generators x_i^{L_i}
+    if not pres.has_trivial_coefficient_maps:
+        return {"holds": None, "note": "the center is spanned by central monomials only for trivial coefficient maps"}
+    # center generators w_i = x_i^{L_i}
+    alphas = [next(iter(m.terms)) for m in cmonos]
+    central = set(alphas)
     L = []
     for i in range(pres.n):
-        Li = next(
-            (e for e in range(1, degree + 1) if pres.monomial(tuple(e if v == i else 0 for v in range(pres.n))) in cmonos),
-            None,
-        )
+        Li = next((e for e in range(1, degree + 1)
+                   if tuple(e if v == i else 0 for v in range(pres.n)) in central), None)
         if Li is None:
             return {"holds": None, "note": f"no central power of {pres.names[i]} up to degree {degree}"}
         L.append(Li)
-    for m in cmonos:
-        alpha = next(iter(m.terms))
-        if any(a % l for a, l in zip(alpha, L)):
-            return {"holds": None, "note": "center is not the expected polynomial ring at this degree"}
+    if any(a % l for alpha in alphas for a, l in zip(alpha, L)):
+        return {"holds": None, "note": "center is not the expected polynomial ring at this degree"}
 
-    # J = I n Z(A) up to the degree bound, by linear algebra over the field
+    # Z(A) = F[w] is the commutative presentation on the same names, and J =
+    # I n Z(A) up to the degree bound comes from linear algebra over the field
+    dom = pres.domain
+    W = PBWPresentation(pres.names, dom)
     support, rows = _coefficient_rows([reduce_full(m, G2) for m in cmonos])
     kernel = Matrix(rows, len(support), dom.zero, dom.one).transpose().kernel()
-    J_basis = [pres.combination(coeffs, cmonos) for coeffs in kernel.rows]
-
-    # V_{Z(A)}(J) in the w-affine space, w_i = x_i^{L_i}
-    def w_value(f, w):
-        return sum(
-            (c * _mono_value([a // l for a, l in zip(alpha, L)], w, dom.one) for alpha, c in f.terms.items()),
-            dom.zero,
-        )
-
-    wpoints = [
-        w for w in itertools.product(dom.elements(), repeat=pres.n)
-        if not any(w_value(f, w) for f in J_basis)
+    images = [W.monomial(tuple(a // l for a, l in zip(alpha, L))) for alpha in alphas]
+    J = [W.combination(coeffs, images) for coeffs in kernel.rows]
+    wpoints = vanishing_set(J) if J else all_points(W)
+    # I_{Z(A)}(V_{Z(A)}(J)) up to the w-degree bound, mapped back by w^a -> x^{aL}
+    generators = [
+        pres.poly({tuple(a * l for a, l in zip(alpha, L)): c for alpha, c in g.terms.items()})
+        for g in truncated_ideal_of_points(W, wpoints, max(degree // max(L), 1))
     ]
-
-    # I_{Z(A)}(V_{Z(A)}(J)) up to w-degree bound, then map w_i -> x_i^{L_i}
-    wdeg = max(degree // max(L), 1)
-    wmonos = [a for a in itertools.product(range(wdeg + 1), repeat=pres.n) if sum(a) <= wdeg]
-    if wpoints:
-        ev = Matrix(
-            [[_mono_value(a, p, dom.one) for a in wmonos] for p in wpoints],
-            len(wmonos),
-            dom.zero,
-            dom.one,
-        )
-        ker = ev.kernel().rows
-    else:
-        ker = [[dom.one if i == j else dom.zero for i in range(len(wmonos))] for j in range(len(wmonos))]
-    xmonos = [pres.monomial(tuple(ai * li for ai, li in zip(a, L))) for a in wmonos]
-    generators = [pres.combination(coeffs, xmonos) for coeffs in ker]
     holds = all(ideal_of_points_membership(g, variety) for g in generators)
     return {
         "holds": holds,
-        "J_basis_size": len(J_basis),
+        "J_basis_size": len(J),
         "center_variety_size": len(wpoints),
         "generators_checked": len(generators),
         "center_generators": [f"{n}^{l}" for n, l in zip(pres.names, L)],

@@ -483,19 +483,21 @@ def test_relation_incompatible_with_sigma_is_refused():
         load_presentation(data)
 
 
-def test_two_sided_closure_guard_reports_rounds_and_cap():
+def test_two_sided_closure_guard_reports_rounds_and_cap(monkeypatch):
+    import orecodes.spbw as spbw
+
+    monkeypatch.setattr(spbw, "MAX_CLOSURE_ROUNDS", 0)
     A = load_presentation(GF9_PLANE)
     with pytest.raises(GuardError, match=r"basis of 1 elements after 0 rounds \(cap 0\)"):
-        two_sided_closure([A.parse("x+y")], max_rounds=0)
+        two_sided_closure([A.parse("x+y")])
 
 
 @pytest.fixture
 def capped_groebner(monkeypatch):
-    """groebner_left stopped by max_pairs = 0 wherever the closure calls it."""
+    """groebner_left stopped by MAX_GROEBNER_PAIRS = 0 wherever the closure calls it."""
     import orecodes.spbw as spbw
 
-    real = spbw.groebner_left
-    monkeypatch.setattr(spbw, "groebner_left", lambda gens: real(gens, max_pairs=0))
+    monkeypatch.setattr(spbw, "MAX_GROEBNER_PAIRS", 0)
 
 
 def test_two_sided_closure_refuses_a_capped_basis(capped_groebner):

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import os
 import random
 import weakref
 
@@ -10,11 +11,20 @@ from hypothesis import given, settings, strategies as st
 from orecodes.cli import main
 from orecodes.errors import DomainError, GuardError
 from orecodes.gf import GF
+from orecodes.linalg import Matrix
 from orecodes.scalars import GFDomain, QQ
 from orecodes.skewpoly import OreRing, right_eval
-from orecodes.spbw import PBWPresentation, pbw_str, presentation_to_dict, reduce_full, two_sided_closure
+from orecodes.spbw import (
+    PBWPresentation,
+    load_presentation,
+    pbw_str,
+    presentation_to_dict,
+    reduce_full,
+    two_sided_closure,
+)
 from orecodes.spbwsets import (
     MAX_NULLSTELLENSATZ_SAMPLES,
+    POWER_BOUND,
     center_basis,
     ideal_of_points_membership,
     normality_test,
@@ -351,3 +361,111 @@ def test_movers_equal_a_brute_force_search_on_twisted_fields(qk, n, data):
     if res.is_normal:
         assert res.left_movers == left and res.right_movers == right
         assert res.scalar_movers == [scalar]
+
+
+def test_nullstellensatz_candidates_are_central_under_twisting(monkeypatch):
+    # y x = w x y with x*r = r^2*x over GF(4): a central monomial times a scalar
+    # outside the fixed subfield GF(2) does not commute with x
+    dom = GFDomain(GF(2, 2))
+    A = PBWPresentation(["x", "y"], dom, {(0, 1): (dom.parse("w"), [dom.zero] * 2, dom.zero)}, sigma=[1, None])
+    drawn = []
+    real = A.combination
+    monkeypatch.setattr(A, "combination", lambda coeffs, polys: drawn.append(real(coeffs, polys)) or drawn[-1])
+    report = nullstellensatz_check([A.parse("x^2+1")], degree=4)
+    tests = A.gens + [A.constant(dom.field.gen)]
+    assert drawn and all(t * f == f * t for f in drawn for t in tests)
+    assert report["center_side"]["holds"] is None
+    assert report["exercised"] == ["central f with f^m in I implies f in I(V(I))"]
+
+
+PRESENTATIONS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "presentations")
+
+
+def reference_nullstellensatz(gens, degree, sample_budget, seed):
+    """The report built the direct way: each candidate's powers f^m formed
+    explicitly and tested for membership in I, and I_Z(A)(V_Z(A)(J)) as the
+    kernel of the evaluation matrix of the w-monomials at the w-points."""
+    A = gens[0].pres
+    dom = A.domain
+    G2 = two_sided_closure(gens)
+    variety = vanishing_set(gens)
+    rng = random.Random(seed)
+    cmonos = center_basis(A, degree)
+    candidates = list(cmonos)
+    for _ in range(sample_budget):
+        f = A.combination([rng.choice(dom.elements()) for _ in cmonos], cmonos)
+        if f:
+            candidates.append(f)
+    nilpotent = [f for f in candidates if any(not reduce_full(f ** m, G2) for m in range(1, POWER_BOUND + 1))]
+    landed = [f for f in nilpotent if all(root_test(f, Z) for Z in variety)]
+    report = {
+        "variety_size": len(variety),
+        "exercised": ["central f with f^m in I implies f in I(V(I))"],
+        "not_exercised": [
+            "sqrt(I) itself (no noncommutative radical algorithm is computed)",
+            "equality of the inclusions (needs an algebraically closed field)",
+        ],
+        "radical_side": {"candidates": len(candidates), "nilpotent_mod_I": len(nilpotent),
+                         "landed_in_I_of_V": len(landed), "holds": len(nilpotent) == len(landed)},
+    }
+    alphas = [next(iter(m.terms)) for m in cmonos]
+    L = [next((e for e in range(1, degree + 1) if tuple(e * (v == i) for v in range(A.n)) in alphas), None)
+         for i in range(A.n)]
+    if None in L:
+        name = A.names[L.index(None)]
+        center = {"holds": None, "note": f"no central power of {name} up to degree {degree}"}
+    elif any(a % l for alpha in alphas for a, l in zip(alpha, L)):
+        center = {"holds": None, "note": "center is not the expected polynomial ring at this degree"}
+    else:
+        support = sorted({m for f in cmonos for m in reduce_full(f, G2).terms})
+        nf = Matrix([[reduce_full(f, G2).terms.get(m, dom.zero) for f in cmonos] for m in support],
+                    len(cmonos), dom.zero, dom.one)
+        J = [dict(zip(alphas, row)) for row in nf.kernel().rows]
+
+        def w_value(terms, w):
+            value = dom.zero
+            for alpha, c in terms.items():
+                for a, l, z in zip(alpha, L, w):
+                    c = c * z ** (a // l) if a else c
+                value = value + c
+            return value
+
+        wpoints = [w for w in itertools.product(dom.elements(), repeat=A.n)
+                   if not any(w_value(terms, w) for terms in J)]
+        wdeg = max(degree // max(L), 1)
+        wmonos = [a for a in itertools.product(range(wdeg + 1), repeat=A.n) if sum(a) <= wdeg]
+        rows = [[w_value({tuple(e * l for e, l in zip(a, L)): dom.one}, w) for a in wmonos] for w in wpoints]
+        basis = (Matrix(rows, len(wmonos), dom.zero, dom.one).kernel().rows if rows
+                 else [[dom.one * (i == j) for i in range(len(wmonos))] for j in range(len(wmonos))])
+        generators = [A.combination(coeffs, [A.monomial(tuple(e * l for e, l in zip(a, L))) for a in wmonos])
+                      for coeffs in basis]
+        center = {
+            "holds": all(root_test(g, Z) for g in generators for Z in variety),
+            "J_basis_size": len(J),
+            "center_variety_size": len(wpoints),
+            "generators_checked": len(generators),
+            "center_generators": [f"{n}^{l}" for n, l in zip(A.names, L)],
+        }
+        report["exercised"].append("generators of <I_Z(A)(V_Z(A)(I n Z(A)))> lie in I(V(I))")
+    report["center_side"] = center
+    report["holds"] = report["radical_side"]["holds"] and center["holds"]
+    return report
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(["qplane4", "qplane9"]),
+    data=st.data(),
+    degree=st.integers(2, 4),
+    sample_budget=st.integers(0, 12),
+    seed=st.integers(0, 1000),
+)
+def test_nullstellensatz_report_equals_the_direct_reference(name, data, degree, sample_budget, seed):
+    A = load_presentation(os.path.join(PRESENTATIONS, f"{name}.json"))
+    size = A.domain.field.size
+    terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(1, size - 1),
+                            min_size=1, max_size=3)
+    gens = [A.poly({alpha: A.domain.field.element(c) for alpha, c in t.items()})
+            for t in data.draw(st.lists(terms, min_size=1, max_size=2))]
+    assert nullstellensatz_check(gens, degree, sample_budget, seed) == reference_nullstellensatz(
+        gens, degree, sample_budget, seed)
