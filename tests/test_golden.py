@@ -59,6 +59,10 @@ CALLS = [
     'linearized dickson --field "GF(27)" --poly "g^5*y^9+y^3+g*y"',
     'linearized algebra-check --field "GF(8)"',
     'linearized algebra-check --field "GF(9)"',
+    'linearized algebra-check --field "GF(16)"',
+    'linearized algebra-check --field "GF(25)"',
+    'linearized algebra-check --field "GF(27)"',
+    'linearized algebra-check --field "GF(64)"',
     # evaluation codes
     'evalcodes build --code operator --field "GF(8)" --sigma 1 --support "1,g,g^2" --k 2',
     'evalcodes build --code operator --field "GF(9)" --sigma 1 --delta-w "w" --support "1,w,w^2" --k 2',
