@@ -144,8 +144,7 @@ def _check_cyclic_setting(ring: OreRing, n: int) -> SkewPoly:
     if ring.s != n:
         raise DomainError(f"|sigma| = {ring.s} but the modulus needs |sigma| = n = {n}")
     f = ring.monomial(n) - ring.one
-    if not two_sided_test(f).is_two_sided:  # pragma: no cover - s | n by construction
-        raise DomainError("x^n - 1 is not two-sided in this ring")
+    verify(two_sided_test(f).is_two_sided, "x^n - 1 is two-sided when |sigma| = n")
     return f
 
 

@@ -195,6 +195,13 @@ def dot_i(field, a, b) -> int:
     return acc
 
 
+def matmul_i(field, a, b):
+    """Index rows of the product over a FiniteField of the matrices whose rows
+    are the index lists a and b."""
+    cols = list(zip(*b))
+    return [[dot_i(field, r, c) for c in cols] for r in a]
+
+
 def rank_i(field, rows):
     """Rank over a FiniteField of the matrix whose rows are lists of element
     indices, by Gaussian elimination on the field's index operations."""

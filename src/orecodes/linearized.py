@@ -10,13 +10,13 @@ D_g = M(X) M_g M(X)^{-1} holds on the nose.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import random
 
 from .algset import wronskian
 from .errors import DomainError, GuardError
 from .gf import FieldElement, FiniteField, subfield_coordinates
-from .linalg import Matrix
-from .skewpoly import OreRing, SkewPoly, operator_eval
+from .linalg import Matrix, dot_i, identity, matmul_i, rank_i
+from .skewpoly import OreRing, SkewPoly, _mul_i, operator_eval, operator_powers_i
 
 MAX_ALGEBRA_FIELD = 64
 
@@ -140,14 +140,25 @@ def eval_matrix(g: LinearizedPoly, X=None) -> Matrix:
     table = _zq_coordinates(field, X)
     if table is None:
         raise DomainError("X is not a Z_q-basis")
-    return _coordinate_matrix(OreRing(field, 1), g, X, table)
+    return Matrix.from_indices(field, _m_rows(field, X, table)([c.idx for c in g.coeffs]), len(X))
 
 
-def _coordinate_matrix(ring: OreRing, g: LinearizedPoly, X, table) -> Matrix:
-    """M_g from the Z_q coordinate table of the basis X; ring is F[x;phi]."""
-    p = ring.poly(g.coeffs)
-    cols = [table[operator_eval(p, z).idx] for z in X]
-    return Matrix.from_indices(ring.field, zip(*cols), len(X))
+def _m_rows(field: FiniteField, X, table):
+    """The builder g -> index rows of M_g, for coefficient indices g of any
+    length: g is folded mod x^k - 1 (x^k is central because phi^k = id), and
+    column j holds the Z_q coordinates table[g(z_j)], g(z_j) being the dot
+    product of g with phi^0(z_j), ..., phi^(k-1)(z_j)."""
+    k, ring = field.k, OreRing(field, 1)
+    powers = [operator_powers_i(ring, z.idx, k - 1) for z in X]
+
+    def rows(g):
+        folded = [0] * k
+        for i, c in enumerate(g):
+            if c:
+                folded[i % k] = field.add_i(folded[i % k], c)
+        return [list(r) for r in zip(*(table[dot_i(field, folded, p)] for p in powers))]
+
+    return rows
 
 
 def dickson_matrix(g: LinearizedPoly) -> Matrix:
@@ -174,65 +185,42 @@ def dickson_identity_holds(g: LinearizedPoly, X=None) -> bool:
 def matrix_algebra_check(field: FiniteField) -> dict:
     """Verify that gbar -> M_g realizes A/(x^k - 1) as all of M_k(Z_q):
     additive, multiplicative (on all pairs at tiny sizes, sampled otherwise),
-    injective and surjective by Z_q-rank."""
+    injective and surjective by Z_q-rank, and sending 1 to the identity.
+    Cosets are index lists of length k."""
     if field.size > MAX_ALGEBRA_FIELD:
         raise GuardError(f"matrix algebra check: |F| = {field.size} (cap {MAX_ALGEBRA_FIELD})")
     k = field.k
     ring = OreRing(field, 1)
-    f = ring.monomial(k) - ring.one
     X = canonical_basis(field)
-    table = _zq_coordinates(field, X)
+    mat = _m_rows(field, X, _zq_coordinates(field, X))
 
-    def mat(poly):
-        return _coordinate_matrix(ring, to_linearized(poly.right_divmod(f)[1]), X, table)
-
-    # images of an F-basis of A/(x^k-1), expanded over Z_q, must span k^2 dims
-    rows = []
-    basis_polys = []
-    for b in X:
-        for i in range(k):
-            basis_polys.append(ring.monomial(i, b))
-    for p in basis_polys:
-        m = mat(p)
-        rows.append([v for row in m.rows for v in row])
-    rank = Matrix.over_field(field, rows, k * k).rank()
-    surjective = rank == k * k
-    injective = surjective  # equal finite cardinalities q^{k^2}
-
-    # identity and homomorphism properties
+    # images of an F-basis b x^i of A/(x^k-1), expanded over Z_q, must span k^2 dims
+    rows = [[v for row in mat([0] * i + [b.idx]) for v in row] for b in X for i in range(k)]
+    surjective = rank_i(field, rows) == k * k
     report = {
         "k": k,
         "q": field.q,
         "surjective": surjective,
-        "injective": injective,
-        "identity_ok": mat(ring.monomial(k)).rows
-        == _coordinate_matrix(ring, LinearizedPoly(field, [field.one]), X, table).rows,
+        "injective": surjective,  # equal finite cardinalities q^{k^2}
+        "identity_ok": eval_matrix(to_linearized(ring.one), X) == identity(k, field.zero, field.one),
         "multiplicative_ok": True,
         "additive_ok": True,
-        "pairs_checked": 0,
     }
-    small = field.size ** k <= 256
-    if small:
-        cosets = [
-            ring.poly(list(t)) for t in itertools.product(field.elements(), repeat=k)
-        ]
+    if field.size ** k <= 256:
+        cosets = [list(t) for t in itertools.product(range(field.size), repeat=k)]
     else:
-        import random
-
         rng = random.Random(0)
-        cosets = [
-            ring.poly([field.element(rng.randrange(field.size)) for _ in range(k)])
-            for _ in range(16)
-        ]
+        cosets = [[rng.randrange(field.size) for _ in range(k)] for _ in range(16)]
+    add = field.add_i
     mats = [mat(a) for a in cosets]
     for (a, ma), (b, mb) in itertools.product(zip(cosets, mats), repeat=2):
-        if mat((a * b).right_divmod(f)[1]).rows != (ma * mb).rows:
+        if mat(_mul_i(ring, a, b)) != matmul_i(field, ma, mb):
             report["multiplicative_ok"] = False
-        if mat(a + b).rows != [
-            [x + y for x, y in zip(r1, r2)] for r1, r2 in zip(ma.rows, mb.rows)
+        if mat([add(x, y) for x, y in zip(a, b)]) != [
+            [add(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(ma, mb)
         ]:
             report["additive_ok"] = False
-        report["pairs_checked"] += 1
+    report["pairs_checked"] = len(cosets) ** 2
     report["all_ok"] = all(
         report[key] for key in ("surjective", "injective", "identity_ok", "multiplicative_ok", "additive_ok")
     )

@@ -719,7 +719,7 @@ def remove_derivation(g: SkewPoly):
 
 # -- text I/O -------------------------------------------------------------------
 
-def poly_str(g: SkewPoly, symbol: str = "w", var: str = "x") -> str:
+def poly_str(g: SkewPoly) -> str:
     if not g:
         return "0"
     parts = []
@@ -727,13 +727,11 @@ def poly_str(g: SkewPoly, symbol: str = "w", var: str = "x") -> str:
         c = g[i]
         if not c:
             continue
-        cs = element_str(c)
-        if symbol != "g":
-            cs = re.sub(r"^g", symbol, cs)
+        cs = re.sub(r"^g", "w", element_str(c))
         if i == 0:
             parts.append(cs)
         else:
-            xs = var if i == 1 else f"{var}^{i}"
+            xs = "x" if i == 1 else f"x^{i}"
             parts.append(xs if cs == "1" else f"{cs}*{xs}")
     return "+".join(parts)
 

@@ -242,11 +242,13 @@ def center_basis(pres: PBWPresentation, degree: int):
 # -- Nullstellensatz consequences ----------------------------------------------------
 
 POWER_BOUND = 4
-# on qplane9 with I = <x^2-1, y> a fresh CLI process takes 0.15 / 0.16 / 0.26 s
-# at degree 4 / 6 / 8 (2-core Xeon host)
-MAX_NULLSTELLENSATZ_DEGREE = 8
-# there, at degree 4, it takes 0.13 / 0.34 s for 50 / 500 samples
-MAX_NULLSTELLENSATZ_SAMPLES = 500
+# on qplane9 with I = <x^2-1, y> a fresh CLI process takes 0.34 / 0.44 / 0.59 s
+# at degree 4 / 8 / 10 with 50 samples (best of 3, 2-core Xeon host)
+MAX_NULLSTELLENSATZ_DEGREE = 10
+# there it takes 0.61 / 0.89 s for 500 / 800 samples at degree 4, but 4.2 s at
+# degree 10 with 800 samples: a sample costs more at a higher degree, so the
+# two caps are set together
+MAX_NULLSTELLENSATZ_SAMPLES = 800
 
 
 def nullstellensatz_check(gens, degree: int = 4, sample_budget: int = 50, seed: int = 0) -> dict:

@@ -244,8 +244,8 @@ def test_pbw_term_above_degree_cap_is_refused_at_once(capsys, literal, degree):
 @pytest.mark.parametrize("op, gens, degree, message", [
     ("center", [], 33, "center degree 33 exceeds the cap 32"),
     ("center", [], 10 ** 9, "center degree 1000000000 exceeds the cap 32"),
-    ("nullstellensatz", ["--gens", "x^2-1,y"], 9, "Nullstellensatz degree 9 exceeds the cap 8"),
-    ("nullstellensatz", ["--gens", "x^2-1,y"], 10 ** 9, "Nullstellensatz degree 1000000000 exceeds the cap 8"),
+    ("nullstellensatz", ["--gens", "x^2-1,y"], 11, "Nullstellensatz degree 11 exceeds the cap 10"),
+    ("nullstellensatz", ["--gens", "x^2-1,y"], 10 ** 9, "Nullstellensatz degree 1000000000 exceeds the cap 10"),
 ])
 def test_spbwsets_degree_above_cap_is_refused_at_once(capsys, op, gens, degree, message):
     argv = ["spbwsets", op, "--presentation", os.path.join(PRES, "qplane9.json"), *gens, "--degree", str(degree),
@@ -259,10 +259,10 @@ def test_spbwsets_degree_above_cap_is_refused_at_once(capsys, op, gens, degree, 
     ("center", ["--degree", "-3"], 3, "center degree -3 is negative"),
     ("nullstellensatz", ["--gens", "x^2-1,y", "--degree", "-2"], 3, "Nullstellensatz degree -2 is negative"),
     ("nullstellensatz", ["--gens", "x^2-1,y", "--samples", "-5"], 3, "Nullstellensatz sample budget -5 is negative"),
-    ("nullstellensatz", ["--gens", "x^2-1,y", "--samples", "501"], 4,
-     "Nullstellensatz sample budget 501 exceeds the cap 500"),
+    ("nullstellensatz", ["--gens", "x^2-1,y", "--samples", "801"], 4,
+     "Nullstellensatz sample budget 801 exceeds the cap 800"),
     ("nullstellensatz", ["--gens", "x^2-1,y", "--samples", str(10 ** 9)], 4,
-     "Nullstellensatz sample budget 1000000000 exceeds the cap 500"),
+     "Nullstellensatz sample budget 1000000000 exceeds the cap 800"),
 ])
 def test_spbwsets_negative_or_oversized_inputs_are_refused_at_once(capsys, op, flags, code, message):
     argv = ["spbwsets", op, "--presentation", os.path.join(PRES, "qplane9.json"), *flags, "--format", "json"]

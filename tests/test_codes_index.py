@@ -12,7 +12,7 @@ from orecodes import evalcodes
 from orecodes.codes import LinearCode
 from orecodes.errors import DomainError
 from orecodes.gf import GF, fixed_field_coordinates
-from orecodes.linalg import Matrix, rank_i
+from orecodes.linalg import Matrix, matmul_i, rank_i
 from orecodes.linearized import LinearizedPoly, eval_matrix, is_zq_basis
 from orecodes.skewpoly import OreRing
 
@@ -94,7 +94,9 @@ def test_rank_i_matches_boxed_rank(q, k, raw, shape):
     A = Matrix.over_field(F, boxed_rows(F, raw, nrows, inner), inner)
     B = Matrix.over_field(F, boxed_rows(F, raw[32:], inner, ncols), ncols)
     M = A * B
-    assert rank_i(F, [[v.idx for v in row] for row in M.rows]) == M.rank()
+    idx = lambda m: [[v.idx for v in row] for row in m.rows]
+    assert matmul_i(F, idx(A), idx(B)) == idx(M)
+    assert rank_i(F, idx(M)) == M.rank()
 
 
 @pytest.mark.parametrize("q,k,l", RANK_RINGS, ids=lambda v: str(v))
@@ -215,7 +217,8 @@ def test_eval_matrix_matches_brute_force_coordinates(q, k, raw):
     F = GF(q, k)
     X = [F.element(c % F.size) for c in raw[:k]]
     assume(is_zq_basis(F, X))
-    g = LinearizedPoly(F, [F.element(c % F.size) for c in raw[k : 2 * k]])
+    # 3k coefficients: eval_matrix folds g mod x^k - 1, while g(z) evaluates it unfolded
+    g = LinearizedPoly(F, [F.element(c % F.size) for c in raw[k : 4 * k]])
     cols = [brute_coords(F, X, g(z)) for z in X]
     assert eval_matrix(g, X).rows == [[col[i] for col in cols] for i in range(k)]
 

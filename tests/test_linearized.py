@@ -3,11 +3,14 @@ import random
 
 import pytest
 
+from orecodes import linearized
 from orecodes.errors import DomainError, GuardError
-from orecodes.gf import GF
-from orecodes.skewpoly import OreRing
+from orecodes.gf import GF, parse_field
+from orecodes.linalg import Matrix, identity, matmul_i
+from orecodes.skewpoly import OreRing, operator_eval
 from orecodes.linearized import (
     LinearizedPoly,
+    canonical_basis,
     dickson_identity_holds,
     dickson_matrix,
     eval_matrix,
@@ -154,3 +157,85 @@ def test_matrix_algebra_q2_k3():
 def test_matrix_algebra_guard_reports_size_and_cap():
     with pytest.raises(GuardError, match=r"\|F\| = 128 \(cap 64\)"):
         matrix_algebra_check(GF(2, 7))
+
+
+# -- matrix_algebra_check against a boxed reference -----------------------------------
+
+PRIME_POWERS_TO_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47,
+                      49, 53, 59, 61, 64]
+
+
+def zq_coords(field, X):
+    """Every element of F -> its Z_q coordinates over X, by summing every
+    coefficient tuple."""
+    out = {}
+    for combo in itertools.product(range(field.q), repeat=len(X)):
+        cs = [field.from_int(c) for c in combo]
+        out[sum((c * b for c, b in zip(cs, X)), field.zero)] = cs
+    return out
+
+
+def boxed_algebra_check(field):
+    """The check on boxed objects: cosets are SkewPolys reduced with
+    right_divmod by x^k - 1, M_g comes from operator_eval, products are
+    Matrix products; the same report, keys and coset draws."""
+    k = field.k
+    ring = OreRing(field, 1)
+    f = ring.monomial(k) - ring.one
+    X = canonical_basis(field)
+    coords = zq_coords(field, X)
+
+    def mat(poly):
+        r = poly.right_divmod(f)[1]
+        return Matrix.over_field(field, zip(*[coords[operator_eval(r, z)] for z in X]), k)
+
+    rows = [[v for row in mat(ring.monomial(i, b)).rows for v in row] for b in X for i in range(k)]
+    surjective = Matrix.over_field(field, rows, k * k).rank() == k * k
+    report = {"k": k, "q": field.q, "surjective": surjective, "injective": surjective,
+              "identity_ok": mat(ring.one) == identity(k, field.zero, field.one),
+              "multiplicative_ok": True, "additive_ok": True, "pairs_checked": 0}
+    if field.size ** k <= 256:
+        cosets = [ring.poly(list(t)) for t in itertools.product(field.elements(), repeat=k)]
+    else:
+        rng = random.Random(0)
+        cosets = [ring.poly([field.element(rng.randrange(field.size)) for _ in range(k)]) for _ in range(16)]
+    mats = [mat(a) for a in cosets]
+    for (a, ma), (b, mb) in itertools.product(zip(cosets, mats), repeat=2):
+        if mat(a * b) != ma * mb:
+            report["multiplicative_ok"] = False
+        if mat(a + b).rows != [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(ma.rows, mb.rows)]:
+            report["additive_ok"] = False
+        report["pairs_checked"] += 1
+    report["all_ok"] = all(
+        report[key] for key in ("surjective", "injective", "identity_ok", "multiplicative_ok", "additive_ok")
+    )
+    return report
+
+
+@pytest.mark.parametrize("n", PRIME_POWERS_TO_64)
+def test_matrix_algebra_check_matches_boxed_reference(n):
+    F = parse_field(f"GF({n})")
+    report = matrix_algebra_check(F)
+    assert list(report.items()) == list(boxed_algebra_check(F).items())
+    assert report["all_ok"]
+
+
+def test_identity_ok_sees_a_corrupted_zq_table(monkeypatch):
+    good = linearized._zq_coordinates
+
+    def swapped(field, X):
+        table = list(good(field, X))
+        a, b = X[0].idx, X[1].idx
+        table[a], table[b] = table[b], table[a]
+        return table
+
+    monkeypatch.setattr(linearized, "_zq_coordinates", swapped)
+    report = matrix_algebra_check(GF(2, 2))
+    assert report["identity_ok"] is False and report["all_ok"] is False
+
+
+def test_multiplicative_ok_sees_a_transposed_product(monkeypatch):
+    monkeypatch.setattr(linearized, "matmul_i", lambda F, a, b: [list(c) for c in zip(*matmul_i(F, a, b))])
+    report = matrix_algebra_check(GF(2, 2))
+    assert report["multiplicative_ok"] is False and report["all_ok"] is False
+

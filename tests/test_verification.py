@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from orecodes import skewpoly, spbw
+from orecodes import codes, skewpoly, spbw
 from orecodes.cli import main
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -47,6 +47,8 @@ def sabotage(kind, patch=setattr):
             return acc
 
         patch(skewpoly, "_mul_i", bad)
+    elif kind == "not-two-sided":  # the two-sided test refuses x^n - 1 though |sigma| = n
+        patch(codes, "two_sided_test", lambda g: skewpoly.TwoSidedWitness(False, None, None, None))
     else:  # the PBW ring product loses its lowest term
         good = spbw.PBWPresentation.mul_terms
 
@@ -63,6 +65,8 @@ GF9 = ["--field", "GF(9)", "--sigma", "1", "--a", "x^3+w*x+1", "--b", "x^2+w^3"]
 CASES = {
     "poly-gcrd": ("skew-mul", ["poly", "gcrd"] + GF9),
     "poly-lclm": ("skew-mul", ["poly", "lclm"] + GF9),
+    "codes-rightmult": ("not-two-sided", ["codes", "rightmult", "--field", "GF(8)", "--sigma", "1",
+                                          "--g", "x^2+w^3*x+w", "--n", "3"]),
     "spbw-divide": ("pbw-mul", ["spbw", "divide", "--presentation", "presentations/witten.json",
                                 "--f", "x^2*y+x*z+y*z", "--by", "x-1,y+2,z+3"]),
 }
