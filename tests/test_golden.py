@@ -69,6 +69,10 @@ CALLS = [
     'evalcodes certify --code operator --kind MRD --field "GF(8)" --sigma 1 --support "1,g,g^2" --k 2',
     'evalcodes distance --code operator --metric rank --field "GF(16)" --sigma 2 --support "1,g,g^2" --k 2',
     'evalcodes distance --code remainder --metric rank --field "GF(27)" --sigma 1 --delta-w "g" --support "1,g,g^2" --k 2',
+    'evalcodes certify --code operator --kind MRD --field "GF(16)" --sigma 1 --support "1,g,g^2,g^3" --k 1',
+    'evalcodes certify --code operator --kind MRD --field "GF(16)" --sigma 1 --support "1,g,g^2,g^3" --k 3',
+    'evalcodes certify --code remainder --kind MDS --field "GF(9)" --sigma 1 --support "1,g,g^2,g^3" --k 3',
+    'evalcodes distance --code remainder --metric hamming --field "GF(16)" --sigma 1 --support "1,g,g^2,g^3,g^4" --k 3',
     # algebraic sets
     'algset rank --field "GF(9)" --sigma 1 --delta-w "w" --points "1,w,w^2,w^5"',
     'algset rank --field "GF(16)" --sigma 2 --points "1,g,g^5,g^7"',
