@@ -50,7 +50,10 @@ class LinearCode:
     def words(self):
         """All codewords, zero first, in reflected Gray-code order of the
         messages (digits are element indices): each word is the previous one
-        plus (new - old) * row_j for the one digit j that changes."""
+        plus (new - old) * row_j for the one digit j that changes. The words at
+        positions q^j .. 2q^j - 1 are exactly row_j + span(row_0 .. row_{j-1})
+        (digit j is the index 1, the field's one, and every higher digit is 0),
+        so together these blocks hold one word on each line of the code."""
         F = self.field
         size = F.size
         elements = F.elements()

@@ -68,7 +68,9 @@ def rank_distance(ring: OreRing, z1, z2) -> int:
 
 def min_distance(code: LinearCode, metric: str, ring: OreRing | None = None) -> int:
     """Minimum weight over nonzero codewords (equal to the minimum pairwise
-    distance by linearity); exhaustive over the message space."""
+    distance by linearity). Both weights are unchanged by scaling a word with
+    any nonzero scalar, so one word per line of the code suffices: the blocks
+    q^j .. 2q^j - 1 of words() hold exactly one, (q^k - 1)/(q - 1) in all."""
     if code.dim == 0:
         raise DomainError("minimum distance of the zero code is undefined")
     messages = code.field.size ** code.dim
@@ -82,12 +84,17 @@ def min_distance(code: LinearCode, metric: str, ring: OreRing | None = None) -> 
         weigh = lambda word: rank_of_word(ring, word)
     else:
         raise DomainError(f"unknown metric {metric!r}")
+    q = code.field.size
+    words = code.words()
+    drawn = 0  # the position of the next word words() yields
     best = None
-    for word in code.words():
-        if any(word):
+    for j in range(code.dim):
+        # row_j + span(row_0 .. row_{j-1}): digit j is the field's one
+        for word in itertools.islice(words, q ** j - drawn, 2 * q ** j - drawn):
             d = weigh(word)
             if best is None or d < best:
                 best = d
+        drawn = 2 * q ** j
     return best
 
 
@@ -138,7 +145,9 @@ def _mds_column_check(code: LinearCode) -> bool:
 
 def _gabidulin_check(code: LinearCode, ring: OreRing):
     """MRD iff rank(Y H^T) = r - k for every (r-k) x r matrix Y over F^sigma
-    of rank r - k; enumerated only when the Y-space is small."""
+    of rank r - k; enumerated only when the Y-space is small. The rank depends
+    only on the row space of Y, so Y runs over the reduced row-echelon forms,
+    one per (r-k)-dimensional subspace of (F^sigma)^r."""
     if code.dim > 4:
         return None
     sub = [z.idx for z in ring.sigma.fixed_subfield()]
@@ -151,11 +160,18 @@ def _gabidulin_check(code: LinearCode, ring: OreRing):
     H = _index_rows(code.parity_check())
     # the rows of Y H^T are the images y H^T of the rows of Y
     image = {y: [dot_i(F, y, h) for h in H] for y in itertools.product(sub, repeat=n)}
-    for Y in itertools.product(image, repeat=m):
-        if rank_i(F, Y) < m:
-            continue
-        if rank_i(F, [image[y] for y in Y]) < m:
-            return False
+    for pivots in itertools.combinations(range(n), m):
+        # row i has the field's one at pivots[i], zeros at the other pivots and
+        # left of pivots[i], and free entries from F^sigma elsewhere
+        free = [(i, c) for i, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
+        for values in itertools.product(sub, repeat=len(free)):
+            Y = [[0] * n for _ in pivots]
+            for i, p in enumerate(pivots):
+                Y[i][p] = 1
+            for (i, c), v in zip(free, values):
+                Y[i][c] = v
+            if rank_i(F, [image[tuple(y)] for y in Y]) < m:
+                return False
     return True
 
 

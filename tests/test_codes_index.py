@@ -4,9 +4,10 @@ over non-prime fixed fields, minimum distances and the Gabidulin criterion,
 and Z_q coordinates in odd characteristic and over non-canonical bases."""
 
 import itertools
+from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from orecodes import evalcodes
 from orecodes.codes import LinearCode
@@ -28,16 +29,19 @@ def boxed_rows(field, raw, nrows, ncols):
     return [[field.element(raw[i * ncols + j] % field.size) for j in range(ncols)] for i in range(nrows)]
 
 
-def naive_words(code):
-    """sum m_j * row_j over every message, on boxed elements."""
-    F = code.field
+def naive_span(F, rows, n):
+    """sum m_j * rows[j] over every message, on boxed elements."""
     out = []
-    for msg in itertools.product(F.elements(), repeat=code.dim):
-        word = [F.zero] * code.n
-        for m, row in zip(msg, code.G.rows):
+    for msg in itertools.product(F.elements(), repeat=len(rows)):
+        word = [F.zero] * n
+        for m, row in zip(msg, rows):
             word = [w + m * v for w, v in zip(word, row)]
         out.append(tuple(word))
     return out
+
+
+def naive_words(code):
+    return naive_span(code.field, code.G.rows, code.n)
 
 
 def span_rank(sub, z):
@@ -80,6 +84,31 @@ def test_words_gray_order_matches_message_enumeration(q, k, kmax, raw, shape):
     # Gray order: consecutive words differ by a multiple of a single row
     for a, b in zip(words, words[1:]):
         assert multiple_of_a_row(G, [y - x for x, y in zip(a, b)])
+
+
+@pytest.mark.parametrize("q,k,kmax", WORD_FIELDS, ids=lambda v: str(v))
+@settings(max_examples=8)
+@given(raw=draws, shape=st.tuples(st.integers(1, 3), st.integers(0, 2)))
+def test_words_blocks_hold_one_word_per_line(q, k, kmax, raw, shape):
+    """Positions q^j .. 2q^j - 1 of words() are row_j + span(row_0 .. row_{j-1}),
+    and every nonzero codeword is c * w for exactly one such w and c != 0:
+    the blocks min_distance weighs."""
+    F = GF(q, k)
+    dim = min(shape[0], kmax)
+    G = Matrix.over_field(F, boxed_rows(F, raw, dim, dim + shape[1]), dim + shape[1])
+    assume(G.rank() == dim)
+    code = LinearCode(F, G)
+    words = list(code.words())
+    reps = []
+    for j, row in enumerate(G.rows):
+        block = words[F.size ** j : 2 * F.size ** j]
+        expected = {tuple(r + v for r, v in zip(row, s)) for s in naive_span(F, G.rows[:j], code.n)}
+        assert len(block) == len(set(block)) == len(expected) and set(block) == expected
+        reps += block
+    nonzero = [w for w in words if any(w)]
+    scaled = Counter(tuple(c * v for v in w) for w in reps for c in F.elements()[1:])
+    assert scaled == Counter(nonzero)
+    assert len(reps) == (F.size ** dim - 1) // (F.size - 1)
 
 
 # -- rank_i and rank_of_word -----------------------------------------------------------
@@ -147,6 +176,19 @@ def gabidulin_reference(code, ring):
 @settings(max_examples=6)
 @given(raw=draws)
 def test_min_distance_and_gabidulin_match_boxed_reference(params, raw):
+    compare_with_boxed_reference(params, raw)
+
+
+@settings(max_examples=2)
+@given(raw=draws)
+@example(raw=[1, 2, 3, 4] + [0] * 60)  # the support 1, g, g^2, g^3: an MRD code
+def test_min_distance_and_gabidulin_match_boxed_reference_gf16_m3(raw):
+    """m = r - k = 3 over F_2: the echelon Y enumeration visits 15 row spaces
+    where the ordered triples of rows number 4096."""
+    compare_with_boxed_reference((2, 4, 1, "operator", 4, 1), raw)
+
+
+def compare_with_boxed_reference(params, raw):
     q, k, l, kind, r, kk = params
     ring = OreRing(GF(q, k), l)
     F = ring.field
@@ -194,7 +236,22 @@ def test_min_distance_draws_words_and_ranks_through_public_names(monkeypatch):
     monkeypatch.setattr(LinearCode, "words", counting_words)
     monkeypatch.setattr(evalcodes, "rank_of_word", counting_rank)
     assert evalcodes.min_distance(code, "rank", ring) == 2
-    assert calls == {"words": 1, "drawn": 16 ** 2, "rank": 16 ** 2 - 1}
+    # one word per line, (16^2 - 1)/15 = 17 of them, from the first 2 * 16 drawn
+    assert calls == {"words": 1, "drawn": 32, "rank": 17}
+
+
+@pytest.mark.parametrize("k,spaces", [(1, 15), (2, 35)])
+def test_gabidulin_check_ranks_one_y_per_row_space(monkeypatch, k, spaces):
+    """An MRD code costs one rank per (r - k)-dimensional subspace of F_2^4:
+    the Gaussian binomials [4 choose 3]_2 = 15 and [4 choose 2]_2 = 35."""
+    ring = OreRing(GF(2, 4), 1)
+    g = ring.field.gen
+    code = evalcodes.operator_code(ring, (ring.field.one, g, g ** 2, g ** 3), k)
+    calls = []
+    rank_i = evalcodes.rank_i
+    monkeypatch.setattr(evalcodes, "rank_i", lambda F, rows: calls.append(1) or rank_i(F, rows))
+    assert evalcodes._gabidulin_check(code, ring) is True
+    assert len(calls) == spaces
 
 
 # -- Z_q coordinates ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import os
 import random
@@ -115,6 +116,43 @@ def test_unique_normal_form_random_rewriting():
         p1 = w1[0] * w1[1] * w1[2]
         p2 = w1[0] * (w1[1] * w1[2])
         assert p1 == p2
+
+
+@pytest.mark.parametrize("name", ["qplane4", "qplane9", "qspace3"])
+def test_monomial_products_match_the_quasi_commutative_closed_form(name):
+    """x^alpha * g = sum_beta S(alpha, beta) g_beta x^(alpha+beta) with
+    S = prod_{i<j} c_ij^(alpha_j beta_i), computed here from A.relations: a
+    product independent of _mono_times, which the division certificate uses
+    to rebuild sum q_i * d_i and so cannot check."""
+    A = load_presentation(os.path.join(os.path.dirname(__file__), "..", "presentations", f"{name}.json"))
+    assert A.is_quasi_commutative and A.has_trivial_coefficient_maps
+    rng = random.Random(name)
+    one = A.domain.one
+
+    def scalar():
+        if A.domain.is_finite:
+            return A.domain.field.element(rng.randrange(1, A.domain.field.size))
+        return GaussianRational(rng.randrange(-3, 4), rng.randrange(-3, 4))
+
+    def power(c, e):
+        out = one
+        for _ in range(e):
+            out = out * c
+        return out
+
+    for alpha in itertools.product(range(4), repeat=A.n):
+        if sum(alpha) > 3:
+            continue
+        for _ in range(3):
+            g = A.poly({tuple(rng.randrange(3) for _ in range(A.n)): scalar() for _ in range(4)})
+            expected = {}
+            for beta, c in g.terms.items():
+                S = one
+                for (i, j), (cij, _, _) in A.relations.items():
+                    S = S * power(cij, alpha[j] * beta[i])
+                expected[tuple(a + b for a, b in zip(alpha, beta))] = S * c
+            assert A._mono_times(alpha, g.terms) == expected
+            assert (A.monomial(alpha) * g).terms == expected
 
 
 # -- the division algorithm ------------------------------------------------------------
