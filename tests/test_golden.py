@@ -1,5 +1,6 @@
-"""Golden drift guard: the stdout of the three scripts and of a fixed list of
-`--format json` CLI calls must stay byte-identical.
+"""Golden drift guard: the stdout of the three scripts, the stdout and exit
+code of a fixed list of CLI calls in JSON and in text mode, and the exit code,
+stdout and stderr of the usage and help cases must stay byte-identical.
 
 Regenerate the files in tests/golden/ (only when an output change is
 intended) from the repository root with:
@@ -13,6 +14,7 @@ import os
 import shlex
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -46,13 +48,21 @@ CALLS = [
     'poly eval --field "GF(9)" --sigma 1 --g "x^3+w*x^2+w^5*x+2" --at "w^3" --mode operator',
     'poly eval --field "GF(9)" --sigma 1 --delta-w "w" --g "x^3+w*x^2+w^5*x+2" --at "w^3" --mode operator',
     'poly eval --field "GF(27)" --sigma 2 --delta-w "g^5" --g "g*x^4+x^2+g^7" --at "g^11" --mode operator',
+    'poly divmod --field "GF(9)" --sigma 1 --a "x^5+w*x+1" --b "x^2+w"',
+    'poly divmod --field "GF(9)" --sigma 1 --side left --delta-w w --a "x^5+w*x+1" --b "x^2+w"',
+    'poly gcrd --field "GF(9)" --sigma 1 --a "x^3+w^7*x^2+w^3" --b "x^4+w*x^3+w^2*x^2+w^6*x+w^5"',
+    'poly lclm --field "GF(9)" --sigma 1 --a "x+w" --b "x+1"',
     # skew cyclic codes
     'codes rightmult --field "GF(8)" --sigma 1 --g "x^2+w^3*x+w" --n 3',
     'codes rightmult --field "GF(9)" --sigma 1 --g "x^3+w*x+2" --n 2',
     'codes build --field "GF(8)" --sigma 1 --modulus "x^3-1" --divisor "x^2+w^3*x+w" --emit G,H,dual',
     'codes build --field "GF(9)" --sigma 1 --modulus "x^4-1" --divisor "x^2+w*x+w" --emit G,H',
     'codes build --field "GF(27)" --sigma 1 --delta-w "g" --modulus "x^3+1" --divisor "x^2+g^13*x+1" --emit G,H',
+    'codes theta --field "GF(8)" --sigma 1 --g "x^2+w^3*x+w" --n 3',
+    'codes bezout --field "GF(4)" --sigma 1 --g "x+1" --h "x+w" --n 2',
+    'codes idempotent --field "GF(4)" --sigma 1 --e "w*x+w" --n 2',
     # linearized polynomials
+    'linearized map --field "GF(8)" --poly "x^2+w*x"',
     'linearized moore --field "GF(8)" --basis "1,g,g^2"',
     'linearized moore --field "GF(9)" --basis "1,g^2"',
     'linearized dickson --field "GF(8)" --poly "y^4+g*y^2+y"',
@@ -76,6 +86,8 @@ CALLS = [
     # algebraic sets
     'algset rank --field "GF(9)" --sigma 1 --delta-w "w" --points "1,w,w^2,w^5"',
     'algset rank --field "GF(16)" --sigma 2 --points "1,g,g^5,g^7"',
+    'algset vanish --field "GF(9)" --sigma 1 --g "x^2-1"',
+    'algset wpoly --field "GF(9)" --sigma 1 --g "x^2-1"',
     # skew PBW extensions on every shipped presentation
     'spbw mul --presentation presentations/qplane4.json --a "y^2*x+w*y" --b "x*y+1"',
     'spbw mul --presentation presentations/qspace3.json --a "z*y+i*x" --b "y*x-2"',
@@ -104,19 +116,57 @@ CALLS = [
     'spbwsets nullstellensatz --presentation presentations/qplane9.json --gens "x*y-1" --degree 2 --samples 8 --seed 3',
 ]
 
+COMMANDS = ["field", "poly", "algset", "codes", "evalcodes", "linearized", "spbw", "spbwsets"]
 
-def _cli_text():
+# usage and help cases, each run with COLUMNS=80 (argparse wraps to the terminal)
+USAGE = [
+    "",
+    "--help",
+    "nope",
+    "poly",
+    "poly nope",
+    *(f"{command} --help" for command in COMMANDS),
+    "poly mul --help",
+    "codes build --help",
+    "evalcodes certify --help",
+    "spbwsets nullstellensatz --help",
+    'poly mul --field "GF(4)" --a x',
+    'poly divmod --field "GF(4)" --a x --b x --side up',
+    "field info",
+]
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of main(argv); argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _cli_text(suffix=" --format json"):
+    """The golden calls from the repository root: exit code and stdout."""
     parts = []
     cwd = os.getcwd()
     os.chdir(ROOT)
     try:
         for call in CALLS:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main(shlex.split(call) + ["--format", "json"])
-            parts.append(f"$ orecodes {call} --format json\nexit {code}\n{out.getvalue()}")
+            code, out, _ = _run(shlex.split(call + suffix))
+            parts.append(f"$ orecodes {call}{suffix}\nexit {code}\n{out}")
     finally:
         os.chdir(cwd)
+    return "".join(parts)
+
+
+def _usage_text():
+    parts = []
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for call in USAGE:
+            code, out, err = _run(shlex.split(call))
+            parts.append(f"$ orecodes {call}\nexit {code}\n--- stdout\n{out}--- stderr\n{err}")
     return "".join(parts)
 
 
@@ -137,6 +187,14 @@ def test_cli_calls_match_golden():
     assert _cli_text() == _read("cli.txt")
 
 
+def test_cli_calls_in_text_mode_match_golden():
+    assert _cli_text("") == _read("cli_text.txt")
+
+
+def test_usage_and_help_match_golden():
+    assert _usage_text() == _read("usage.txt")
+
+
 def test_cli_calls_match_golden_under_O():
     """python -O drops assert statements; the certificates run all the same,
     and the output is byte-identical."""
@@ -155,7 +213,12 @@ def test_script_matches_golden(name):
 
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
-    outputs = {"cli.txt": _cli_text(), **{f"{s}.out": _script_text(s) for s in SCRIPTS}}
+    outputs = {
+        "cli.txt": _cli_text(),
+        "cli_text.txt": _cli_text(""),
+        "usage.txt": _usage_text(),
+        **{f"{s}.out": _script_text(s) for s in SCRIPTS},
+    }
     for fname, text in outputs.items():
         with open(os.path.join(GOLDEN, fname), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
