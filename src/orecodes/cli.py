@@ -33,7 +33,7 @@ def _ring(args) -> OreRing:
     from .skewpoly import OreRing
 
     field = parse_field(args.field)
-    w = parse_element(field, args.delta_w) if getattr(args, "delta_w", None) else None
+    w = parse_element(field, args.delta_w) if args.delta_w else None
     return OreRing(field, args.sigma, w)
 
 
@@ -55,14 +55,6 @@ def _emit(args, payload: dict, text_lines):
         for line in text_lines:
             print(line)
     return 0
-
-
-def _add_common(p, with_ring=True):
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    if with_ring:
-        p.add_argument("--field", required=True, help="field literal, e.g. GF(4)")
-        p.add_argument("--sigma", type=int, default=0, help="sigma = phi^l (Frobenius power)")
-        p.add_argument("--delta-w", dest="delta_w", default=None, help="inner element w of delta")
 
 
 # -- field ---------------------------------------------------------------------
@@ -93,35 +85,34 @@ def cmd_poly(args):
 
     ring = _ring(args)
     P = ring.parse
-    op = args.op
-    if op == "mul":
+    if args.op == "mul":
         out = P(args.a) * P(args.b)
         return _emit(args, {"product": _poly_payload(out)}, [poly_str(out)])
-    if op == "divmod":
+    if args.op == "divmod":
         g, d = P(args.a), P(args.b)
         q, r = g.right_divmod(d) if args.side == "right" else g.left_divmod(d)
         payload = {"quotient": _poly_payload(q), "remainder": _poly_payload(r)}
         return _emit(args, payload, [f"q = {poly_str(q)}", f"r = {poly_str(r)}"])
-    if op == "gcrd":
+    if args.op == "gcrd":
         d, u, v = gcrd_bezout(P(args.a), P(args.b))
         payload = {"gcrd": _poly_payload(d), "u": _poly_payload(u), "v": _poly_payload(v)}
         return _emit(args, payload, [f"gcrd = {poly_str(d)}", f"u = {poly_str(u)}", f"v = {poly_str(v)}"])
-    if op == "lclm":
+    if args.op == "lclm":
         m = lclm(P(args.a), P(args.b))
         return _emit(args, {"lclm": _poly_payload(m)}, [poly_str(m)])
-    if op == "eval":
+    if args.op == "eval":
         g = P(args.g)
         z = parse_element(ring.field, args.at)
         val = right_eval(g, z) if args.mode == "right" else operator_eval(g, z)
         return _emit(args, {"value": element_str(val)}, [element_str(val)])
-    if op == "factor":
+    if args.op == "factor":
         factors = factor_irreducible(P(args.g))
         payload = {"factors": [_poly_payload(f) for f in factors]}
         return _emit(args, payload, [" * ".join(f"({poly_str(f)})" for f in factors)])
-    if op == "bound":
+    if args.op == "bound":
         fstar = bound_polynomial(P(args.g))
         return _emit(args, {"bound": _poly_payload(fstar)}, [poly_str(fstar)])
-    if op == "twosided":
+    if args.op == "twosided":
         res = two_sided_test(P(args.g))
         payload = {"two_sided": res.is_two_sided}
         lines = [f"two-sided: {res.is_two_sided}"]
@@ -129,15 +120,13 @@ def cmd_poly(args):
             payload.update(c=element_str(res.c), t=res.t, h=poly_str(res.h))
             lines.append(f"g = c * x^t * h with c = {element_str(res.c)}, t = {res.t}, h = {poly_str(res.h)}")
         return _emit(args, payload, lines)
-    if op == "similar":
-        ok, B = similarity_test(P(args.g), P(args.h))
-        payload = {"similar": ok}
-        lines = [f"similar: {ok}"]
-        if ok:
-            payload["B"] = _matrix_payload(B)
-            lines.extend(" ".join(r) for r in _matrix_payload(B))
-        return _emit(args, payload, lines)
-    raise DomainError(f"unknown poly op {op!r}")  # pragma: no cover
+    ok, B = similarity_test(P(args.g), P(args.h))
+    payload = {"similar": ok}
+    lines = [f"similar: {ok}"]
+    if ok:
+        payload["B"] = _matrix_payload(B)
+        lines.extend(" ".join(r) for r in _matrix_payload(B))
+    return _emit(args, payload, lines)
 
 
 # -- algset ---------------------------------------------------------------------
@@ -159,10 +148,8 @@ def cmd_algset(args):
         pts = algset.parse_points(ring.field, args.points)
         r = algset.rank_of_set(ring, pts)
         return _emit(args, {"rank": r}, [str(r)])
-    if args.op == "wpoly":
-        ok = algset.is_w_polynomial(ring.parse(args.g))
-        return _emit(args, {"w_polynomial": ok}, [str(ok)])
-    raise DomainError(f"unknown algset op {args.op!r}")  # pragma: no cover
+    ok = algset.is_w_polynomial(ring.parse(args.g))
+    return _emit(args, {"w_polynomial": ok}, [str(ok)])
 
 
 # -- codes ----------------------------------------------------------------------
@@ -177,17 +164,13 @@ def cmd_codes(args):
         f, g = P(args.modulus), P(args.divisor)
         code = codes.SkewCyclicCode(ring, f, g)
         lin = code.to_linear()
-        want = [w.strip() for w in args.emit.split(",")]
         payload, lines = {"n": code.n, "dim": code.dim}, [f"n = {code.n}, dim = {code.dim}"]
-        if "G" in want:
-            payload["G"] = _matrix_payload(lin.G)
-            lines.append("G:")
-            lines.extend("  " + " ".join(r) for r in payload["G"])
-        if "H" in want:
-            payload["H"] = _matrix_payload(lin.parity_check())
-            lines.append("H:")
-            lines.extend("  " + " ".join(r) for r in payload["H"])
-        if "dual" in want:
+        for key in ("G", "H"):
+            if key in args.emit:
+                payload[key] = _matrix_payload(lin.G if key == "G" else lin.parity_check())
+                lines.append(f"{key}:")
+                lines.extend("  " + " ".join(r) for r in payload[key])
+        if "dual" in args.emit:
             dual = codes.dual_skew_cyclic(code)
             payload["dual_divisor"] = poly_str(dual.g)
             lines.append(f"dual divisor: {poly_str(dual.g)}")
@@ -202,23 +185,17 @@ def cmd_codes(args):
     if args.op == "idempotent":
         g = codes.idempotent_to_generator(ring, P(args.e), args.n)
         return _emit(args, {"generator": poly_str(g)}, [poly_str(g)])
-    if args.op == "bezout":
-        e = codes.bezout_idempotent(ring, P(args.g), P(args.h), args.n)
-        return _emit(args, {"idempotent": poly_str(e)}, [poly_str(e)])
-    raise DomainError(f"unknown codes op {args.op!r}")  # pragma: no cover
+    e = codes.bezout_idempotent(ring, P(args.g), P(args.h), args.n)
+    return _emit(args, {"idempotent": poly_str(e)}, [poly_str(e)])
 
 
 # -- evalcodes --------------------------------------------------------------------
-
-def _support(ring, text):
-    return tuple(parse_element(ring.field, t) for t in split_list(text))
-
 
 def cmd_evalcodes(args):
     from . import evalcodes
 
     ring = _ring(args)
-    Z = _support(ring, args.support)
+    Z = tuple(parse_element(ring.field, t) for t in split_list(args.support))
     build = evalcodes.remainder_code if args.code == "remainder" else evalcodes.operator_code
     code = build(ring, Z, args.k)
     if args.op == "build":
@@ -227,21 +204,19 @@ def cmd_evalcodes(args):
     if args.op == "distance":
         d = evalcodes.min_distance(code, args.metric, ring)
         return _emit(args, {"distance": d, "metric": args.metric}, [str(d)])
-    if args.op == "certify":
-        cert = evalcodes.certify(code, args.kind, ring)
-        payload = {
-            "kind": cert.kind,
-            "holds": cert.holds,
-            "distance": cert.distance,
-            "singleton_bound": cert.bound,
-            "cross_checked": cert.cross_checked,
-        }
-        lines = [
-            f"{cert.kind}: {cert.holds} (d = {cert.distance}, bound = {cert.bound},"
-            f" cross-checked = {cert.cross_checked})"
-        ]
-        return _emit(args, payload, lines)
-    raise DomainError(f"unknown evalcodes op {args.op!r}")  # pragma: no cover
+    cert = evalcodes.certify(code, args.kind, ring)
+    payload = {
+        "kind": cert.kind,
+        "holds": cert.holds,
+        "distance": cert.distance,
+        "singleton_bound": cert.bound,
+        "cross_checked": cert.cross_checked,
+    }
+    lines = [
+        f"{cert.kind}: {cert.holds} (d = {cert.distance}, bound = {cert.bound},"
+        f" cross-checked = {cert.cross_checked})"
+    ]
+    return _emit(args, payload, lines)
 
 
 # -- linearized -------------------------------------------------------------------
@@ -283,24 +258,16 @@ def cmd_linearized(args):
             "conjugation_identity": linearized.dickson_identity_holds(g),
         }
         return _emit(args, payload, [" ".join(r) for r in payload["dickson"]])
-    if args.op == "algebra-check":
-        report = linearized.matrix_algebra_check(field)
-        return _emit(args, report, [f"{k}: {v}" for k, v in sorted(report.items())])
-    raise DomainError(f"unknown linearized op {args.op!r}")  # pragma: no cover
+    report = linearized.matrix_algebra_check(field)
+    return _emit(args, report, [f"{k}: {v}" for k, v in sorted(report.items())])
 
 
 # -- spbw -----------------------------------------------------------------------
 
-def _pres(args):
-    from . import spbw
-
-    return spbw.load_presentation(args.presentation)
-
-
 def cmd_spbw(args):
     from . import spbw
 
-    A = _pres(args)
+    A = spbw.load_presentation(args.presentation)
     if args.op == "mul":
         out = A.parse(args.a) * A.parse(args.b)
         return _emit(args, {"product": spbw.pbw_str(out)}, [spbw.pbw_str(out)])
@@ -328,12 +295,10 @@ def cmd_spbw(args):
             "complete": res.complete,
         }
         return _emit(args, payload, payload["basis"] + [f"complete: {res.complete}"])
-    if args.op == "closure":
-        gens = [A.parse(t) for t in split_list(args.gens)]
-        G = spbw.two_sided_closure(gens)
-        payload = {"basis": [spbw.pbw_str(g) for g in G]}
-        return _emit(args, payload, payload["basis"])
-    raise DomainError(f"unknown spbw op {args.op!r}")  # pragma: no cover
+    gens = [A.parse(t) for t in split_list(args.gens)]
+    G = spbw.two_sided_closure(gens)
+    payload = {"basis": [spbw.pbw_str(g) for g in G]}
+    return _emit(args, payload, payload["basis"])
 
 
 # -- spbwsets ----------------------------------------------------------------------
@@ -348,7 +313,7 @@ def _parse_point(A, text):
 def cmd_spbwsets(args):
     from . import spbw, spbwsets
 
-    A = _pres(args)
+    A = spbw.load_presentation(args.presentation)
     if args.op == "roots":
         ok = spbwsets.root_test(A.parse(args.f), _parse_point(A, args.point))
         return _emit(args, {"is_root": ok}, [str(ok)])
@@ -373,160 +338,135 @@ def cmd_spbwsets(args):
         monos = spbwsets.center_basis(A, args.degree)
         payload = {"monomials": [spbw.pbw_str(m) for m in monos]}
         return _emit(args, payload, payload["monomials"])
-    if args.op == "nullstellensatz":
-        gens = [A.parse(t) for t in split_list(args.gens)]
-        report = spbwsets.nullstellensatz_check(
-            gens, degree=args.degree, sample_budget=args.samples, seed=args.seed
-        )
-        lines = [f"holds: {report['holds']}"]
-        lines.extend(f"exercised: {s}" for s in report["exercised"])
-        lines.extend(f"not exercised: {s}" for s in report["not_exercised"])
-        return _emit(args, report, lines)
-    raise DomainError(f"unknown spbwsets op {args.op!r}")  # pragma: no cover
+    gens = [A.parse(t) for t in split_list(args.gens)]
+    report = spbwsets.nullstellensatz_check(
+        gens, degree=args.degree, sample_budget=args.samples, seed=args.seed
+    )
+    lines = [f"holds: {report['holds']}"]
+    lines.extend(f"exercised: {s}" for s in report["exercised"])
+    lines.extend(f"not exercised: {s}" for s in report["not_exercised"])
+    return _emit(args, report, lines)
 
 
 # -- parser ------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _emit_items(text):
+    """--emit: comma-separated items, each one of G, H and dual."""
+    items = [w.strip() for w in text.split(",")]
+    bad = [w for w in items if w not in ("G", "H", "dual")]
+    if bad:
+        raise argparse.ArgumentTypeError(f"invalid choice: {bad[0]!r} (choose from 'G', 'H', 'dual')")
+    return items
+
+
+# argparse keywords of each flag; a flag not listed here is a required string
+FLAGS = {
+    "literal": {},
+    "--format": {"choices": ["text", "json"], "default": "text"},
+    "--field": {"required": True, "help": "field literal, e.g. GF(4)"},
+    "--sigma": {"type": int, "default": 0, "help": "sigma = phi^l (Frobenius power)"},
+    "--delta-w": {"help": "inner element w of delta"},
+    "--side": {"choices": ["right", "left"], "default": "right"},
+    "--mode": {"choices": ["right", "operator"], "default": "right"},
+    "--emit": {"type": _emit_items, "default": "G"},
+    "--n": {"type": int, "required": True},
+    "--k": {"type": int, "required": True},
+    "--code": {"choices": ["remainder", "operator"], "default": "remainder"},
+    "--metric": {"choices": ["hamming", "rank"], "default": "hamming"},
+    "--kind": {"choices": ["MDS", "MRD"], "required": True},
+    "--degree": {"type": int, "default": 4},
+    "--samples": {"type": int, "default": 50},
+    "--seed": {"type": int, "default": 0},
+}
+
+RING = ("--field", "--sigma", "--delta-w")
+EVAL = (*RING, "--support", "--k", "--code")
+
+# command: (help, handler, {op: the op's flags after --format, in usage order})
+COMMANDS = {
+    "field": ("finite field info", cmd_field_info, {"info": ("literal",)}),
+    "poly": ("skew polynomial arithmetic", cmd_poly, {
+        "mul": (*RING, "--a", "--b"),
+        "divmod": (*RING, "--a", "--b", "--side"),
+        "gcrd": (*RING, "--a", "--b"),
+        "lclm": (*RING, "--a", "--b"),
+        "eval": (*RING, "--g", "--at", "--mode"),
+        "factor": (*RING, "--g"),
+        "bound": (*RING, "--g"),
+        "twosided": (*RING, "--g"),
+        "similar": (*RING, "--g", "--h"),
+    }),
+    "algset": ("single-variable algebraic sets", cmd_algset, {
+        "vanish": (*RING, "--g"),
+        "minpoly": (*RING, "--points"),
+        "rank": (*RING, "--points"),
+        "wpoly": (*RING, "--g"),
+    }),
+    "codes": ("skew cyclic codes", cmd_codes, {
+        "build": (*RING, "--modulus", "--divisor", "--emit"),
+        "rightmult": (*RING, "--g", "--n"),
+        "theta": (*RING, "--g", "--n"),
+        "idempotent": (*RING, "--e", "--n"),
+        "bezout": (*RING, "--g", "--h", "--n"),
+    }),
+    "evalcodes": ("evaluation codes and distances", cmd_evalcodes, {
+        "build": EVAL,
+        "distance": (*EVAL, "--metric"),
+        "certify": (*EVAL, "--kind"),
+    }),
+    "linearized": ("q-linearized polynomials", cmd_linearized, {
+        "map": ("--field", "--poly"),
+        "moore": ("--field", "--basis"),
+        "dickson": ("--field", "--poly"),
+        "algebra-check": ("--field",),
+    }),
+    "spbw": ("skew PBW extensions", cmd_spbw, {
+        "mul": ("--presentation", "--a", "--b"),
+        "divide": ("--presentation", "--f", "--by"),
+        "reduce": ("--presentation", "--f", "--by"),
+        "groebner": ("--presentation", "--gens"),
+        "closure": ("--presentation", "--gens"),
+    }),
+    "spbwsets": ("PBW algebraic sets and ideals of points", cmd_spbwsets, {
+        "roots": ("--presentation", "--f", "--point"),
+        "variety": ("--presentation", "--gens", "--domain"),
+        "normal": ("--presentation", "--f"),
+        "center": ("--presentation", "--degree"),
+        "nullstellensatz": ("--presentation", "--gens", "--degree", "--samples", "--seed"),
+    }),
+}
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """Every command, but op parsers only under the one argv[0] names: a
+    process runs one command, and building the rest would cost it time."""
     top = argparse.ArgumentParser(prog="orecodes")
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("field", help="finite field info")
-    ps = p.add_subparsers(dest="op", required=True)
-    info = ps.add_parser("info")
-    info.add_argument("literal")
-    _add_common(info, with_ring=False)
-    info.set_defaults(func=cmd_field_info)
-
-    p = sub.add_parser("poly", help="skew polynomial arithmetic")
-    ps = p.add_subparsers(dest="op", required=True)
-    for op, flags in [
-        ("mul", ["a", "b"]),
-        ("divmod", ["a", "b", "side"]),
-        ("gcrd", ["a", "b"]),
-        ("lclm", ["a", "b"]),
-        ("eval", ["g", "at", "mode"]),
-        ("factor", ["g"]),
-        ("bound", ["g"]),
-        ("twosided", ["g"]),
-        ("similar", ["g", "h"]),
-    ]:
-        q = ps.add_parser(op)
-        _add_common(q)
-        for fl in flags:
-            if fl == "side":
-                q.add_argument("--side", choices=["right", "left"], default="right")
-            elif fl == "mode":
-                q.add_argument("--mode", choices=["right", "operator"], default="right")
-            else:
-                q.add_argument(f"--{fl}", required=True)
-        q.set_defaults(func=cmd_poly)
-
-    p = sub.add_parser("algset", help="single-variable algebraic sets")
-    ps = p.add_subparsers(dest="op", required=True)
-    for op, flags in [("vanish", ["g"]), ("minpoly", ["points"]), ("rank", ["points"]), ("wpoly", ["g"])]:
-        q = ps.add_parser(op)
-        _add_common(q)
-        for fl in flags:
-            q.add_argument(f"--{fl}", required=True)
-        q.set_defaults(func=cmd_algset)
-
-    p = sub.add_parser("codes", help="skew cyclic codes")
-    ps = p.add_subparsers(dest="op", required=True)
-    build = ps.add_parser("build")
-    _add_common(build)
-    build.add_argument("--modulus", required=True)
-    build.add_argument("--divisor", required=True)
-    build.add_argument("--emit", default="G")
-    build.set_defaults(func=cmd_codes)
-    for op, flags in [("rightmult", ["g"]), ("theta", ["g"]), ("idempotent", ["e"]), ("bezout", ["g", "h"])]:
-        q = ps.add_parser(op)
-        _add_common(q)
-        for fl in flags:
-            q.add_argument(f"--{fl}", required=True)
-        q.add_argument("--n", type=int, required=True)
-        q.set_defaults(func=cmd_codes)
-
-    p = sub.add_parser("evalcodes", help="evaluation codes and distances")
-    ps = p.add_subparsers(dest="op", required=True)
-    for op in ["build", "distance", "certify"]:
-        q = ps.add_parser(op)
-        _add_common(q)
-        q.add_argument("--support", required=True)
-        q.add_argument("--k", type=int, required=True)
-        q.add_argument("--code", choices=["remainder", "operator"], default="remainder")
-        if op == "distance":
-            q.add_argument("--metric", choices=["hamming", "rank"], default="hamming")
-        if op == "certify":
-            q.add_argument("--kind", choices=["MDS", "MRD"], required=True)
-        q.set_defaults(func=cmd_evalcodes)
-
-    p = sub.add_parser("linearized", help="q-linearized polynomials")
-    ps = p.add_subparsers(dest="op", required=True)
-    for op, flags in [("map", ["poly"]), ("moore", ["basis"]), ("dickson", ["poly"]), ("algebra-check", [])]:
-        q = ps.add_parser(op)
-        _add_common(q, with_ring=False)
-        q.add_argument("--field", required=True)
-        for fl in flags:
-            q.add_argument(f"--{fl}", required=True)
-        q.set_defaults(func=cmd_linearized)
-
-    p = sub.add_parser("spbw", help="skew PBW extensions")
-    ps = p.add_subparsers(dest="op", required=True)
-    for op, flags in [
-        ("mul", ["a", "b"]),
-        ("divide", ["f", "by"]),
-        ("reduce", ["f", "by"]),
-        ("groebner", ["gens"]),
-        ("closure", ["gens"]),
-    ]:
-        q = ps.add_parser(op)
-        _add_common(q, with_ring=False)
-        q.add_argument("--presentation", required=True)
-        for fl in flags:
-            q.add_argument(f"--{fl}", required=True)
-        q.set_defaults(func=cmd_spbw)
-
-    p = sub.add_parser("spbwsets", help="PBW algebraic sets and ideals of points")
-    ps = p.add_subparsers(dest="op", required=True)
-    for op, flags in [
-        ("roots", ["f", "point"]),
-        ("variety", ["gens", "domain"]),
-        ("normal", ["f"]),
-        ("center", []),
-        ("nullstellensatz", ["gens"]),
-    ]:
-        q = ps.add_parser(op)
-        _add_common(q, with_ring=False)
-        q.add_argument("--presentation", required=True)
-        for fl in flags:
-            q.add_argument(f"--{fl}", required=True)
-        if op in ("center", "nullstellensatz"):
-            q.add_argument("--degree", type=int, default=4)
-        if op == "nullstellensatz":
-            q.add_argument("--samples", type=int, default=50)
-            q.add_argument("--seed", type=int, default=0)
-        q.set_defaults(func=cmd_spbwsets)
-
+    for command, (help_text, handler, ops) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.set_defaults(func=handler)
+        if command not in argv[:1]:
+            continue
+        ps = p.add_subparsers(dest="op", required=True)
+        for op, flags in ops.items():
+            q = ps.add_parser(op)
+            for flag in ("--format", *flags):
+                q.add_argument(flag, **FLAGS.get(flag, {"required": True}))
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
         code = next(c for kind, c in EXIT_CODES.items() if isinstance(exc, kind))
-        _error(args, code, str(exc))
+        if args.format == "json":
+            print(json.dumps({"error": {"code": code, "message": str(exc)}}, sort_keys=True))
+        else:
+            print(f"error ({code}): {exc}", file=sys.stderr)
         return code
-
-
-def _error(args, code, message):
-    if getattr(args, "format", "text") == "json":
-        print(json.dumps({"error": {"code": code, "message": message}}, sort_keys=True))
-    else:
-        print(f"error ({code}): {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shlex
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from orecodes import cli
 from orecodes.cli import main
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -109,6 +111,27 @@ def test_codes_build_emits_matrices(capsys):
     assert payload["G"] == [["1", "1"]]
     assert payload["dim"] == 1
     assert payload["dual_divisor"] == "x+1"
+
+
+BUILD = ["codes", "build", "--field", "GF(4)", "--sigma", "1", "--modulus", "x^2+1", "--divisor", "x+1"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("emit, bad", [("G,h", "h"), ("junk", "junk"), ("G,,H", ""), ("g", "g")])
+def test_codes_build_rejects_unknown_emit_items(capsys, fmt, emit, bad):
+    with pytest.raises(SystemExit) as e:
+        main(BUILD + ["--emit", emit, "--format", fmt])
+    out = capsys.readouterr()
+    assert e.value.code == 2
+    assert out.out == ""
+    assert f"error: argument --emit: invalid choice: {bad!r} (choose from 'G', 'H', 'dual')" in out.err
+
+
+def test_codes_build_emit_items_are_stripped(capsys):
+    spaced = run(capsys, BUILD + ["--emit", " H , dual ", "--format", "json"])
+    assert spaced == run(capsys, BUILD + ["--emit", "H,dual", "--format", "json"])
+    assert sorted(json.loads(spaced[1])["result"]) == ["H", "dim", "dual_divisor", "n"]
+    assert sorted(json.loads(run(capsys, BUILD + ["--format", "json"])[1])["result"]) == ["G", "dim", "n"]
 
 
 def test_linearized_dickson(capsys):
@@ -333,6 +356,21 @@ def test_package_names_resolve_on_first_use():
     script = ("import orecodes\nfrom orecodes import *\n"
               "print(OreRing is orecodes.OreRing, PBWPresentation.__name__, load_presentation.__name__, GF(2, 2).size)")
     assert _child_stdout(script).split() == ["True", "PBWPresentation", "load_presentation", "4"]
+
+
+def test_parser_builds_op_parsers_only_for_its_command(monkeypatch):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *a, **kw):
+        init(self, *a, **kw)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    argv = ["field", "info", "GF(4)"]
+    assert cli.build_parser(argv).parse_args(argv).literal == "GF(4)"
+    assert [p for p in progs if len(p.split()) > 2] == ["orecodes field info"]
+    assert sorted(p.split()[1] for p in progs if len(p.split()) == 2) == sorted(cli.COMMANDS)
 
 
 def test_usage_error_exit_code():

@@ -18,7 +18,7 @@ from unittest import mock
 
 import pytest
 
-from orecodes.cli import main
+from orecodes.cli import COMMANDS, main
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 GOLDEN = os.path.join(ROOT, "tests", "golden")
@@ -116,8 +116,6 @@ CALLS = [
     'spbwsets nullstellensatz --presentation presentations/qplane9.json --gens "x*y-1" --degree 2 --samples 8 --seed 3',
 ]
 
-COMMANDS = ["field", "poly", "algset", "codes", "evalcodes", "linearized", "spbw", "spbwsets"]
-
 # usage and help cases, each run with COLUMNS=80 (argparse wraps to the terminal)
 USAGE = [
     "",
@@ -204,6 +202,11 @@ def test_cli_calls_match_golden_under_O():
         cwd=ROOT, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
     )
     assert proc.stdout == _read("cli.txt")
+
+
+def test_every_op_has_a_golden_call():
+    ops = {(command, op) for command, (_, _, table) in COMMANDS.items() for op in table}
+    assert ops == {tuple(shlex.split(call)[:2]) for call in CALLS}
 
 
 @pytest.mark.parametrize("name", SCRIPTS)
