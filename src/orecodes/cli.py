@@ -33,7 +33,7 @@ def _ring(args) -> OreRing:
     from .skewpoly import OreRing
 
     field = parse_field(args.field)
-    w = parse_element(field, args.delta_w) if args.delta_w else None
+    w = parse_element(field, args.delta_w) if args.delta_w is not None else None
     return OreRing(field, args.sigma, w)
 
 

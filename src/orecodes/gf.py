@@ -31,13 +31,21 @@ from .errors import DomainError, GuardError
 MAX_FIELD_SIZE = 1 << 16
 
 
+def factorize(n: int) -> dict:
+    """{p: e} with n = prod p^e, by trial division up to sqrt(n); {} for n < 2."""
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, int(math.isqrt(n)) + 1):
-        if n % p == 0:
-            return False
-    return True
+    return factorize(n) == {n: 1}
 
 
 # --- build-time polynomial arithmetic over Z_q (coefficient lists, low degree first)
@@ -218,15 +226,7 @@ class FiniteField:
     def _build_tables(self):
         t = self.t
         # primitive element: least code g with g^(t/p) != 1 for each prime p | t
-        primes, n, p = [], t, 2
-        while p * p <= n:
-            if n % p == 0:
-                primes.append(p)
-                while n % p == 0:
-                    n //= p
-            p += 1
-        if n > 1:
-            primes.append(n)
+        primes = list(factorize(t))
         z0 = 1
         if t > 1:
             # for k > 1 the codes below q form the prime subfield, whose orders
@@ -507,20 +507,14 @@ def parse_field(text: str) -> FiniteField:
     base = literal_int(m.group(1), "field")
     if m.group(2) is not None:
         return GF(base, literal_int(m.group(2), "field"))
-    if base > MAX_FIELD_SIZE:  # before the trial division below, which is O(n)
+    if base > MAX_FIELD_SIZE:  # before the trial division below
         raise GuardError(f"field size {base} exceeds table cap {MAX_FIELD_SIZE}")
-    # factor n as q^k with q prime
-    for q in range(2, base + 1):
-        if base % q == 0:
-            k = 0
-            n = base
-            while n % q == 0:
-                n //= q
-                k += 1
-            if n != 1:
-                raise DomainError(f"{base} is not a prime power")
-            return GF(q, k)
-    raise DomainError(f"bad field literal {text!r}")
+    factors = factorize(base)
+    if not factors:
+        raise DomainError(f"bad field literal {text!r}")
+    if len(factors) > 1:
+        raise DomainError(f"{base} is not a prime power")
+    return GF(*factors.popitem())
 
 
 def element_str(z: FieldElement) -> str:

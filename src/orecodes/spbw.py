@@ -1,6 +1,6 @@
 """Skew PBW extensions sigma(R)<x_1..x_n>: presentations, normal-form
 arithmetic, deglex leading data, the division algorithm, and left Groebner
-bases with a two-sided closure for quasi-commutative presentations.
+bases with a two-sided closure.
 
 Relations are stored for i < j as x_j x_i = c x_i x_j + sum_k a_k x_k + d,
 and coefficients commute past variables through x_i r = sigma_i(r) x_i +
@@ -465,13 +465,12 @@ def _complete_left_basis(gens) -> list:
 
 def two_sided_closure(gens) -> list:
     """Left Groebner basis generating (as a left ideal) the two-sided ideal
-    spanned by gens; quasi-commutative presentations only."""
+    spanned by gens: a left ideal closed under right multiplication by every
+    x_i and by the field generators in twisting_scalars is two-sided."""
     gens = [g for g in gens if g]
     if not gens:
         raise DomainError("no nonzero generators")
     pres = gens[0].pres
-    if not pres.is_quasi_commutative:
-        raise DomainError("two-sided closure implemented for quasi-commutative presentations only")
     right_mults = pres.gens + [pres.constant(r) for r in pres.twisting_scalars]
     G = _complete_left_basis(gens)
     for _ in range(MAX_CLOSURE_ROUNDS):

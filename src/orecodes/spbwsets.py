@@ -8,8 +8,9 @@ it is R or 0: it is R exactly when x_i -> z_i respects every defining
 relation (Z is admissible), and then f lies in <Z> iff f(Z) = 0.  Membership
 is therefore decided by an admissibility check and plain evaluation; the
 Groebner closure spbw.two_sided_closure of <Z> is kept as the independent
-reference the tests compare against.  Every oracle here is restricted to
-quasi-commutative presentations."""
+reference the tests compare against.  Every oracle here takes any bijective
+presentation; only the center is read from its central monomials, which span
+it for quasi-commutative presentations with trivial coefficient maps."""
 
 from __future__ import annotations
 
@@ -44,14 +45,17 @@ def point_poly(pres: PBWPresentation, Z) -> list:
 
 def admissible(pres: PBWPresentation, Z) -> bool:
     """Whether x_i -> z_i respects the defining relations, i.e. <Z> != A:
-    z_j z_i = c_ij z_i z_j for every relation, and z_i r = sigma_i(r) z_i for
-    the field generators in twisting_scalars (the scalars satisfying it form
-    a subfield)."""
-    if not pres.is_quasi_commutative:
-        raise DomainError("two-sided closure implemented for quasi-commutative presentations only")
+    z_j z_i = c z_i z_j + sum_k a_k z_k + d for every relation, and z_i r =
+    sigma_i(r) z_i + delta_i(r) for the field generators in twisting_scalars
+    (the scalars satisfying it form a subfield)."""
     Z = _coords(pres, Z)
-    return all(Z[j] * Z[i] == c * Z[i] * Z[j] for (i, j), (c, _, _) in pres.relations.items()) and all(
-        z * r == sigma(r) * z for r in pres.twisting_scalars for z, sigma in zip(Z, pres._sigmas)
+    affine = Z + (pres.domain.one,)  # d is the coefficient of 1; zero terms cost no field operation
+    return all(
+        Z[j] * Z[i] == sum((ak * z for ak, z in zip(a + [d], affine) if ak), c * Z[i] * Z[j])
+        for (i, j), (c, a, d) in pres.relations.items()
+    ) and all(
+        z * r == sum([delta(r)] if delta else [], sigma(r) * z)
+        for r in pres.twisting_scalars for z, sigma, delta in zip(Z, pres._sigmas, pres._deltas)
     )
 
 
@@ -190,8 +194,6 @@ def normality_test(f: PBWPoly) -> NormalityWitness:
     variable and scalar movers for the field generators: r f = f w and
     f r = w' f force deg w = deg w' = 0, so they are the constant solutions."""
     pres = f.pres
-    if not pres.is_quasi_commutative:
-        raise DomainError("normality test implemented for quasi-commutative presentations")
     if not f:
         return NormalityWitness(True, [], [], [])
     left_movers, right_movers = [], []
@@ -216,20 +218,21 @@ def normality_test(f: PBWPoly) -> NormalityWitness:
 
 # -- center ----------------------------------------------------------------------
 
-# the slowest shipped presentation, qspace3, takes 4.7 s for its center at
-# degree 32 (0.65 s at 16) in a fresh CLI process
+# the slowest shipped presentation, witten, takes 4.3 s for its center at
+# degree 32 (0.35 s at 16) in a fresh CLI process on a 2-core Xeon host
 MAX_CENTER_DEGREE = 32
 
 
 def center_basis(pres: PBWPresentation, degree: int):
     """All standard monomials of degree <= degree commuting with every
-    variable and with the field (for nontrivial coefficient automorphisms)."""
+    variable and with the field (for nontrivial coefficient automorphisms).
+    They span the center up to that degree only for quasi-commutative
+    presentations with trivial coefficient maps: otherwise a central element
+    need not be a combination of central monomials."""
     if degree < 0:
         raise DomainError(f"center degree {degree} is negative")
     if degree > MAX_CENTER_DEGREE:
         raise GuardError(f"center degree {degree} exceeds the cap {MAX_CENTER_DEGREE}")
-    if not pres.is_quasi_commutative:
-        raise DomainError("center computation implemented for quasi-commutative presentations")
     out = []
     tests = pres.gens + [pres.constant(r) for r in pres.twisting_scalars]
     for alpha in standard_monomials(pres, degree):
@@ -325,8 +328,10 @@ def nullstellensatz_check(gens, degree: int = 4, sample_budget: int = 50, seed: 
 
 
 def _center_side(pres, G2, variety, degree, cmonos):
-    if not pres.has_trivial_coefficient_maps:
-        return {"holds": None, "note": "the center is spanned by central monomials only for trivial coefficient maps"}
+    if not (pres.is_quasi_commutative and pres.has_trivial_coefficient_maps):
+        return {"holds": None, "note": (
+            "the center is spanned by central monomials only for quasi-commutative "
+            "presentations with trivial coefficient maps")}
     # center generators w_i = x_i^{L_i}
     alphas = [next(iter(m.terms)) for m in cmonos]
     central = set(alphas)

@@ -237,6 +237,15 @@ def test_delta_ring_product_above_row_cap_is_refused_at_once(capsys):
         "x^e*d rows in a ring with delta: 600050001 coefficients exceed the cap 1048576")}}
 
 
+@pytest.mark.parametrize("delta_w", ["", " "])
+def test_empty_delta_w_is_refused_not_ignored(capsys, delta_w):
+    argv = ["poly", "mul", "--field", "GF(4)", "--sigma", "1", "--delta-w", delta_w, "--a", "x", "--b", "w"]
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 3
+    assert json.loads(out) == {"error": {"code": 3, "message": "bad element literal ''"}}
+    assert run(capsys, argv) == (3, "", "error (3): bad element literal ''\n")
+
+
 @pytest.mark.parametrize("literal, degree", [("x^65537", 65537), ("x^40000*x^40000", 80000)])
 def test_skew_polynomial_term_above_degree_cap_is_refused_at_once(capsys, literal, degree):
     argv = ["poly", "mul", "--field", "GF(4)", "--sigma", "1", "--a", literal, "--b", "x", "--format", "json"]

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from orecodes.errors import DomainError, GuardError
-from orecodes.gf import GF, Automorphism, FiniteField, InnerDerivation, is_prime, parse_element, parse_field
+from orecodes.gf import GF, Automorphism, FiniteField, InnerDerivation, factorize, is_prime, parse_element, parse_field
 
 
 def brute_field_tables(q, k, modulus):
@@ -223,6 +223,14 @@ def test_identity_sigma_forces_zero_derivation():
     assert delta.is_zero
     for z in F.elements():
         assert delta(z) == F.zero
+
+
+def test_factorize_is_the_prime_factorization():
+    for n in range(2, 3000):
+        f = factorize(n)
+        assert all(is_prime(p) and e > 0 for p, e in f.items()) and math.prod(p ** e for p, e in f.items()) == n
+        assert is_prime(n) == (n > 1 and all(n % p for p in range(2, n)))
+    assert factorize(0) == factorize(1) == {} and not is_prime(0) and not is_prime(1)
 
 
 def test_parse_field_literals():

@@ -104,14 +104,22 @@ CALLS = [
     'spbw closure --presentation presentations/qplane4.json --gens "x^3+y"',
     'spbw closure --presentation presentations/qplane4.json --gens "x*y+w*y^2"',
     'spbw closure --presentation presentations/qspace3.json --gens "x*z+y^2"',
+    'spbw closure --presentation presentations/witten.json --gens "x"',
+    'spbw closure --presentation presentations/weyl1z.json --gens "x^2"',
     'spbwsets variety --presentation presentations/qplane4.json --gens "x*y+w" --domain full',
     'spbwsets variety --presentation presentations/qspace3.json --gens "x*y,z-1" --domain "0,0,1;1,0,1;0,i,1;1,1,0"',
+    'spbwsets variety --presentation presentations/witten.json --gens "z-2,x*y" --domain "0,0,2;1,0,2;0,0,1"',
     'spbwsets roots --presentation presentations/qspace3.json --f "x*y+z" --point "0,1,0"',
+    'spbwsets roots --presentation presentations/witten.json --f "z-2" --point "0,0,2"',
+    'spbwsets roots --presentation presentations/witten.json --f "x+1" --point "0,0,1"',
+    'spbwsets roots --presentation presentations/weyl1z.json --f "1" --point "0,0,0"',
     'spbwsets normal --presentation presentations/qplane4.json --f "x*y"',
     'spbwsets normal --presentation presentations/qplane9.json --f "x^2+y^2"',
     'spbwsets normal --presentation presentations/qspace3.json --f "x*y+z"',
+    'spbwsets normal --presentation presentations/witten.json --f "x"',
     'spbwsets center --presentation presentations/qplane4.json --degree 3',
     'spbwsets center --presentation presentations/qplane9.json --degree 4',
+    'spbwsets center --presentation presentations/weyl1z.json --degree 3',
     'spbwsets nullstellensatz --presentation presentations/qplane4.json --gens "x^3-1,y" --degree 3 --samples 10 --seed 2',
     'spbwsets nullstellensatz --presentation presentations/qplane9.json --gens "x*y-1" --degree 2 --samples 8 --seed 3',
 ]

@@ -328,10 +328,15 @@ def test_closure_central_generators_add_nothing():
     assert [pbw_str(g) for g in G] == ["x^2"]
 
 
-def test_closure_refused_for_witten():
+def test_closure_outside_quasi_commutative():
+    # witten: x is normal (z x = x (z - 1)), and z x - x z = -x and z y - y z
+    # = 2y put x and y into <z>; weyl1z: x^2 y - y x^2 = 2x, and x y - y x = 1
     A = witten()
-    with pytest.raises(DomainError):
-        two_sided_closure([A.parse("x-1")])
+    for gen, closure in [("x", ["x"]), ("x*y", ["x*y"]), ("z", ["z", "y", "x"]), ("x-1", ["1"])]:
+        assert [pbw_str(g) for g in two_sided_closure([A.parse(gen)])] == closure
+    W = load_presentation(os.path.join(os.path.dirname(__file__), "..", "presentations", "weyl1z.json"))
+    assert [pbw_str(g) for g in two_sided_closure([W.parse("x^2")])] == ["1"]
+    assert [pbw_str(g) for g in two_sided_closure([W.parse("z-1")])] == ["z-1"]
 
 
 def test_closure_with_coefficient_twisting():

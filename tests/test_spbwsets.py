@@ -36,6 +36,8 @@ from orecodes.spbwsets import (
     vanishing_set,
 )
 
+PRESENTATIONS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "presentations")
+
 
 def qplane_gf(q, k, cspec):
     dom = GFDomain(GF(q, k))
@@ -232,12 +234,22 @@ def test_normality_with_coefficient_twisting():
     assert not normality_test(A.parse("x+1")).is_normal
 
 
-def test_normality_refused_outside_qc():
-    A = PBWPresentation(
-        ["x", "y"], QQ, {(0, 1): (QQ.one, [QQ.zero, QQ.zero], QQ.parse("-1"))}
-    )
-    with pytest.raises(DomainError):
-        normality_test(A.parse("x"))
+def test_normality_on_witten():
+    # y x = 2 x y, z x = x (z - 1) and z y = y (z + 2): x is normal, z is not
+    A = load_presentation(os.path.join(PRESENTATIONS, "witten.json"))
+    res = normality_test(A.parse("x"))
+    assert res.is_normal and res.scalar_movers == []
+    assert [pbw_str(u) for u in res.left_movers] == ["x", "2*y", "z-1"]
+    assert [pbw_str(v) for v in res.right_movers] == ["x", "1/2*y", "z+1"]
+    assert not normality_test(A.parse("z")).is_normal
+
+
+def test_centers_of_witten_and_weyl1z():
+    # weyl1z is the first Weyl algebra over Q with a central z: its center is Q[z]
+    weyl = load_presentation(os.path.join(PRESENTATIONS, "weyl1z.json"))
+    assert [pbw_str(m) for m in center_basis(weyl, 6)] == ["1"] + ["z"] + [f"z^{e}" for e in range(2, 7)]
+    witten = load_presentation(os.path.join(PRESENTATIONS, "witten.json"))
+    assert [pbw_str(m) for m in center_basis(witten, 6)] == ["1"]
 
 
 def test_center_basis_quantum_planes(QP9, QP4):
@@ -378,7 +390,19 @@ def test_nullstellensatz_candidates_are_central_under_twisting(monkeypatch):
     assert report["exercised"] == ["central f with f^m in I implies f in I(V(I))"]
 
 
-PRESENTATIONS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "presentations")
+@pytest.mark.parametrize("gen, nilpotent", [("x+1", True), ("y", False)])
+def test_nullstellensatz_under_a_derivation(gen, nilpotent):
+    # GF(4) with x r = r^2 x + w (r^2 - r) and y x = x y + x + w: the radical
+    # side runs, the center side is not read from central monomials
+    A = load_presentation({"schema_version": 1, "vars": ["x", "y"], "field": "GF(4)", "sigma": [1, None],
+                           "delta": ["w", None], "relations": [{"i": 1, "j": 2, "a": ["1", "0"], "d": "w"}]})
+    report = nullstellensatz_check([A.parse(gen)], degree=4, sample_budget=10, seed=1)
+    radical = report["radical_side"]
+    assert radical["holds"] and radical["candidates"] > 1
+    assert radical["nilpotent_mod_I"] == radical["landed_in_I_of_V"] == (radical["candidates"] if nilpotent else 0)
+    assert report["center_side"] == {"holds": None, "note": (
+        "the center is spanned by central monomials only for quasi-commutative "
+        "presentations with trivial coefficient maps")}
 
 
 def reference_nullstellensatz(gens, degree, sample_budget, seed):
