@@ -40,7 +40,7 @@ def factorize(n: int) -> dict:
             n //= p
         p += 1
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        out[n] = 1
     return out
 
 
