@@ -68,7 +68,6 @@ class PBWPresentation:
                 raise DomainError("relation coefficient c must be invertible (nonzero)")
             self.relations[(i, j)] = (c, list(a), d)
         self._mono_cache = {}
-        self._closure_cache = {}  # point tuple -> two-sided closure (spbwsets.point_closure)
         self.zero = PBWPoly(self, {})
         self.one = PBWPoly(self, {(0,) * self.n: domain.one})
         self._check_associative()

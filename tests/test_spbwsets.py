@@ -1,13 +1,12 @@
-import gc
 import itertools
 import json
 import os
 import random
-import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orecodes import spbwsets
 from orecodes.cli import main
 from orecodes.errors import DomainError, GuardError
 from orecodes.gf import GF
@@ -29,7 +28,6 @@ from orecodes.spbwsets import (
     ideal_of_points_membership,
     normality_test,
     nullstellensatz_check,
-    point_closure,
     point_poly,
     root_test,
     truncated_ideal_of_points,
@@ -296,16 +294,44 @@ def test_negative_degree_and_sample_budget_are_refused(QP9):
     assert center_basis(QP9, 0) == [QP9.one]
 
 
-def test_point_closure_cache_lives_on_the_presentation():
-    pres = qplane_gf(3, 2, "-1")
-    first = point_closure(pres, (0, 0))
-    assert point_closure(pres, (0, 0)) is first  # a warm call hits the cache
-    other = qplane_gf(3, 2, "-1")
-    assert point_closure(other, (0, 0)) is not first  # a new presentation starts cold
-    ref = weakref.ref(pres)
-    del pres, first
-    gc.collect()
-    assert ref() is None
+# generators and candidate points of each presentation: qplane9 admits 17
+# points, witten the line (0, 0, c) only
+POINT_CASES = {
+    "qplane9": (["x^2-1", "y", "x*y+x"], [("0", "0"), ("1", "0"), ("-1", "0"), ("1", "g"), ("0", "g")]),
+    "witten": (["x", "z^2-z", "x*y+z"], [("0", "0", "1"), ("0", "0", "0"), ("1", "0", "0"), ("0", "1", "2"),
+                                        ("1/2", "0", "1")]),
+}
+
+
+def _point_answers(name):
+    """Every point decision spbwsets makes, on a freshly loaded presentation,
+    as plain strings and flags."""
+    A = load_presentation(os.path.join(PRESENTATIONS, f"{name}.json"))
+    specs, points = POINT_CASES[name]
+    gens = [A.parse(s) for s in specs]
+    answers = {
+        "roots": [[root_test(g, Z) for Z in points] for g in gens],
+        "variety": [tuple(map(str, Z)) for Z in vanishing_set(gens, points)],
+        "members": [ideal_of_points_membership(g, points[:k]) for g in gens for k in range(len(points) + 1)],
+        "truncated": [pbw_str(f) for f in truncated_ideal_of_points(A, points, 2)],
+    }
+    if A.domain.is_finite:
+        answers["full_variety"] = [tuple(map(str, Z)) for Z in vanishing_set(gens)]
+        answers["nullstellensatz"] = nullstellensatz_check(gens[:2])
+    return answers
+
+
+@pytest.mark.parametrize("name", sorted(POINT_CASES))
+def test_point_decisions_build_no_point_ideal(name, monkeypatch):
+    # a point is decided by admissibility and evaluation alone: no oracle
+    # builds the generators x_i - z_i of <Z>
+    expected = _point_answers(name)
+
+    def refuse(pres, Z):
+        raise AssertionError(f"a point decision built <{Z}>")
+
+    monkeypatch.setattr(spbwsets, "point_poly", refuse)
+    assert _point_answers(name) == expected
 
 
 def test_twisted_gf256_normality_is_exact(tmp_path, capsys):
