@@ -102,8 +102,10 @@ def vanishing_set(gens, points=None):
     gens = list(gens)
     if not gens:
         raise DomainError("vanishing set needs at least one polynomial")
-    candidates = all_points(gens[0].pres) if points is None else [tuple(p) for p in points]
-    return [Z for Z in candidates if all(root_test(g, Z) for g in gens)]
+    pres = gens[0].pres
+    candidates = all_points(pres) if points is None else [tuple(p) for p in points]
+    # root_test for every generator at once: one admissibility check per point
+    return [Z for Z in candidates if not admissible(pres, Z) or not any(evaluate(g, Z) for g in gens)]
 
 
 def ideal_of_points_membership(f: PBWPoly, X) -> bool:

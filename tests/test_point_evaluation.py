@@ -4,7 +4,8 @@ spbwsets decides f in <Z> by an admissibility check and evaluation; the
 reference is spbw.two_sided_closure of x_i - z_i and reduce_full modulo it.
 Every point of the finite presentations, 343 Gaussian points of qspace3 and
 125 rational points of witten and weyl1z are compared term for term, and a
-derandomized Hypothesis test compares root_test with reduction for random f.
+derandomized Hypothesis test compares root_test and vanishing_set with
+reduction for random f.
 The two twisted presentations have a nontrivial sigma, whose condition
 z_i r = sigma_i(r) z_i forces z_i = 0; the two derivation presentations add
 delta_i(r) to it, and gf4-delta also a linear part and a constant to its
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orecodes.spbw import load_presentation, reduce_full, two_sided_closure
-from orecodes.spbwsets import admissible, all_points, point_closure, point_poly, root_test
+from orecodes.spbwsets import admissible, all_points, point_closure, point_poly, root_test, vanishing_set
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 SHIPPED = ["qplane4", "qplane9", "qspace3", "witten", "weyl1z"]
@@ -84,8 +85,11 @@ def test_root_test_is_reduction_modulo_the_closure(case, data):
     # an admissible point half of the time, since those are the few where f(Z)
     # decides (weyl1z has none)
     Z = data.draw(st.one_of(st.sampled_from(good or list(reference)), st.sampled_from(list(reference))))
-    for f in data.draw(st.lists(polys(A), min_size=1, max_size=3)):
+    fs = data.draw(st.lists(polys(A), min_size=1, max_size=3))
+    for f in fs:
         assert root_test(f, Z) == (not reduce_full(f, reference[Z])), (Z, f)
+    # vanishing_set decides all generators at once
+    assert vanishing_set(fs, [Z]) == ([Z] if all(root_test(f, Z) for f in fs) else []), (Z, fs)
 
 
 def test_int_and_str_coordinates_are_parsed():
