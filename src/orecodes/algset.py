@@ -2,38 +2,94 @@
 minimal polynomials, ranks, W-polynomials, Vandermonde/Wronskian matrices and
 left ideals of points.
 
-Point sets are handled as lists sorted by element index; lclm folds run
-left-to-right in that order so every output is deterministic.
+Point sets are handled as lists sorted by element index.  Vanishing sets and
+minimal polynomials come from the structure of the conjugacy classes (Lam, "A
+general theory of Vandermonde matrices", 1986; Lam-Leroy, "Vandermonde and
+Wronskian matrices over division rings", 1988), and each result is checked by
+evaluating it with the norm sum.
 """
 
 from __future__ import annotations
 
+import math
+
 from .errors import DomainError, verify
-from .linalg import Matrix
-from .gf import parse_element, split_list
-from .skewpoly import OreRing, SkewPoly, field_index, lclm_list, norms_i, operator_powers_i, right_eval
+from .linalg import Matrix, dot_i, kernel_i
+from .gf import FieldElement, fixed_field_coordinates, parse_element, split_list
+from .skewpoly import (OreRing, SkewPoly, _addmul, _from_idx, _x_times_i, field_index, norms_i,
+                       operator_powers_i, remove_derivation)
 
 
 def _sorted_points(points):
     return sorted(set(points), key=lambda z: z.idx)
 
 
+def _roots_i(ring: OreRing, g) -> set:
+    """Indices of the roots in F[x;sigma], sigma = phi^l on GF(q^k), of the
+    nonzero polynomial with coefficient indices g.  0 is a root iff g_0 = 0.  The nonzero
+    conjugacy classes are the cosets of the (q^r - 1)-th powers, r = gcd(l, k),
+    with representatives a = z0^j, j < q^r - 1.  Since N_i(sigma(y) a y^-1) =
+    sigma^i(y) N_i(a) y^-1, the roots in the class of a are the sigma(y) a y^-1
+    for the nonzero y in the kernel of the F^sigma-linear map
+    y -> sum_i g_i N_i(a) sigma^i(y), a (k/r) x (k/r) matrix over F^sigma."""
+    field = ring.field
+    add, mul, inv, frob = field.add_i, field.mul_i, field.inv_i, field.frob_i
+    l = ring.sigma.l
+    fixed = field.q ** math.gcd(l, field.k)  # |F^sigma|
+    basis, coords = fixed_field_coordinates(ring.sigma)
+    basis = [b.idx for b in basis]
+    d = len(g) - 1
+    step = field.t // (fixed - 1)
+    scalars = [0] + [1 + j * step for j in range(fixed - 1)]  # F^sigma, as indices
+    twisted = [[frob(b, l * i) for i in range(d + 1)] for b in basis]  # sigma^i(b)
+    roots = set() if g[0] else {0}
+    for a in range(1, fixed):
+        gn = [mul(gi, ni) for gi, ni in zip(g, norms_i(ring, a, d))]
+        cols = [coords[dot_i(field, gn, t)] for t in twisted]
+        span = {0}
+        for v in kernel_i(field, list(zip(*cols)), len(basis)):
+            y = dot_i(field, v, basis)
+            span = {add(s, mul(c, y)) for s in span for c in scalars}
+        roots.update(mul(frob(y, l), mul(a, inv(y))) for y in span if y)
+    return roots
+
+
 def vanishing_set(g: SkewPoly):
-    """V(g) = {z in F : g(z) = 0} by full enumeration of the field."""
+    """V(g) = {z in F : g(z) = 0}, one F^sigma-kernel per conjugacy class (see
+    _roots_i).  With delta_w, z is a root of g iff z + w is a root of g(y - w)
+    in F[y;sigma] (remove_derivation)."""
     ring = g.ring
+    field = ring.field
     if not g:
-        return ring.field.elements()
-    return [z for z in ring.field.elements() if not right_eval(g, z)]
+        return field.elements()
+    target, h = remove_derivation(g)
+    roots = sorted(field.sub_i(u, ring._w) for u in _roots_i(target, h.idx))
+    verify(all(not dot_i(field, g.idx, norms_i(ring, z, g.degree)) for z in roots),
+           "every point of V(g) is a root of g")
+    return [FieldElement(field, z) for z in roots]
 
 
 def minimal_polynomial(ring: OreRing, points) -> SkewPoly:
-    """m_X = lclm(x - z | z in X), with m_emptyset = 1."""
-    pts = _sorted_points(points)
-    if not pts:
-        return ring.one
-    m = lclm_list(ring.linear(z) for z in pts)
-    verify(m.degree <= len(pts), "deg m_X <= |X|")
-    return m
+    """m_X, the monic generator of the left ideal of polynomials vanishing on X
+    (m_emptyset = 1), one point at a time: if c = m(z) != 0, then
+    m_{X u {z}} = (x - z^c)*m with z^c = (sigma(c) z + delta(c)) c^-1, and
+    c = 0 means z is already a root."""
+    field = ring.field
+    add, sub, mul, inv, frob = field.add_i, field.sub_i, field.mul_i, field.inv_i, field.frob_i
+    l, w = ring.sigma.l, ring._w
+    pts = [field_index(field, z) for z in _sorted_points(points)]
+    m = [1]
+    for z in pts:
+        c = dot_i(field, m, norms_i(ring, z, len(m) - 1))
+        if c:
+            sc = frob(c, l)
+            zc = mul(add(mul(sc, z), mul(w, sub(sc, c))), inv(c))
+            out = _x_times_i(ring, m)
+            _addmul(field, out, field.neg_i(zc), m, 0)
+            m = out
+    verify(m[-1] == 1 and len(m) <= len(pts) + 1, "m_X is monic of degree <= |X|")
+    verify(all(not dot_i(field, m, norms_i(ring, z, len(m) - 1)) for z in pts), "m_X vanishes on X")
+    return _from_idx(ring, m)
 
 
 def rank_of_set(ring: OreRing, points) -> int:

@@ -202,17 +202,20 @@ def matmul_i(field, a, b):
     return [[dot_i(field, r, c) for c in cols] for r in a]
 
 
-def rank_i(field, rows):
-    """Rank over a FiniteField of the matrix whose rows are lists of element
-    indices, by Gaussian elimination on the field's index operations."""
+def _echelon_i(field, rows):
+    """Gaussian elimination over a FiniteField on rows of element indices: the
+    pivot rows (c, p) in the order chosen, c being the first nonzero column of
+    p; column c is cleared from every row chosen after p, and zero rows are
+    dropped."""
     add, mul, neg, inv = field.add_i, field.mul_i, field.neg_i, field.inv_i
     rows = [r for r in rows if any(r)]
-    rank = 0
+    pivots = []
     while rows:
         p = rows.pop()
         c = 0
         while not p[c]:
             c += 1
+        pivots.append((c, p))
         s = neg(inv(p[c]))
         rest = []
         for r in rows:
@@ -223,5 +226,31 @@ def rank_i(field, rows):
                     continue
             rest.append(r)
         rows = rest
-        rank += 1
-    return rank
+    return pivots
+
+
+def rank_i(field, rows):
+    """Rank over a FiniteField of the matrix whose rows are lists of element
+    indices."""
+    return len(_echelon_i(field, rows))
+
+
+def kernel_i(field, rows, ncols):
+    """Index basis of the right kernel {v : A v = 0} over a FiniteField of the
+    matrix with ncols columns whose rows are lists of element indices: one
+    vector per free column, in increasing order, with 1 there and 0 at the
+    other free columns, solved back through the pivot rows."""
+    mul, neg, inv = field.mul_i, field.neg_i, field.inv_i
+    pivots = _echelon_i(field, rows)
+    bound = {c for c, _ in pivots}
+    basis = []
+    for free in range(ncols):
+        if free in bound:
+            continue
+        v = [0] * ncols
+        v[free] = 1
+        # a pivot row is zero at the pivot columns chosen before it
+        for c, p in reversed(pivots):
+            v[c] = mul(neg(dot_i(field, p, v)), inv(p[c]))
+        basis.append(v)
+    return basis

@@ -104,8 +104,26 @@ def vanishing_set(gens, points=None):
         raise DomainError("vanishing set needs at least one polynomial")
     pres = gens[0].pres
     candidates = all_points(pres) if points is None else [tuple(p) for p in points]
-    # root_test for every generator at once: one admissibility check per point
-    return [Z for Z in candidates if not admissible(pres, Z) or not any(evaluate(g, Z) for g in gens)]
+    return _variety(pres, gens, candidates)[0]
+
+
+def _variety(pres: PBWPresentation, gens, candidates):
+    """(V, P): V the candidates at which every generator is a root (root_test
+    for all of them at once), and P the admissible points of V, the only ones
+    that impose a condition on I(V).  One admissibility check per candidate."""
+    variety, points = [], []
+    for Z in candidates:
+        if not admissible(pres, Z):
+            variety.append(Z)
+        elif not any(evaluate(g, Z) for g in gens):
+            variety.append(Z)
+            points.append(Z)
+    return variety, points
+
+
+def _vanishes_at(f: PBWPoly, points) -> bool:
+    """f(Z) = 0 at every point, all of them admissible: f in I(points)."""
+    return not any(evaluate(f, Z) for Z in points)
 
 
 def ideal_of_points_membership(f: PBWPoly, X) -> bool:
@@ -133,21 +151,25 @@ def truncated_ideal_of_points(pres: PBWPresentation, X, degree: int):
     """Basis of {f : deg f <= degree, f in I(X)} by linear algebra on the
     evaluation maps of the points.  The basis is truncated: no finite
     generation procedure is attempted beyond the degree bound."""
-    X = [tuple(Z) for Z in X]
+    points = [Z for Z in (_coords(pres, Z) for Z in X) if admissible(pres, Z)]
+    return _ideal_basis(pres, points, degree)
+
+
+def _ideal_basis(pres: PBWPresentation, points, degree: int):
+    """truncated_ideal_of_points for the admissible points of X: sum c_m m lies
+    in I(X) iff sum c_m m(Z) = 0 at every admissible Z, one equation per point
+    (<Z> = A imposes none)."""
     alphas = standard_monomials(pres, degree)
     monos = [pres.monomial(a) for a in alphas]
-    dom = pres.domain
-    if not X:
+    if not points:
         return monos
-    # sum c_m m lies in I(X) iff sum c_m m(Z) = 0 at every admissible Z: one
-    # equation per admissible point (<Z> = A imposes none)
-    points = [_coords(pres, Z) for Z in X]
-    rows = [[_mono_value(a, Z, dom.one) for a in alphas] for Z in points if admissible(pres, Z)]
+    dom = pres.domain
+    rows = [[_mono_value(a, Z, dom.one) for a in alphas] for Z in points]
     kernel = Matrix(rows, len(monos), dom.zero, dom.one).kernel()
     out = []
     for coeffs in kernel.rows:
         f = pres.combination(coeffs, monos)
-        verify(ideal_of_points_membership(f, X), "a truncated ideal-of-points element vanishes on X")
+        verify(_vanishes_at(f, points), "a truncated ideal-of-points element vanishes on X")
         out.append(f)
     return out
 
@@ -267,7 +289,7 @@ def nullstellensatz_check(gens, degree: int = 4, sample_budget: int = 50, seed: 
     if not pres.domain.is_finite:
         raise DomainError("the executable check needs a finite base field")
     G2 = two_sided_closure(gens)
-    variety = vanishing_set(gens)
+    variety, points = _variety(pres, gens, all_points(pres))
     report = {
         "variety_size": len(variety),
         "exercised": [],
@@ -302,7 +324,7 @@ def nullstellensatz_check(gens, degree: int = 4, sample_budget: int = 50, seed: 
             r = reduce_full(r * f, G2)
         if not r:
             checked += 1
-            confirmed += ideal_of_points_membership(f, variety)
+            confirmed += _vanishes_at(f, points)
     report["radical_side"] = {
         "candidates": len(candidates),
         "nilpotent_mod_I": checked,
@@ -312,7 +334,7 @@ def nullstellensatz_check(gens, degree: int = 4, sample_budget: int = 50, seed: 
     report["exercised"].append("central f with f^m in I implies f in I(V(I))")
 
     # (b) center side: generators of <I_Z(A)(V_Z(A)(J))> land in I(V(I))
-    center_report = _center_side(pres, G2, variety, degree, cmonos)
+    center_report = _center_side(pres, G2, points, degree, cmonos)
     report["center_side"] = center_report
     if center_report.get("holds") is not None:
         report["exercised"].append(
@@ -322,7 +344,7 @@ def nullstellensatz_check(gens, degree: int = 4, sample_budget: int = 50, seed: 
     return report
 
 
-def _center_side(pres, G2, variety, degree, cmonos):
+def _center_side(pres, G2, points, degree, cmonos):
     if not (pres.is_quasi_commutative and pres.has_trivial_coefficient_maps):
         return {"holds": None, "note": (
             "the center is spanned by central monomials only for quasi-commutative "
@@ -348,13 +370,13 @@ def _center_side(pres, G2, variety, degree, cmonos):
     kernel = Matrix(rows, len(support), dom.zero, dom.one).transpose().kernel()
     images = [W.monomial(tuple(a // l for a, l in zip(alpha, L))) for alpha in alphas]
     J = [W.combination(coeffs, images) for coeffs in kernel.rows]
-    wpoints = vanishing_set(J) if J else all_points(W)
+    wpoints, wadmissible = _variety(W, J, all_points(W))  # V_{Z(A)}(J); all of F^n for J = 0
     # I_{Z(A)}(V_{Z(A)}(J)) up to the w-degree bound, mapped back by w^a -> x^{aL}
     generators = [
         pres.poly({tuple(a * l for a, l in zip(alpha, L)): c for alpha, c in g.terms.items()})
-        for g in truncated_ideal_of_points(W, wpoints, max(degree // max(L), 1))
+        for g in _ideal_basis(W, wadmissible, max(degree // max(L), 1))
     ]
-    holds = all(ideal_of_points_membership(g, variety) for g in generators)
+    holds = all(_vanishes_at(g, points) for g in generators)
     return {
         "holds": holds,
         "J_basis_size": len(J),
