@@ -26,12 +26,13 @@ def _sorted_points(points):
 
 def _roots_i(ring: OreRing, g) -> set:
     """Indices of the roots in F[x;sigma], sigma = phi^l on GF(q^k), of the
-    nonzero polynomial with coefficient indices g.  0 is a root iff g_0 = 0.  The nonzero
-    conjugacy classes are the cosets of the (q^r - 1)-th powers, r = gcd(l, k),
-    with representatives a = z0^j, j < q^r - 1.  Since N_i(sigma(y) a y^-1) =
-    sigma^i(y) N_i(a) y^-1, the roots in the class of a are the sigma(y) a y^-1
-    for the nonzero y in the kernel of the F^sigma-linear map
-    y -> sum_i g_i N_i(a) sigma^i(y), a (k/r) x (k/r) matrix over F^sigma."""
+    nonzero polynomial with coefficient indices g.  0 is a root iff g_0 = 0.
+    The nonzero conjugacy classes are the cosets of the (q^r - 1)-th powers,
+    r = gcd(l, k), with representatives a = z0^j, j < q^r - 1.  Since
+    N_i(sigma(y) a y^-1) = sigma^i(y) N_i(a) y^-1, the roots in the class of a
+    are the sigma(y) a y^-1 for the nonzero y in the kernel of the
+    F^sigma-linear map y -> sum_i g_i N_i(a) sigma^i(y), a (k/r) x (k/r)
+    matrix over F^sigma."""
     field = ring.field
     add, mul, inv, frob = field.add_i, field.mul_i, field.inv_i, field.frob_i
     l = ring.sigma.l
@@ -41,11 +42,12 @@ def _roots_i(ring: OreRing, g) -> set:
     d = len(g) - 1
     step = field.t // (fixed - 1)
     scalars = [0] + [1 + j * step for j in range(fixed - 1)]  # F^sigma, as indices
-    twisted = [[frob(b, l * i) for i in range(d + 1)] for b in basis]  # sigma^i(b)
+    # g_i sigma^i(b) for each basis element b: column b is its dot product with the N_i(a)
+    twisted = [[mul(gi, frob(b, l * i)) for i, gi in enumerate(g)] for b in basis]
     roots = set() if g[0] else {0}
     for a in range(1, fixed):
-        gn = [mul(gi, ni) for gi, ni in zip(g, norms_i(ring, a, d))]
-        cols = [coords[dot_i(field, gn, t)] for t in twisted]
+        norms = norms_i(ring, a, d)
+        cols = [coords[dot_i(field, t, norms)] for t in twisted]
         span = {0}
         for v in kernel_i(field, list(zip(*cols)), len(basis)):
             y = dot_i(field, v, basis)
