@@ -1,10 +1,17 @@
+"""Single-variable algebraic sets: worked examples, the Galois-connection laws,
+and vanishing sets and minimal polynomials against the references kept here,
+the enumeration of the field and the lclm fold over the linear factors."""
+
 import itertools
+import math
 import random
 
 import pytest
 
+from orecodes import algset
+from orecodes.errors import VerificationError
 from orecodes.gf import GF
-from orecodes.skewpoly import OreRing, gcrd, lclm, right_eval
+from orecodes.skewpoly import OreRing, conjugacy_classes, gcrd, lclm, lclm_list, right_eval
 from orecodes.algset import (
     ideal_of_points,
     is_w_polynomial,
@@ -146,3 +153,99 @@ def test_full_field_minimal_polynomial(R4):
     # V(l) = F for l = lclm(x - z | z in F)
     l = minimal_polynomial(R4, R4.field.elements())
     assert vanishing_set(l) == R4.field.elements()
+
+
+# -- the structural vanishing set and minimal polynomial against the references ------
+
+def enumerated_vanishing_set(g):
+    """V(g) by testing every field element: z is a root iff x - z right-divides g."""
+    ring = g.ring
+    if not g:
+        return ring.field.elements()
+    return [z for z in ring.field.elements() if ring.linear(z).right_divides(g)]
+
+
+def lclm_minimal_polynomial(ring, points):
+    """m_X as the lclm fold over the linear factors x - z, in index order."""
+    pts = sorted(set(points), key=lambda z: z.idx)
+    return lclm_list(ring.linear(z) for z in pts) if pts else ring.one
+
+
+FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 6), (2, 8)]
+
+
+def rings_of(q, k):
+    """F[x; phi^l] for every l, and F[x; phi^l, delta_w] with w the primitive
+    element wherever phi^l is not the identity."""
+    F = GF(q, k)
+    return [OreRing(F, l, w) for l in range(k) for w in ((None, F.gen) if l else (None,))]
+
+
+def random_poly(rng, ring, degree):
+    F = ring.field
+    tail = [F.element(rng.randrange(F.size)) for _ in range(degree)]
+    return ring.poly(tail + [F.element(rng.randrange(1, F.size))])
+
+
+@pytest.mark.parametrize("q,k", FIELDS, ids=lambda v: str(v))
+def test_vanishing_set_matches_enumeration(q, k):
+    rng = random.Random(f"vanish/{q}^{k}")
+    for ring in rings_of(q, k):
+        F = ring.field
+        els = F.elements()
+        cases = [ring.zero, ring.one, ring.poly([F.gen]), random_poly(rng, ring, 1) * ring.x]
+        cases.append(ring.poly([F.zero]) + ring.x * random_poly(rng, ring, 2))  # g_0 = 0
+        for _ in range(5):
+            X = rng.sample(els, rng.randrange(1, 5))
+            g = random_poly(rng, ring, rng.randrange(3)) * lclm_minimal_polynomial(ring, X)
+            V = vanishing_set(g)
+            assert set(X) <= set(V), (ring, g)  # planted roots
+            cases.append(g)
+        cases += [random_poly(rng, ring, d) for d in range(1, 5)]
+        for g in cases:
+            assert vanishing_set(g) == enumerated_vanishing_set(g), (ring, g)
+
+
+@pytest.mark.parametrize("q,k", FIELDS, ids=lambda v: str(v))
+def test_minimal_polynomial_matches_lclm_fold(q, k):
+    rng = random.Random(f"minpoly/{q}^{k}")
+    for ring in rings_of(q, k):
+        els = ring.field.elements()
+        cases = [[], [rng.choice(els)]]
+        for _ in range(4):
+            X = rng.sample(els, rng.randrange(1, min(len(els), 9)))
+            cases.append(X)
+            cases.append(X + X[:2])  # repeated points
+            # points already in V(m_X), listed before and after X
+            extra = rng.sample(vanishing_set(lclm_minimal_polynomial(ring, X)), 2 if len(X) > 1 else 1)
+            cases += [extra + X, X + extra]
+        for X in cases:
+            m = minimal_polynomial(ring, X)
+            assert m == lclm_minimal_polynomial(ring, X), (ring, X)
+            assert m.is_monic and m.degree <= len(set(X))
+
+
+@pytest.mark.parametrize("q,k", FIELDS[:-1], ids=lambda v: str(v))
+def test_roots_in_a_conjugacy_class_fill_a_projective_space(q, k):
+    # Lam: V(g) meets a class C in the nonzero vectors, up to F^sigma-scalars, of
+    # a kernel over F^sigma = GF(q^r), so |V(g) n C| = (q^(r d) - 1)/(q^r - 1)
+    rng = random.Random(f"classes/{q}^{k}")
+    for ring in rings_of(q, k):
+        Q = q ** math.gcd(ring.sigma.l, k)
+        sizes = {(Q ** d - 1) // (Q - 1) for d in range(k + 1)}
+        classes = [set(C) for C in conjugacy_classes(ring)]
+        els = ring.field.elements()
+        for _ in range(6):
+            X = rng.sample(els, rng.randrange(1, min(len(els), 6)))
+            V = set(vanishing_set(random_poly(rng, ring, rng.randrange(2)) * minimal_polynomial(ring, X)))
+            assert all(len(V & C) in sizes for C in classes), (ring, X)
+
+
+def test_wrong_kernel_fires_the_root_certificate(monkeypatch):
+    ring = OreRing(GF(2, 8), 1)
+    g = ring.linear(ring.field.gen)
+    assert vanishing_set(g) == [ring.field.gen]
+    # the first unit vector: the class of 1 would report the root 1
+    monkeypatch.setattr(algset, "kernel_i", lambda field, rows, ncols: [[1] + [0] * (ncols - 1)])
+    with pytest.raises(VerificationError, match="every point of V"):
+        vanishing_set(g)

@@ -13,7 +13,7 @@ from orecodes import evalcodes
 from orecodes.codes import LinearCode
 from orecodes.errors import DomainError
 from orecodes.gf import GF, fixed_field_coordinates
-from orecodes.linalg import Matrix, matmul_i, rank_i
+from orecodes.linalg import Matrix, kernel_i, matmul_i, rank_i
 from orecodes.linearized import LinearizedPoly, eval_matrix, is_zq_basis
 from orecodes.skewpoly import OreRing
 
@@ -111,7 +111,7 @@ def test_words_blocks_hold_one_word_per_line(q, k, kmax, raw, shape):
     assert len(reps) == (F.size ** dim - 1) // (F.size - 1)
 
 
-# -- rank_i and rank_of_word -----------------------------------------------------------
+# -- rank_i, kernel_i and rank_of_word ---------------------------------------------------
 
 @pytest.mark.parametrize("q,k", [(2, 4), (2, 6), (3, 2), (3, 3), (5, 2)])
 @settings(max_examples=25)
@@ -126,6 +126,8 @@ def test_rank_i_matches_boxed_rank(q, k, raw, shape):
     idx = lambda m: [[v.idx for v in row] for row in m.rows]
     assert matmul_i(F, idx(A), idx(B)) == idx(M)
     assert rank_i(F, idx(M)) == M.rank()
+    # the same kernel basis: one vector per free column, 1 there and 0 at the other free columns
+    assert kernel_i(F, idx(M), ncols) == idx(M.kernel())
 
 
 @pytest.mark.parametrize("q,k,l", RANK_RINGS, ids=lambda v: str(v))

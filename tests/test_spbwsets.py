@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -332,6 +333,28 @@ def test_point_decisions_build_no_point_ideal(name, monkeypatch):
 
     monkeypatch.setattr(spbwsets, "point_poly", refuse)
     assert _point_answers(name) == expected
+
+
+def test_each_point_is_checked_for_admissibility_once(monkeypatch):
+    # the Nullstellensatz report and the truncated ideal of points decide a
+    # point's admissibility once, not again for every candidate or kernel row
+    calls = Counter()
+    admissible = spbwsets.admissible
+
+    def counting(pres, Z):
+        calls[id(pres), tuple(Z)] += 1
+        return admissible(pres, Z)
+
+    monkeypatch.setattr(spbwsets, "admissible", counting)
+    A = load_presentation(os.path.join(PRESENTATIONS, "qplane9.json"))
+    report = nullstellensatz_check([A.parse("x^2-1"), A.parse("y")])
+    assert report["radical_side"]["nilpotent_mod_I"] > 1 and report["center_side"]["generators_checked"] > 1
+    # the 81 points of GF(9)^2, once on A and once on its center F[w]
+    assert len(calls) == 2 * 81 and set(calls.values()) == {1}
+    calls.clear()
+    points = POINT_CASES["qplane9"][1]
+    assert len(truncated_ideal_of_points(A, points, 3)) > 1
+    assert len(calls) == len(points) and set(calls.values()) == {1}
 
 
 def test_twisted_gf256_normality_is_exact(tmp_path, capsys):

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from orecodes import codes, skewpoly, spbw
+from orecodes import algset, codes, skewpoly, spbw
 from orecodes.cli import main
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -49,6 +49,10 @@ def sabotage(kind, patch=setattr):
         patch(skewpoly, "_mul_i", bad)
     elif kind == "not-two-sided":  # the two-sided test refuses x^n - 1 though |sigma| = n
         patch(codes, "two_sided_test", lambda g: skewpoly.TwoSidedWitness(False, None, None, None))
+    elif kind == "wrong-kernel":  # every F^sigma-kernel is the first unit vector
+        patch(algset, "kernel_i", lambda field, rows, ncols: [[1] + [0] * (ncols - 1)])
+    elif kind == "wrong-factor":  # m_X grows by x*m instead of (x - z^c)*m
+        patch(algset, "_addmul", lambda field, acc, k, row, off: None)
     else:  # the PBW ring product loses its lowest term
         good = spbw.PBWPresentation.mul_terms
 
@@ -67,6 +71,9 @@ CASES = {
     "poly-lclm": ("skew-mul", ["poly", "lclm"] + GF9),
     "codes-rightmult": ("not-two-sided", ["codes", "rightmult", "--field", "GF(8)", "--sigma", "1",
                                           "--g", "x^2+w^3*x+w", "--n", "3"]),
+    "algset-vanish": ("wrong-kernel", ["algset", "vanish", "--field", "GF(256)", "--sigma", "1", "--g", "x+w"]),
+    "algset-minpoly": ("wrong-factor", ["algset", "minpoly", "--field", "GF(4)", "--sigma", "1",
+                                        "--points", "1,w,w^2"]),
     "spbw-divide": ("pbw-mul", ["spbw", "divide", "--presentation", "presentations/witten.json",
                                 "--f", "x^2*y+x*z+y*z", "--by", "x-1,y+2,z+3"]),
 }
