@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import DomainError, verify
-from .linalg import Matrix, identity
+from .linalg import Matrix
 from .skewpoly import OreRing, SkewPoly, gcrd, gcrd_bezout, lclm, residue_rows_i, two_sided_test
 
 
@@ -34,8 +34,6 @@ class LinearCode:
     def dual(self) -> "LinearCode":
         """Code generated by the kernel of G; its matrix is a parity check
         matrix of this code."""
-        if self.dim == 0:
-            return LinearCode(self.field, identity(self.n, self.field.zero, self.field.one))
         return LinearCode(self.field, self.G.kernel())
 
     def parity_check(self) -> Matrix:
@@ -133,7 +131,7 @@ def monic_right_divisors(ring: OreRing, f: SkewPoly):
     """All monic right divisors of f, by brute-force enumeration."""
     out = []
     for d in range(f.degree + 1):
-        for cand in ring.all_polys(d, monic=True):
+        for cand in ring.all_polys(d):
             if cand.right_divides(f):
                 out.append(cand)
     return out
@@ -189,7 +187,7 @@ def complement_divisor(ring: OreRing, g: SkewPoly, n: int) -> SkewPoly:
         return ring.one
     if g.degree == 0:
         return f
-    for h in ring.all_polys(n - g.degree, monic=True):
+    for h in ring.all_polys(n - g.degree):
         if h.right_divides(f) and gcrd(g, h).degree == 0 and lclm(g, h) == f:
             return h
     raise DomainError("no complementary divisor exists")  # pragma: no cover

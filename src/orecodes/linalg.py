@@ -3,9 +3,14 @@
 Scalars must support +, -, *, / exactly and be falsy exactly when zero
 (FieldElement and GaussianRational both qualify).
 A Matrix carries explicit zero/one scalars so empty matrices stay usable.
+One Gaussian elimination, `_echelon`, and one back-substitution serve both
+Matrix (on its scalars' operators) and the FiniteField index rows of
+`rank_i`/`kernel_i` (on the field's index operations).
 """
 
 from __future__ import annotations
+
+import operator
 
 from .errors import DomainError
 from .gf import FieldElement
@@ -51,10 +56,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows!r})"
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def transpose(self):
         rows = [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
         return Matrix(rows, self.nrows, self.zero, self.one)
@@ -84,93 +85,75 @@ class Matrix:
             sum((v * x for v, x in zip(r, vec) if v), self.zero) for r in self.rows
         ]
 
+    def _ops(self):
+        """The operations `_echelon` takes, on this matrix's scalars."""
+        one = self.one
+        return operator.add, operator.mul, operator.neg, lambda v: one / v
+
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
-        m = [row[:] for row in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            inv = self.one / m[r][c]
-            m[r] = [inv * v for v in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(m):
-                break
-        m = [row for row in m if any(row)]
-        return Matrix(m, self.ncols, self.zero, self.one), pivots
+        pivots = sorted(_echelon(self.rows, *self._ops()), key=lambda cp: cp[0])
+        m = []
+        for c, p in pivots:
+            inv = self.one / p[c]
+            p = [inv * v for v in p]
+            # the rows above are the only ones not yet zero at column c
+            m = [[a - r[c] * b for a, b in zip(r, p)] if r[c] else r for r in m]
+            m.append(p)
+        return Matrix(m, self.ncols, self.zero, self.one), [c for c, _ in pivots]
 
     def rank(self):
-        return self.rref()[0].nrows
+        return len(_echelon(self.rows, *self._ops()))
 
     def kernel(self):
         """Basis of the right kernel {v : A v = 0} as a Matrix of rows."""
-        red, pivots = self.rref()
-        free = [c for c in range(self.ncols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [self.zero] * self.ncols
-            v[fc] = self.one
-            for r, pc in enumerate(pivots):
-                v[pc] = self.zero - red.rows[r][fc]
-            basis.append(v)
+        ops = self._ops()
+        basis = _kernel(_echelon(self.rows, *ops), self.ncols, self.zero, self.one, *ops)
         return Matrix(basis, self.ncols, self.zero, self.one)
 
     def solve(self, b):
-        """One solution x of A x = b (free variables zero), or None."""
+        """One solution x of A x = b (free variables zero), or None: the
+        kernel vector of (A | -b) that is 1 at the last column."""
         if len(b) != self.nrows:
             raise DomainError("rhs length mismatch")
-        aug = [row + [bv] for row, bv in zip(self.rows, b)]
-        red, pivots = Matrix(aug, self.ncols + 1, self.zero, self.one).rref()
-        if self.ncols in pivots:
+        n = self.ncols
+        ops = self._ops()
+        pivots = _echelon([row + [-bv] for row, bv in zip(self.rows, b)], *ops)
+        if any(c == n for c, _ in pivots):
             return None
-        x = [self.zero] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.rows[r][self.ncols]
-        return x
+        return _back_substitute(pivots, [self.zero] * n + [self.one], *ops)[:n]
 
     def is_invertible(self):
         return self.nrows == self.ncols and self.rank() == self.ncols
 
     def inverse(self):
+        """The columns of the inverse solve A x = e_j: the kernel of (A | -I)."""
         n = self.nrows
         if n != self.ncols:
             raise DomainError("inverse of a non-square matrix")
-        aug = [
-            self.rows[i] + [self.one if i == j else self.zero for j in range(n)]
-            for i in range(n)
-        ]
-        red, pivots = Matrix(aug, 2 * n, self.zero, self.one).rref()
-        if pivots != list(range(n)):
+        zero, one = self.zero, self.one
+        rows = [row + [-one if i == j else zero for j in range(n)] for i, row in enumerate(self.rows)]
+        ops = self._ops()
+        pivots = _echelon(rows, *ops)
+        if any(c >= n for c, _ in pivots):
             raise DomainError("matrix is singular")
-        return Matrix([r[n:] for r in red.rows], n, self.zero, self.one)
+        cols = _kernel(pivots, 2 * n, zero, one, *ops)
+        return Matrix([v[:n] for v in cols], n, zero, one).transpose()
 
     def det(self):
         n = self.nrows
         if n != self.ncols:
             raise DomainError("determinant of a non-square matrix")
-        m = [row[:] for row in self.rows]
-        det = self.one
-        for c in range(n):
-            pivot = next((i for i in range(c, n) if m[i][c]), None)
-            if pivot is None:
-                return self.zero
-            if pivot != c:
-                m[c], m[pivot] = m[pivot], m[c]
-                det = self.zero - det
-            det = det * m[c][c]
-            inv = self.one / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c]:
-                    f = inv * m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+        pivots = _echelon(self.rows, *self._ops())
+        if len(pivots) < n:
+            return self.zero
+        # the rows are taken last to first, so det = (-1)^(n(n-1)/2) sign(k -> c_k)
+        # prod p_k[c_k]; that sign is the parity of the pairs j < k with c_j < c_k
+        cols = [c for c, _ in pivots]
+        flips = sum(a < b for j, a in enumerate(cols) for b in cols[j + 1:])
+        det = -self.one if flips % 2 else self.one
+        for c, p in pivots:
+            det = det * p[c]
         return det
 
     def row_space_equals(self, other):
@@ -202,12 +185,11 @@ def matmul_i(field, a, b):
     return [[dot_i(field, r, c) for c in cols] for r in a]
 
 
-def _echelon_i(field, rows):
-    """Gaussian elimination over a FiniteField on rows of element indices: the
-    pivot rows (c, p) in the order chosen, c being the first nonzero column of
-    p; column c is cleared from every row chosen after p, and zero rows are
-    dropped."""
-    add, mul, neg, inv = field.add_i, field.mul_i, field.neg_i, field.inv_i
+def _echelon(rows, add, mul, neg, inv):
+    """Gaussian elimination over a field with the given operations: the pivot
+    rows (c, p) in the order chosen, last row first, c being the first nonzero
+    column of p; column c is cleared from every row chosen after p, and zero
+    rows are dropped. Scalars are falsy exactly when zero."""
     rows = [r for r in rows if any(r)]
     pivots = []
     while rows:
@@ -229,28 +211,43 @@ def _echelon_i(field, rows):
     return pivots
 
 
+def _back_substitute(pivots, v, add, mul, neg, inv):
+    """Complete v, given at the free columns and zero at the pivot columns,
+    in place to the vector every pivot row annihilates; returns v."""
+    # a pivot row is zero at the pivot columns chosen before it
+    for c, p in reversed(pivots):
+        acc = v[c]  # still zero
+        for x, y in zip(p, v):
+            if x and y:
+                acc = add(acc, mul(x, y))
+        v[c] = mul(neg(acc), inv(p[c]))
+    return v
+
+
+def _kernel(pivots, ncols, zero, one, add, mul, neg, inv):
+    """Basis of the right kernel from the pivot rows: one vector per free
+    column, in increasing order, with 1 there and 0 at the other free columns."""
+    bound = {c for c, _ in pivots}
+    return [
+        _back_substitute(pivots, [one if j == free else zero for j in range(ncols)], add, mul, neg, inv)
+        for free in range(ncols)
+        if free not in bound
+    ]
+
+
+def _index_ops(field):
+    return field.add_i, field.mul_i, field.neg_i, field.inv_i
+
+
 def rank_i(field, rows):
     """Rank over a FiniteField of the matrix whose rows are lists of element
     indices."""
-    return len(_echelon_i(field, rows))
+    return len(_echelon(rows, *_index_ops(field)))
 
 
 def kernel_i(field, rows, ncols):
     """Index basis of the right kernel {v : A v = 0} over a FiniteField of the
-    matrix with ncols columns whose rows are lists of element indices: one
-    vector per free column, in increasing order, with 1 there and 0 at the
-    other free columns, solved back through the pivot rows."""
-    mul, neg, inv = field.mul_i, field.neg_i, field.inv_i
-    pivots = _echelon_i(field, rows)
-    bound = {c for c, _ in pivots}
-    basis = []
-    for free in range(ncols):
-        if free in bound:
-            continue
-        v = [0] * ncols
-        v[free] = 1
-        # a pivot row is zero at the pivot columns chosen before it
-        for c, p in reversed(pivots):
-            v[c] = mul(neg(dot_i(field, p, v)), inv(p[c]))
-        basis.append(v)
-    return basis
+    matrix with ncols columns whose rows are lists of element indices, in the
+    form `_kernel` gives."""
+    ops = _index_ops(field)
+    return _kernel(_echelon(rows, *ops), ncols, 0, 1, *ops)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .errors import DomainError, GuardError, verify
 from .gf import (Automorphism, FieldElement, FiniteField, InnerDerivation, element_str, literal_int,
                  parse_element, split_factors, split_terms)
-from .linalg import Matrix, dot_i
+from .linalg import Matrix, dot_i, kernel_i
 
 
 MAX_DEGREE = 1 << 16
@@ -67,13 +67,10 @@ class OreRing:
     def parse(self, text: str, var: str = "x") -> "SkewPoly":
         return parse_poly(self, text, var)
 
-    def all_polys(self, degree: int, monic: bool = True):
-        """Iterate polynomials of exactly the given degree in coefficient-lex order."""
-        size = self.field.size
-        lead = [1] if monic else range(1, size)
-        for tail in itertools.product(range(size), repeat=degree):
-            for lc in lead:
-                yield _from_idx(self, [*tail, lc])
+    def all_polys(self, degree: int):
+        """Iterate monic polynomials of exactly the given degree in coefficient-lex order."""
+        for tail in itertools.product(range(self.field.size), repeat=degree):
+            yield _from_idx(self, [*tail, 1])
 
     def __eq__(self, other):
         return (
@@ -532,25 +529,14 @@ def residue_rows_i(g: SkewPoly, f: SkewPoly):
 
 
 def annihilator_poly(a: SkewPoly, f: SkewPoly) -> SkewPoly:
-    """Monic generator f_a of {h : h*a in A*f}, by linear algebra on h*a mod f."""
+    """Monic generator f_a of {h : h*a in A*f}: sum h_i (x^i a mod f) = 0.
+    Of the deg f + 1 rows x^i a mod f, the first one that depends on the rows
+    before it is row deg f_a, so f_a is the first kernel vector (1 there and 0
+    after it)."""
     if not f.is_monic or f.degree < 1:
         raise DomainError("annihilator requires a monic modulus of degree >= 1")
-    ring = a.ring
-    field = ring.field
-    rows = residue_rows_i(a, f)
-    basis = [next(rows)]  # x^i * a mod f, i = 0 .. D-1
-    if not any(basis[0]):
-        return ring.one
-    sol = None
-    for row in itertools.islice(rows, ring.s * f.degree * field.k + 1):
-        # monic h of degree D = len(basis): x^D a + sum_{i<D} h_i x^i a = 0 mod f
-        target = [FieldElement(field, field.neg_i(v)) for v in row]
-        sol = Matrix.from_indices(field, basis, f.degree).transpose().solve(target)
-        if sol is not None:
-            break
-        basis.append(row)
-    verify(sol is not None, "an annihilator of degree <= s*k*deg f exists")
-    return ring.poly(list(sol) + [field.one])
+    rows = list(itertools.islice(residue_rows_i(a, f), f.degree + 1))
+    return _from_idx(a.ring, kernel_i(a.ring.field, list(zip(*rows)), len(rows))[0])
 
 
 def bound_polynomial(f: SkewPoly) -> SkewPoly:

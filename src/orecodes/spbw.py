@@ -283,6 +283,8 @@ class PBWPoly:
         return self.__rmul__(c)
 
     def __pow__(self, m: int):
+        if m < 0:
+            raise DomainError("negative power of a polynomial")
         out = self.pres.one
         for _ in range(m):
             out = out * self

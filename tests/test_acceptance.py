@@ -231,7 +231,7 @@ def _central_monic(ring, degree):
 def test_criterion_06():
     ring = R(2, 2)
     for d in (1, 2, 3):
-        for f in ring.all_polys(d, monic=True):
+        for f in ring.all_polys(d):
             fstar = bound_polynomial(f)
             assert two_sided_test(fstar).is_two_sided
             assert f.right_divides(fstar)

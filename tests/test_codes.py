@@ -234,7 +234,7 @@ def test_idempotent_generator_minimality_brute(R4):
     g = idempotent_to_generator(R4, e, 2)
     code = SkewCyclicCode(R4, f, g).to_linear()
     for d in range(g.degree):
-        for cand in R4.all_polys(d, monic=True):
+        for cand in R4.all_polys(d):
             cand_code_rows = []
             cur = cand.right_divmod(f)[1]
             for i in range(2):

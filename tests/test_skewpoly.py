@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orecodes.errors import DomainError, GuardError
-from orecodes.gf import GF
+from orecodes.gf import GF, FieldElement
+from orecodes.linalg import Matrix
 from orecodes.skewpoly import (
     OreRing,
     annihilator_poly,
@@ -26,6 +27,7 @@ from orecodes.skewpoly import (
     parse_poly,
     poly_str,
     remove_derivation,
+    residue_rows_i,
     right_eval,
     similarity_test,
     two_sided_test,
@@ -307,7 +309,7 @@ def test_two_sided_examples(R4):
 
 def test_two_sided_agrees_with_direct_check(R4):
     # Ag = gA checked directly: x*g in gA and z*g in gA for all z
-    for g in R4.all_polys(2, monic=True):
+    for g in R4.all_polys(2):
         decided = two_sided_test(g).is_two_sided
         direct = all(
             not (p * g).left_divmod(g)[1]
@@ -341,6 +343,39 @@ def test_annihilator_derived_example(R4):
             assert (R4.poly([c]) * R4.parse("x+1")).right_divmod(f)[1]
 
 
+def grow_and_solve_annihilator(a, f):
+    """Reference: grow the rows x^i * a mod f until x^D * a mod f is a
+    combination of the rows below it, solving one system per degree D."""
+    ring, field = a.ring, a.ring.field
+    rows = residue_rows_i(a, f)
+    basis = [next(rows)]
+    if not any(basis[0]):
+        return ring.one
+    for row in itertools.islice(rows, ring.s * f.degree * field.k + 1):
+        target = [FieldElement(field, field.neg_i(v)) for v in row]
+        sol = Matrix.from_indices(field, basis, f.degree).transpose().solve(target)
+        if sol is not None:
+            return ring.poly(list(sol) + [field.one])
+        basis.append(row)
+    raise AssertionError("no annihilator of degree <= s*k*deg f")
+
+
+@pytest.mark.parametrize("q,k,l,delta", [(2, 2, 1, False), (2, 3, 1, False), (3, 2, 1, False), (2, 4, 2, False), (2, 3, 1, True)])
+def test_annihilator_matches_grow_and_solve_and_is_minimal(q, k, l, delta):
+    F = GF(q, k)
+    ring = OreRing(F, l, F.gen if delta else None)
+    rng = random.Random(q ** k + l)
+    for _ in range(40):
+        f = ring.poly([F.element(rng.randrange(F.size)) for _ in range(rng.randrange(1, 4))] + [F.one])
+        a = rand_poly(rng, ring, 5)
+        fa = annihilator_poly(a, f)
+        assert fa == grow_and_solve_annihilator(a, f)
+        assert fa.is_monic and not (fa * a).right_divmod(f)[1]
+        # no monic polynomial of lower degree annihilates a mod f
+        for d in range(fa.degree):
+            assert all((h * a).right_divmod(f)[1] for h in ring.all_polys(d))
+
+
 def test_bound_polynomial_examples(R4):
     assert bound_polynomial(R4.parse("x^2+1")) == R4.parse("x^2+1")  # two-sided fixpoint
     assert bound_polynomial(R4.parse("x+1")) == R4.parse("x^2+1")
@@ -349,7 +384,7 @@ def test_bound_polynomial_examples(R4):
 
 
 def test_bound_polynomial_is_minimal_two_sided_multiple(R4):
-    for f in R4.all_polys(2, monic=True):
+    for f in R4.all_polys(2):
         fstar = bound_polynomial(f)
         assert two_sided_test(fstar).is_two_sided
         assert f.right_divides(fstar)

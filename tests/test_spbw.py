@@ -579,3 +579,14 @@ def test_deep_products_and_division_steps_are_refused_not_recursion_errors():
     with pytest.raises(GuardError, match=r"degree 1001 exceeds the cap 512"):
         divide(A.monomial((1000, 1)), [A.monomial((1000, 0))])
     assert (A.var(0) * A.monomial((0, 1000))).lm() == (1, 1000)  # no swap, no recursion
+
+
+@pytest.mark.parametrize("name", ["qplane4", "witten"])
+def test_negative_powers_are_refused_like_skew_polynomials(name):
+    A = load_presentation(os.path.join(os.path.dirname(__file__), "..", "presentations", f"{name}.json"))
+    x = A.var(0)
+    assert x ** 0 == A.one and x ** 2 == x * x
+    with pytest.raises(DomainError, match="negative power of a polynomial"):
+        x ** -1
+    with pytest.raises(DomainError, match="negative power of a polynomial"):
+        A.one ** -2
