@@ -4,18 +4,16 @@ minimum distances and MDS/MRD certification."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, GuardError, verify
 from .gf import fixed_field_coordinates
 from .linalg import Matrix, dot_i, rank_i
-from .skewpoly import OreRing
+from .skewpoly import MAX_SEARCH, OreRing
 from .algset import vandermonde, wronskian
 from .codes import LinearCode
 
 MAX_MESSAGES = 1 << 20
-# _gabidulin_check enumerates the Y matrices only when there are at most this many
-MAX_GABIDULIN_SPACE = 1 << 16
 
 
 def remainder_code(ring: OreRing, points, k: int) -> LinearCode:
@@ -100,8 +98,7 @@ def min_distance(code: LinearCode, metric: str, ring: OreRing | None = None) -> 
 
 # -- certification ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     kind: str  # "MDS" or "MRD"
     holds: bool
     distance: int
@@ -145,16 +142,15 @@ def _mds_column_check(code: LinearCode) -> bool:
 
 def _gabidulin_check(code: LinearCode, ring: OreRing):
     """MRD iff rank(Y H^T) = r - k for every (r-k) x r matrix Y over F^sigma
-    of rank r - k; enumerated only when the Y-space is small. The rank depends
-    only on the row space of Y, so Y runs over the reduced row-echelon forms,
-    one per (r-k)-dimensional subspace of (F^sigma)^r."""
-    if code.dim > 4:
-        return None
+    of rank r - k; enumerated only when the Y-space holds at most MAX_SEARCH
+    matrices, None otherwise. The rank depends only on the row space of Y, so
+    Y runs over the reduced row-echelon forms, one per (r-k)-dimensional
+    subspace of (F^sigma)^r."""
     sub = [z.idx for z in ring.sigma.fixed_subfield()]
     n, m = code.n, code.n - code.dim
     if m == 0:
         return True
-    if len(sub) ** (m * n) > MAX_GABIDULIN_SPACE:
+    if len(sub) ** (m * n) > MAX_SEARCH:
         return None
     F = code.field
     H = _index_rows(code.parity_check())

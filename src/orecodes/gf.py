@@ -474,18 +474,6 @@ class InnerDerivation:
     def __call__(self, z: FieldElement) -> FieldElement:
         return self.w * (self.sigma(z) - z)
 
-    def __eq__(self, other):
-        if not isinstance(other, InnerDerivation):
-            return NotImplemented
-        if self.sigma != other.sigma:
-            return False
-        if self.is_zero and other.is_zero:
-            return True
-        return self.w == other.w
-
-    def __hash__(self):
-        return hash((self.sigma, self.sigma.field.zero.idx if self.is_zero else self.w.idx))
-
     def __repr__(self):
         return f"delta[w={self.w!r}]"
 

@@ -31,6 +31,16 @@ def degree_capped(degree: int, what: str) -> int:
     return degree
 
 
+MAX_SEARCH = 1 << 16
+
+
+def search_capped(size: int, what: str) -> None:
+    """Refuse a brute-force search over more than MAX_SEARCH candidates
+    before it starts."""
+    if size > MAX_SEARCH:
+        raise GuardError(f"{what} = {size} exceeds the cap {MAX_SEARCH}")
+
+
 class OreRing:
     """F[x; phi^l, delta_w] with delta_w(z) = w*(sigma(z) - z)."""
 
@@ -68,16 +78,20 @@ class OreRing:
         return parse_poly(self, text, var)
 
     def all_polys(self, degree: int):
-        """Iterate monic polynomials of exactly the given degree in coefficient-lex order."""
-        for tail in itertools.product(range(self.field.size), repeat=degree):
+        """Iterate monic polynomials of exactly the given degree in
+        coefficient-lex order; more than MAX_SEARCH of them are refused."""
+        q = self.field.size
+        search_capped(q ** degree, f"monic search space |F|^d = {q}^{degree}")
+        for tail in itertools.product(range(q), repeat=degree):
             yield _from_idx(self, [*tail, 1])
 
     def __eq__(self, other):
+        # the key of __hash__: _w is 0 exactly when delta is zero
         return (
             isinstance(other, OreRing)
             and self.field is other.field
-            and self.sigma == other.sigma
-            and self.delta == other.delta
+            and self.sigma.l == other.sigma.l
+            and self._w == other._w
         )
 
     def __hash__(self):
@@ -597,11 +611,7 @@ def similarity_test(g: SkewPoly, h: SkewPoly):
         from .linalg import identity
 
         return True, identity(m, field.zero, field.one)
-    if field.size ** m > MAX_SEARCH:
-        raise GuardError(
-            f"similarity search space |F|^m = {field.size}^{m} = {field.size ** m} "
-            f"exceeds the cap {MAX_SEARCH}"
-        )
+    search_capped(field.size ** m, f"similarity search space |F|^m = {field.size}^{m}")
     for tail in itertools.product(range(field.size), repeat=m):
         p = _from_idx(ring, list(tail))
         if not p:
@@ -618,17 +628,16 @@ def similarity_test(g: SkewPoly, h: SkewPoly):
     return False, None
 
 
-MAX_SEARCH = 1 << 16
-
-
 # -- factorization ------------------------------------------------------------
 
+# each candidate costs a right division of g, which the search cap does not count
 FACTOR_MAX_DEGREE = 6
-FACTOR_MAX_FIELD = 64
 
 
 def _min_right_divisor(g: SkewPoly):
     """Lex-least monic right divisor of minimal degree 1..deg-1, or None."""
+    if g.degree > FACTOR_MAX_DEGREE:
+        raise GuardError(f"factorization guard: degree {g.degree} exceeds the cap {FACTOR_MAX_DEGREE}")
     ring = g.ring
     for dd in range(1, g.degree):
         for d in ring.all_polys(dd):
@@ -650,12 +659,6 @@ def factor_irreducible(g: SkewPoly):
         raise DomainError("cannot factor the zero polynomial")
     if g.degree == 0:
         raise DomainError("cannot factor a unit")
-    size = g.ring.field.size
-    if g.degree > FACTOR_MAX_DEGREE or size > FACTOR_MAX_FIELD:
-        raise GuardError(
-            f"factorization guard: degree {g.degree} (cap {FACTOR_MAX_DEGREE}), "
-            f"|F| = {size} (cap {FACTOR_MAX_FIELD})"
-        )
     unit = g.lc()
     cur = g.monic()
     factors: list[SkewPoly] = []

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, GuardError, verify
 from .gf import literal_int, split_factors, split_terms
@@ -321,8 +321,7 @@ def _mono_divides(alpha, beta) -> bool:
     return all(a <= b for a, b in zip(alpha, beta))
 
 
-@dataclass
-class DivisionResult:
+class DivisionResult(NamedTuple):
     quotients: list
     remainder: PBWPoly
 
@@ -389,8 +388,7 @@ MAX_GROEBNER_PAIRS = 4096
 MAX_CLOSURE_ROUNDS = 32
 
 
-@dataclass
-class GroebnerResult:
+class GroebnerResult(NamedTuple):
     basis: list
     complete: bool
     cap: str  # the cap completion stopped at, e.g. "max_pairs 4096"; "" when complete

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, GuardError, verify
 from .gf import Automorphism, FieldElement, fixed_field_coordinates
@@ -176,8 +176,7 @@ def _ideal_basis(pres: PBWPresentation, points, degree: int):
 
 # -- normality -------------------------------------------------------------------
 
-@dataclass
-class NormalityWitness:
+class NormalityWitness(NamedTuple):
     is_normal: bool
     left_movers: list | None = None  # u_i with x_i f = f u_i
     right_movers: list | None = None  # v_i with f x_i = v_i f

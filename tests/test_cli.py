@@ -195,7 +195,7 @@ def test_guard_error_json_reports_size_and_cap(capsys):
     )
     assert code == 4
     assert json.loads(out) == {
-        "error": {"code": 4, "message": "factorization guard: degree 7 (cap 6), |F| = 4 (cap 64)"}
+        "error": {"code": 4, "message": "factorization guard: degree 7 exceeds the cap 6"}
     }
 
 
@@ -303,6 +303,21 @@ def test_spbwsets_negative_or_oversized_inputs_are_refused_at_once(capsys, op, f
     assert json.loads(out) == {"error": {"code": code, "message": message}}
 
 
+@pytest.mark.parametrize("argv, size", [
+    # the complement divisor of x+1 has degree 7
+    (["codes", "build", "--field", "GF(256)", "--sigma", "1", "--modulus", "x^8-1", "--divisor", "x+1",
+      "--emit", "dual"], "256^7 = 72057594037927936"),
+    # an irreducible quartic: no divisor of degree 1 or 2, so the search reaches degree 3
+    (["poly", "factor", "--field", "GF(64)", "--sigma", "1", "--g", "x^4+w^18*x^3+w^28*x^2+w^18*x+w^49"],
+     "64^3 = 262144"),
+])
+def test_monic_search_past_the_cap_exits_4_quickly(capsys, argv, size):
+    code, out, _ = run_within(capsys, argv + ["--format", "json"])
+    assert code == 4
+    assert json.loads(out) == {"error": {"code": 4, "message": (
+        f"monic search space |F|^d = {size} exceeds the cap 65536")}}
+
+
 def test_spbwsets_center_at_the_degree_cap_runs(capsys):
     argv = ["spbwsets", "center", "--presentation", os.path.join(PRES, "qplane9.json"), "--degree", "32"]
     code, out, _ = run(capsys, argv)
@@ -359,6 +374,17 @@ def test_spbw_mul_over_q_and_qi_imports_no_fractions(name):
                              "--a", "(1/2+3)*x", "--b", "y"])
     assert "orecodes.scalars" in loaded
     assert not loaded & {"fractions", "decimal"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["evalcodes", "certify", "--kind", "MDS", "--field", "GF(8)", "--sigma", "1", "--support", "1,g,g^2", "--k", "2"],
+    ["spbw", "divide", "--presentation", os.path.join(PRES, "witten.json"), "--f", "x^2*y+x*z+y*z",
+     "--by", "x-1,y+2,z+3"],
+    ["spbwsets", "roots", "--presentation", os.path.join(PRES, "qplane9.json"), "--f", "x*y", "--point", "0,0"],
+])
+def test_result_records_import_no_dataclasses(argv):
+    bare = set(json.loads(_child_stdout("import json, sys\nprint(json.dumps(sorted(sys.modules)))")))
+    assert not (_modules_after(argv) - bare) & {"dataclasses", "inspect"}
 
 
 def test_package_names_resolve_on_first_use():

@@ -4,6 +4,7 @@ over non-prime fixed fields, minimum distances and the Gabidulin criterion,
 and Z_q coordinates in odd characteristic and over non-canonical bases."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -254,6 +255,19 @@ def test_gabidulin_check_ranks_one_y_per_row_space(monkeypatch, k, spaces):
     monkeypatch.setattr(evalcodes, "rank_i", lambda F, rows: calls.append(1) or rank_i(F, rows))
     assert evalcodes._gabidulin_check(code, ring) is True
     assert len(calls) == spaces
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gabidulin_check_runs_at_dimension_five(seed):
+    """A 5 x 6 code over GF(8) with sigma = phi has a Y-space of 2^6 matrices,
+    well inside MAX_SEARCH, so the criterion runs and agrees with d_rank."""
+    ring = OreRing(GF(2, 3), 1)
+    F, rng = ring.field, random.Random(seed)
+    G = Matrix.from_indices(F, [], 6)
+    while G.rank() < 5:
+        G = Matrix.from_indices(F, [[rng.randrange(F.size) for _ in range(6)] for _ in range(5)], 6)
+    code = LinearCode(F, G)
+    assert evalcodes._gabidulin_check(code, ring) is (evalcodes.min_distance(code, "rank", ring) == 2)
 
 
 # -- Z_q coordinates ---------------------------------------------------------------

@@ -541,11 +541,25 @@ def test_ring_mismatch_raises():
 # -- guards -----------------------------------------------------------------------------
 
 def test_factor_guard_reports_size_and_cap(R4):
-    with pytest.raises(GuardError, match=r"degree 7 \(cap 6\), \|F\| = 4 \(cap 64\)"):
+    with pytest.raises(GuardError, match=r"factorization guard: degree 7 exceeds the cap 6"):
         factor_irreducible(R4.parse("x^7+x"))
-    big = OreRing(GF(2, 7), 1)
-    with pytest.raises(GuardError, match=r"degree 2 \(cap 6\), \|F\| = 128 \(cap 64\)"):
-        factor_irreducible(big.parse("x^2+1"))
+    # irreducible, so the search reaches degree 3: 64^3 monic candidates
+    quartic = OreRing(GF(2, 6), 1).parse("x^4+w^18*x^3+w^28*x^2+w^18*x+w^49")
+    with pytest.raises(GuardError, match=r"\|F\|\^d = 64\^3 = 262144 exceeds the cap 65536"):
+        factor_irreducible(quartic)
+
+
+def test_all_polys_refuses_before_yielding():
+    candidates = OreRing(GF(2, 8), 1).all_polys(3)
+    with pytest.raises(GuardError, match=r"\|F\|\^d = 256\^3 = 16777216 exceeds the cap 65536"):
+        next(candidates)
+
+
+def test_factor_over_a_large_field_with_a_small_search():
+    g = OreRing(GF(2, 7), 1).parse("x^2+1")
+    factors = factor_irreducible(g)
+    assert [str(p) for p in factors] == ["x+1", "x+1"]
+    assert factors[0] * factors[1] == g
 
 
 def test_similarity_guard_reports_size_and_cap():
