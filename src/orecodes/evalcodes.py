@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .errors import DomainError, GuardError, verify
+from .errors import DomainError, capped, verify
 from .gf import fixed_field_coordinates
 from .linalg import Matrix, dot_i, rank_i
 from .skewpoly import MAX_SEARCH, OreRing
@@ -71,9 +71,7 @@ def min_distance(code: LinearCode, metric: str, ring: OreRing | None = None) -> 
     q^j .. 2q^j - 1 of words() hold exactly one, (q^k - 1)/(q - 1) in all."""
     if code.dim == 0:
         raise DomainError("minimum distance of the zero code is undefined")
-    messages = code.field.size ** code.dim
-    if messages > MAX_MESSAGES:
-        raise GuardError(f"message space q^k = {messages} exceeds the cap {MAX_MESSAGES}")
+    capped(code.field.size ** code.dim, MAX_MESSAGES, "message space q^k =")
     if metric == "hamming":
         weigh = hamming_weight
     elif metric == "rank":

@@ -13,7 +13,7 @@ import itertools
 import random
 
 from .algset import wronskian
-from .errors import DomainError, GuardError
+from .errors import DomainError, capped
 from .gf import FieldElement, FiniteField, subfield_coordinates
 from .linalg import Matrix, dot_i, identity, matmul_i, rank_i
 from .skewpoly import OreRing, SkewPoly, _mul_i, operator_eval, operator_powers_i
@@ -187,8 +187,7 @@ def matrix_algebra_check(field: FiniteField) -> dict:
     additive, multiplicative (on all pairs at tiny sizes, sampled otherwise),
     injective and surjective by Z_q-rank, and sending 1 to the identity.
     Cosets are index lists of length k."""
-    if field.size > MAX_ALGEBRA_FIELD:
-        raise GuardError(f"matrix algebra check: |F| = {field.size} (cap {MAX_ALGEBRA_FIELD})")
+    capped(field.size, MAX_ALGEBRA_FIELD, "matrix algebra check: |F| =")
     k = field.k
     ring = OreRing(field, 1)
     X = canonical_basis(field)

@@ -14,31 +14,17 @@ import itertools
 import re
 from typing import NamedTuple
 
-from .errors import DomainError, GuardError, verify
+from .errors import DomainError, capped, verify
 from .gf import (Automorphism, FieldElement, FiniteField, InnerDerivation, element_str, literal_int,
                  parse_element, split_factors, split_terms)
 from .linalg import Matrix, dot_i, kernel_i
 
 
+# a dense polynomial holds degree + 1 coefficients, so a larger degree is
+# refused before it is allocated
 MAX_DEGREE = 1 << 16
-
-
-def degree_capped(degree: int, what: str) -> int:
-    """degree, if at most MAX_DEGREE: a dense polynomial holds degree + 1
-    coefficients, so a larger one is refused before it is allocated."""
-    if degree > MAX_DEGREE:
-        raise GuardError(f"{what} of degree {degree} exceeds the cap {MAX_DEGREE}")
-    return degree
-
-
+# a brute-force search over more candidates is refused before it starts
 MAX_SEARCH = 1 << 16
-
-
-def search_capped(size: int, what: str) -> None:
-    """Refuse a brute-force search over more than MAX_SEARCH candidates
-    before it starts."""
-    if size > MAX_SEARCH:
-        raise GuardError(f"{what} = {size} exceeds the cap {MAX_SEARCH}")
 
 
 class OreRing:
@@ -68,7 +54,8 @@ class OreRing:
         return SkewPoly(self, coeffs)
 
     def monomial(self, degree: int, coeff=1) -> "SkewPoly":
-        return _from_idx(self, [0] * degree_capped(degree, "monomial") + [field_index(self.field, coeff)])
+        degree = capped(degree, MAX_DEGREE, "monomial of degree")
+        return _from_idx(self, [0] * degree + [field_index(self.field, coeff)])
 
     def linear(self, z: FieldElement) -> "SkewPoly":
         """The polynomial x - z."""
@@ -81,7 +68,7 @@ class OreRing:
         """Iterate monic polynomials of exactly the given degree in
         coefficient-lex order; more than MAX_SEARCH of them are refused."""
         q = self.field.size
-        search_capped(q ** degree, f"monic search space |F|^d = {q}^{degree}")
+        capped(q ** degree, MAX_SEARCH, f"monic search space |F|^d = {q}^{degree} =")
         for tail in itertools.product(range(q), repeat=degree):
             yield _from_idx(self, [*tail, 1])
 
@@ -280,9 +267,8 @@ def _x_power_rows(ring: OreRing, d, count: int) -> list:
     on e mod s; otherwise each row is x times the previous one, and the rows
     hold count*len(d) + count*(count-1)/2 coefficients, which is capped."""
     if ring._w:
-        size = count * len(d) + count * (count - 1) // 2
-        if size > MAX_DELTA_ROWS:
-            raise GuardError(f"x^e*d rows in a ring with delta: {size} coefficients exceed the cap {MAX_DELTA_ROWS}")
+        capped(count * len(d) + count * (count - 1) // 2, MAX_DELTA_ROWS,
+               "x^e*d rows in a ring with delta: coefficient count")
         rows = [list(d)]
         for _ in range(count - 1):
             rows.append(_x_times_i(ring, rows[-1]))
@@ -611,7 +597,7 @@ def similarity_test(g: SkewPoly, h: SkewPoly):
         from .linalg import identity
 
         return True, identity(m, field.zero, field.one)
-    search_capped(field.size ** m, f"similarity search space |F|^m = {field.size}^{m}")
+    capped(field.size ** m, MAX_SEARCH, f"similarity search space |F|^m = {field.size}^{m} =")
     for tail in itertools.product(range(field.size), repeat=m):
         p = _from_idx(ring, list(tail))
         if not p:
@@ -636,8 +622,7 @@ FACTOR_MAX_DEGREE = 6
 
 def _min_right_divisor(g: SkewPoly):
     """Lex-least monic right divisor of minimal degree 1..deg-1, or None."""
-    if g.degree > FACTOR_MAX_DEGREE:
-        raise GuardError(f"factorization guard: degree {g.degree} exceeds the cap {FACTOR_MAX_DEGREE}")
+    capped(g.degree, FACTOR_MAX_DEGREE, "factorization guard: degree")
     ring = g.ring
     for dd in range(1, g.degree):
         for d in ring.all_polys(dd):
@@ -737,7 +722,7 @@ def parse_poly(ring: OreRing, text: str, var: str = "x") -> SkewPoly:
             m = power.fullmatch(factor)
             if m:
                 e = literal_int(m.group(1) or "1", "polynomial")
-                degree = degree_capped(degree + e, "polynomial term")
+                degree = capped(degree + e, MAX_DEGREE, "polynomial term of degree")
                 prod = prod * ring.monomial(e)
             else:
                 prod = prod * ring.poly([parse_element(ring.field, factor)])

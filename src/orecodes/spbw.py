@@ -27,7 +27,7 @@ import json
 import re
 from typing import NamedTuple
 
-from .errors import DomainError, GuardError, verify
+from .errors import DomainError, GuardError, capped, verify
 from .gf import literal_int, split_factors, split_terms
 from .scalars import domain_by_name
 
@@ -183,9 +183,7 @@ class PBWPresentation:
             gamma = tuple(e + 1 if v == i else e for v, e in enumerate(beta))
             result = {gamma: self.domain.one}
         else:
-            degree = sum(beta) + 1
-            if degree > MAX_REWRITE_DEGREE:
-                raise GuardError(f"rewriting a monomial of degree {degree} exceeds the cap {MAX_REWRITE_DEGREE}")
+            capped(sum(beta) + 1, MAX_REWRITE_DEGREE, "rewriting a monomial of degree")
             j = first  # j < i: swap x_i past x_j using the (j, i) relation
             beta2 = tuple(e - 1 if v == j else e for v, e in enumerate(beta))
             c, a, d = self._rel(j, i)
@@ -541,9 +539,7 @@ def parse_pbw(pres: PBWPresentation, text: str) -> PBWPoly:
             m = power.fullmatch(factor)
             if m:
                 e = literal_int(m.group(2) or "1", "polynomial")
-                degree += e
-                if degree > MAX_TERM_DEGREE:
-                    raise GuardError(f"polynomial term of degree {degree} exceeds the cap {MAX_TERM_DEGREE}")
+                degree = capped(degree + e, MAX_TERM_DEGREE, "polynomial term of degree")
                 prod = prod * pres.var(pres.names.index(m.group(1))) ** e
             else:
                 prod = prod * pres.constant(pres.domain.parse(factor))

@@ -18,7 +18,7 @@ import itertools
 import random
 from typing import NamedTuple
 
-from .errors import DomainError, GuardError, verify
+from .errors import DomainError, capped, verify
 from .gf import Automorphism, FieldElement, fixed_field_coordinates
 from .linalg import Matrix
 from .spbw import (
@@ -247,8 +247,7 @@ def center_basis(pres: PBWPresentation, degree: int):
     need not be a combination of central monomials."""
     if degree < 0:
         raise DomainError(f"center degree {degree} is negative")
-    if degree > MAX_CENTER_DEGREE:
-        raise GuardError(f"center degree {degree} exceeds the cap {MAX_CENTER_DEGREE}")
+    capped(degree, MAX_CENTER_DEGREE, "center degree")
     out = []
     tests = pres.gens + [pres.constant(r) for r in pres.twisting_scalars]
     for alpha in standard_monomials(pres, degree):
@@ -261,13 +260,12 @@ def center_basis(pres: PBWPresentation, degree: int):
 # -- Nullstellensatz consequences ----------------------------------------------------
 
 POWER_BOUND = 4
-# on qplane9 with I = <x^2-1, y> a fresh CLI process takes 0.13 / 0.22 / 0.26 s
-# at degree 4 / 8 / 10 with 50 samples (best of 8, 2-core Xeon host)
-MAX_NULLSTELLENSATZ_DEGREE = 10
-# there it takes 0.35 / 0.61 s for 500 / 800 samples at degree 4, but 2.6 s at
-# degree 10 with 800 samples: a sample costs more at a higher degree, so the
-# two caps are set together
-MAX_NULLSTELLENSATZ_SAMPLES = 800
+# on qplane9 with I = <x^2-1, y> a sample costs about 0.05 ms x max(degree, 1)^2
+# (0.06 / 0.84 / 4.8 / 16 ms at degree 1 / 4 / 10 / 16, in-process on a 2-core
+# Xeon host), while the central monomials alone are cheap (0.2 s at degree 32
+# with no samples), so the work samples x max(degree, 1)^2 is capped: 800
+# samples at degree 10 sit on the cap and take 3-4 s there
+MAX_NULLSTELLENSATZ_WORK = 80_000
 
 
 def nullstellensatz_check(gens, degree: int = 4, sample_budget: int = 50, seed: int = 0) -> dict:
@@ -277,16 +275,15 @@ def nullstellensatz_check(gens, degree: int = 4, sample_budget: int = 50, seed: 
         raise DomainError(f"Nullstellensatz degree {degree} is negative")
     if sample_budget < 0:
         raise DomainError(f"Nullstellensatz sample budget {sample_budget} is negative")
-    if degree > MAX_NULLSTELLENSATZ_DEGREE:
-        raise GuardError(f"Nullstellensatz degree {degree} exceeds the cap {MAX_NULLSTELLENSATZ_DEGREE}")
-    if sample_budget > MAX_NULLSTELLENSATZ_SAMPLES:
-        raise GuardError(f"Nullstellensatz sample budget {sample_budget} exceeds the cap {MAX_NULLSTELLENSATZ_SAMPLES}")
+    capped(sample_budget * max(degree, 1) ** 2, MAX_NULLSTELLENSATZ_WORK,
+           f"Nullstellensatz work {sample_budget} samples x max(degree {degree}, 1)^2 =")
     gens = [g for g in gens if g]
     if not gens:
         raise DomainError("need nonzero generators")
     pres = gens[0].pres
     if not pres.domain.is_finite:
         raise DomainError("the executable check needs a finite base field")
+    cmonos = center_basis(pres, degree)  # refuses a degree past its cap before the closure is built
     G2 = two_sided_closure(gens)
     variety, points = _variety(pres, gens, all_points(pres))
     report = {
@@ -304,7 +301,6 @@ def nullstellensatz_check(gens, degree: int = 4, sample_budget: int = 50, seed: 
     # trivial maps that is all of F.  I is two-sided, so f^m - r*f =
     # (f^(m-1) - r)*f lies in I for r = NF(f^(m-1)), and NF(f^m) = NF(r*f).
     rng = random.Random(seed)
-    cmonos = center_basis(pres, degree)
     candidates = list(cmonos)
     els = [
         b for b in pres.domain.elements()

@@ -234,7 +234,7 @@ def test_delta_ring_product_above_row_cap_is_refused_at_once(capsys):
     code, out, _ = run_within(capsys, argv + ["--format", "json"])
     assert code == 4
     assert json.loads(out) == {"error": {"code": 4, "message": (
-        "x^e*d rows in a ring with delta: 600050001 coefficients exceed the cap 1048576")}}
+        "x^e*d rows in a ring with delta: coefficient count 600050001 exceeds the cap 1048576")}}
 
 
 @pytest.mark.parametrize("delta_w", ["", " "])
@@ -276,8 +276,11 @@ def test_pbw_term_above_degree_cap_is_refused_at_once(capsys, literal, degree):
 @pytest.mark.parametrize("op, gens, degree, message", [
     ("center", [], 33, "center degree 33 exceeds the cap 32"),
     ("center", [], 10 ** 9, "center degree 1000000000 exceeds the cap 32"),
-    ("nullstellensatz", ["--gens", "x^2-1,y"], 11, "Nullstellensatz degree 11 exceeds the cap 10"),
-    ("nullstellensatz", ["--gens", "x^2-1,y"], 10 ** 9, "Nullstellensatz degree 1000000000 exceeds the cap 10"),
+    ("nullstellensatz", ["--gens", "x^2-1,y", "--samples", "800"], 11,
+     "Nullstellensatz work 800 samples x max(degree 11, 1)^2 = 96800 exceeds the cap 80000"),
+    ("nullstellensatz", ["--gens", "x^2-1,y"], 10 ** 9,
+     f"Nullstellensatz work 50 samples x max(degree 1000000000, 1)^2 = {50 * 10 ** 18} exceeds the cap 80000"),
+    ("nullstellensatz", ["--gens", "x^2-1,y", "--samples", "0"], 33, "center degree 33 exceeds the cap 32"),
 ])
 def test_spbwsets_degree_above_cap_is_refused_at_once(capsys, op, gens, degree, message):
     argv = ["spbwsets", op, "--presentation", os.path.join(PRES, "qplane9.json"), *gens, "--degree", str(degree),
@@ -291,10 +294,14 @@ def test_spbwsets_degree_above_cap_is_refused_at_once(capsys, op, gens, degree, 
     ("center", ["--degree", "-3"], 3, "center degree -3 is negative"),
     ("nullstellensatz", ["--gens", "x^2-1,y", "--degree", "-2"], 3, "Nullstellensatz degree -2 is negative"),
     ("nullstellensatz", ["--gens", "x^2-1,y", "--samples", "-5"], 3, "Nullstellensatz sample budget -5 is negative"),
-    ("nullstellensatz", ["--gens", "x^2-1,y", "--samples", "801"], 4,
-     "Nullstellensatz sample budget 801 exceeds the cap 800"),
+    ("nullstellensatz", ["--gens", "x^2-1,y", "--degree", "10", "--samples", "801"], 4,
+     "Nullstellensatz work 801 samples x max(degree 10, 1)^2 = 80100 exceeds the cap 80000"),
     ("nullstellensatz", ["--gens", "x^2-1,y", "--samples", str(10 ** 9)], 4,
-     "Nullstellensatz sample budget 1000000000 exceeds the cap 800"),
+     "Nullstellensatz work 1000000000 samples x max(degree 4, 1)^2 = 16000000000 exceeds the cap 80000"),
+    ("nullstellensatz", ["--gens", "x^2-1,y", "--degree", "16", "--samples", "500"], 4,
+     "Nullstellensatz work 500 samples x max(degree 16, 1)^2 = 128000 exceeds the cap 80000"),
+    ("nullstellensatz", ["--gens", "x^2-1,y", "--degree", "0", "--samples", "80001"], 4,
+     "Nullstellensatz work 80001 samples x max(degree 0, 1)^2 = 80001 exceeds the cap 80000"),
 ])
 def test_spbwsets_negative_or_oversized_inputs_are_refused_at_once(capsys, op, flags, code, message):
     argv = ["spbwsets", op, "--presentation", os.path.join(PRES, "qplane9.json"), *flags, "--format", "json"]
@@ -316,6 +323,20 @@ def test_monic_search_past_the_cap_exits_4_quickly(capsys, argv, size):
     assert code == 4
     assert json.loads(out) == {"error": {"code": 4, "message": (
         f"monic search space |F|^d = {size} exceeds the cap 65536")}}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["evalcodes", "distance", "--field", "GF(256)", "--sigma", "1", "--support", "1,g,g^2", "--k", "3"],
+     "message space q^k = 16777216 exceeds the cap 1048576"),
+    (["linearized", "algebra-check", "--field", "GF(128)"], "matrix algebra check: |F| = 128 exceeds the cap 64"),
+    (["poly", "similar", "--field", "GF(32)", "--sigma", "1", "--g", "x^4+g*x+1", "--h", "x^4+g^3*x+1"],
+     "similarity search space |F|^m = 32^4 = 1048576 exceeds the cap 65536"),
+])
+def test_size_guard_past_its_cap_exits_4_quickly(capsys, argv, message):
+    """The guards no other test here reaches through the command line."""
+    code, out, _ = run_within(capsys, argv + ["--format", "json"])
+    assert code == 4
+    assert json.loads(out) == {"error": {"code": 4, "message": message}}
 
 
 def test_spbwsets_center_at_the_degree_cap_runs(capsys):

@@ -126,6 +126,9 @@ CALLS = [
     'codes build --field "GF(256)" --sigma 1 --modulus "x^8-1" --divisor "x+1" --emit dual',
     'poly factor --field "GF(64)" --sigma 1 --g "x^4+w^18*x^3+w^28*x^2+w^18*x+w^49"',
     'poly factor --field "GF(128)" --sigma 1 --g "x^2+1"',
+    # the Nullstellensatz work budget: a pair past it, and a pair past the old degree cap under it
+    'spbwsets nullstellensatz --presentation presentations/qplane9.json --gens "x^2-1,y" --degree 16 --samples 500',
+    'spbwsets nullstellensatz --presentation presentations/qplane4.json --gens "x^3-1,y" --degree 16 --seed 5',
 ]
 
 # usage and help cases, each run with COLUMNS=80 (argparse wraps to the terminal)

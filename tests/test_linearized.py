@@ -155,7 +155,7 @@ def test_matrix_algebra_q2_k3():
 
 
 def test_matrix_algebra_guard_reports_size_and_cap():
-    with pytest.raises(GuardError, match=r"\|F\| = 128 \(cap 64\)"):
+    with pytest.raises(GuardError, match=r"^matrix algebra check: \|F\| = 128 exceeds the cap 64$"):
         matrix_algebra_check(GF(2, 7))
 
 

@@ -23,7 +23,7 @@ from orecodes.spbw import (
     two_sided_closure,
 )
 from orecodes.spbwsets import (
-    MAX_NULLSTELLENSATZ_SAMPLES,
+    MAX_NULLSTELLENSATZ_WORK,
     POWER_BOUND,
     center_basis,
     ideal_of_points_membership,
@@ -289,10 +289,21 @@ def test_negative_degree_and_sample_budget_are_refused(QP9):
         nullstellensatz_check(gens, degree=-2)
     with pytest.raises(DomainError, match="Nullstellensatz sample budget -5 is negative"):
         nullstellensatz_check(gens, sample_budget=-5)
-    with pytest.raises(GuardError, match=f"sample budget {MAX_NULLSTELLENSATZ_SAMPLES + 1} exceeds the cap "
-                                         f"{MAX_NULLSTELLENSATZ_SAMPLES}"):
-        nullstellensatz_check(gens, sample_budget=MAX_NULLSTELLENSATZ_SAMPLES + 1)
+    over = MAX_NULLSTELLENSATZ_WORK + 1
+    with pytest.raises(GuardError, match=rf"work {over} samples x max\(degree 0, 1\)\^2 = {over} exceeds the cap "
+                                         rf"{MAX_NULLSTELLENSATZ_WORK}$"):
+        nullstellensatz_check(gens, degree=0, sample_budget=over)
     assert center_basis(QP9, 0) == [QP9.one]
+
+
+@pytest.mark.parametrize("degree, sample_budget", [
+    (10, 800),  # the largest pair the separate degree and sample caps admitted, on the budget
+    (16, 50),  # past the old degree cap, cheap: 12,800 of the budget
+])
+def test_nullstellensatz_work_budget_answers_cheap_pairs(QP4, degree, sample_budget):
+    assert sample_budget * degree ** 2 <= MAX_NULLSTELLENSATZ_WORK
+    report = nullstellensatz_check([QP4.parse("x^3-1"), QP4.parse("y")], degree, sample_budget, seed=5)
+    assert report["holds"] is True
 
 
 # generators and candidate points of each presentation: qplane9 admits 17

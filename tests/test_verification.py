@@ -1,6 +1,7 @@
 """The verification policy: every self-check in the package is a certificate
 raised through errors.verify as a VerificationError, which the command line
-reports as one typed error with exit code 5, with and without python -O."""
+reports as one typed error with exit code 5, with and without python -O; and
+the guard policy: every size check refuses through errors.capped."""
 
 import ast
 import contextlib
@@ -9,11 +10,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from orecodes import algset, codes, skewpoly, spbw
 from orecodes.cli import main
+from orecodes.errors import GuardError, capped
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 SRC = os.path.join(ROOT, "src", "orecodes")
@@ -30,6 +33,38 @@ def test_package_has_no_assert_and_no_assertion_error():
             if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "AssertionError"):
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_capped_returns_the_size_up_to_the_cap_and_refuses_past_it():
+    assert capped(0, 64, "degree") == 0
+    assert capped(64, 64, "degree") == 64
+    with pytest.raises(GuardError) as err:
+        capped(65, 64, "polynomial term of degree")
+    assert str(err.value) == "polynomial term of degree 65 exceeds the cap 64"
+
+
+# the refusals that are not a size past a cap: a field literal past the table
+# cap (its message is pinned by the benchmark's reference) and a two-sided
+# closure whose completion was cut short
+GUARD_RAISES = Counter({("errors.py", "capped"): 1, ("gf.py", "__init__"): 1, ("gf.py", "parse_field"): 1,
+                        ("spbw.py", "_complete_left_basis"): 1, ("spbw.py", "two_sided_closure"): 1})
+
+
+def test_guard_errors_are_raised_through_capped():
+    found = Counter()
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        funcs = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "GuardError"):
+                inner = max((f for f in funcs if f.lineno <= node.lineno <= f.end_lineno),
+                            key=lambda f: f.lineno, default=None)
+                found[name, inner and inner.name] += 1
+    assert found == GUARD_RAISES
 
 
 # -- sabotaged kernels ---------------------------------------------------------------
