@@ -16,7 +16,7 @@ import math
 from .errors import DomainError, verify
 from .linalg import Matrix, dot_i, kernel_i
 from .gf import FieldElement, fixed_field_coordinates, parse_element, split_list
-from .skewpoly import (OreRing, SkewPoly, _addmul, _from_idx, _x_times_i, field_index, norms_i,
+from .skewpoly import (OreRing, SkewPoly, _from_idx, _x_times_i, field_index, norms_i,
                        operator_powers_i, remove_derivation)
 
 
@@ -87,7 +87,7 @@ def minimal_polynomial(ring: OreRing, points) -> SkewPoly:
             sc = frob(c, l)
             zc = mul(add(mul(sc, z), mul(w, sub(sc, c))), inv(c))
             out = _x_times_i(ring, m)
-            _addmul(field, out, field.neg_i(zc), m, 0)
+            field.addmul_i(out, field.neg_i(zc), m)
             m = out
     verify(m[-1] == 1 and len(m) <= len(pts) + 1, "m_X is monic of degree <= |X|")
     verify(all(not dot_i(field, m, norms_i(ring, z, len(m) - 1)) for z in pts), "m_X vanishes on X")

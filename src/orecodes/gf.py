@@ -21,6 +21,7 @@ the Zech table and from_code.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import re
@@ -297,6 +298,44 @@ class FiniteField:
         if a == 0:
             return 0
         return ((a - 1) * self._frob_mul[power % self.k]) % self.t + 1
+
+    # -- row kernels: mul_i, frob_i and add_i inlined over a list of indices --
+
+    def frob_row_i(self, row, power: int = 1) -> list:
+        """[frob_i(v, power) for v in row]."""
+        t, m = self.t, self._frob_mul[power % self.k]
+        return [(v - 1) * m % t + 1 if v else 0 for v in row]
+
+    def addmul_i(self, acc: list, k: int, row, off: int = 0) -> None:
+        """acc[off + j] += k * row[j] for every j."""
+        if not k:
+            return
+        t, zech = self.t, self._zech
+        k -= 2
+        for j, v in enumerate(row, off):
+            if v:
+                v = (v + k) % t + 1
+                a = acc[j]
+                if a:
+                    z = zech[(a - v) % t]
+                    v = 0 if z is None else (v - 1 + z) % t + 1
+                acc[j] = v
+
+    def addmul_frob_i(self, acc: list, row, k: int, power: int, off: int = 0) -> None:
+        """acc[off + j] += row[j] * frob_i(k, power * j) for every j: the
+        coefficients of row * k in F[x; phi^power], shifted by off."""
+        if not k:
+            return
+        t, zech, n = self.t, self._zech, self.k
+        logs = [(k - 1) * self._frob_mul[power * j % n] for j in range(n)]
+        for j, (v, e) in enumerate(zip(row, itertools.cycle(logs)), off):
+            if v:
+                v = (v - 1 + e) % t + 1
+                a = acc[j]
+                if a:
+                    z = zech[(a - v) % t]
+                    v = 0 if z is None else (v - 1 + z) % t + 1
+                acc[j] = v
 
     # -- element factories ---------------------------------------------------
 

@@ -2,10 +2,14 @@
 
 Polynomials are tuples of field indices (low degree first, trailing zeros
 trimmed), boxed as FieldElements only by coeffs, p[i] and lc(); the kernels
-apply the rule x*r = sigma(r)*x + delta(r) on indices.  All divisions are
-exact; gcrd/lclm come with Bezout certificates; evaluation, conjugacy,
-two-sided/bound polynomials, similarity and brute-force factorization follow
-the conventions of noncommutative coding theory.
+apply x*r = sigma(r)*x + delta(r) on indices through gf's row kernels.  With
+delta = delta_w, y = x + w gives A = F[y; sigma] (y*r = sigma(r)*y; Lam-Leroy
+1988): left division and the Euclid loop of gcrd/lclm run there, on
+conversions of n(n+1)/2 capped steps for degree n; products, right division
+and every certificate stay in A.  All divisions are exact; gcrd/lclm come
+with Bezout certificates; evaluation, conjugacy, two-sided/bound polynomials,
+similarity and brute-force factorization follow the conventions of
+noncommutative coding theory.
 """
 
 from __future__ import annotations
@@ -219,12 +223,13 @@ class SkewPoly:
         return _from_idx(self.ring, q), _from_idx(self.ring, r)
 
     def left_divmod(self, d: "SkewPoly"):
-        """q, r with self = d*q + r and deg r < deg d (sigma bijective)."""
+        """q, r with self = d*q + r and deg r < deg d, computed in F[y;sigma] (see _to_y_i)."""
         self._check(d)
         if not d:
             raise ZeroDivisionError("left division by zero")
-        q, r = _left_divmod_i(self.ring, self.idx, d.idx)
-        return _from_idx(self.ring, q), _from_idx(self.ring, r)
+        ring = self.ring
+        q, r = _left_divmod_i(ring, _to_y_i(ring, self.idx), _to_y_i(ring, d.idx))
+        return _from_idx(ring, _from_y_i(ring, q)), _from_idx(ring, _from_y_i(ring, r))
 
     def right_divides(self, g: "SkewPoly") -> bool:
         return not g.right_divmod(self)[1]
@@ -236,26 +241,14 @@ class SkewPoly:
 # -- index-space kernels (lists of field indices, low degree first) ----------------
 
 def _x_times_i(ring: OreRing, c) -> list:
-    """x * sum c_j x^j = sum sigma(c_j) x^{j+1} + delta(c_j) x^j."""
-    field = ring.field
-    frob, l = field.frob_i, ring.sigma.l
-    sc = [frob(v, l) if v else 0 for v in c]
+    """x * sum c_j x^j = sum sigma(c_j) x^{j+1} + delta(c_j) x^j, delta(c) = w*sigma(c) - w*c."""
+    field, w = ring.field, ring._w
+    sc = field.frob_row_i(c, ring.sigma.l)
     out = [0] + sc
-    w = ring._w
     if w:
-        add, sub, mul = field.add_i, field.sub_i, field.mul_i
-        for j, v in enumerate(c):
-            if v:
-                out[j] = add(out[j], mul(w, sub(sc[j], v)))
+        field.addmul_i(out, w, sc)
+        field.addmul_i(out, field.neg_i(w), c)
     return out
-
-
-def _addmul(field: FiniteField, acc: list, k: int, row, off: int) -> None:
-    """acc[off + j] += k * row[j] for every j."""
-    add, mul = field.add_i, field.mul_i
-    for j, v in enumerate(row, off):
-        if v:
-            acc[j] = add(acc[j], mul(k, v))
 
 
 MAX_DELTA_ROWS = 1 << 20
@@ -273,8 +266,8 @@ def _x_power_rows(ring: OreRing, d, count: int) -> list:
         for _ in range(count - 1):
             rows.append(_x_times_i(ring, rows[-1]))
         return [(0, row) for row in rows]
-    frob, l, s = ring.field.frob_i, ring.sigma.l, ring.s
-    twisted = [[frob(v, l * e) if v else 0 for v in d] for e in range(min(s, count))]
+    field, l, s = ring.field, ring.sigma.l, ring.s
+    twisted = [field.frob_row_i(d, l * e) for e in range(min(s, count))]
     return [(e, twisted[e % s]) for e in range(count)]
 
 
@@ -285,7 +278,7 @@ def _mul_i(ring: OreRing, a, b) -> list:
     acc = [0] * (len(a) + len(b) - 1)
     for ai, (off, row) in zip(a, _x_power_rows(ring, b, len(a))):
         if ai:
-            _addmul(ring.field, acc, ai, row, off)
+            ring.field.addmul_i(acc, ai, row, off)
     return acc
 
 
@@ -306,29 +299,27 @@ def _right_divmod_i(ring: OreRing, a, d) -> tuple:
         if c:
             off, row = rows[e]
             q[e] = qc = mul(c, inv(row[-1]))
-            _addmul(field, r, neg(qc), row, off)
+            field.addmul_i(r, neg(qc), row, off)
     return q, r[:dd]
 
 
 def _left_divmod_i(ring: OreRing, a, d) -> tuple:
-    """q, r with a = d*q + r and deg r < deg d (d nonzero): the top coefficient c
-    of r at x^{e + deg d} is removed by d * (qc x^e) = (d * qc) x^e, where
-    qc = sigma^{-deg d}(c / lc(d))."""
+    """q, r with a = d*q + r and deg r < deg d in F[x;sigma] (d nonzero; delta
+    is not read): the top coefficient c of r at x^{e + deg d} is removed by
+    d * (qc x^e) = sum_i d_i sigma^i(qc) x^{i+e}, where qc = sigma^{-deg d}(c / lc(d))."""
     field = ring.field
-    mul, inv, neg, frob = field.mul_i, field.inv_i, field.neg_i, field.frob_i
     dd = len(d) - 1
     r = list(a)
     count = len(r) - dd
     if count <= 0:
         return [], r
     q = [0] * count
-    lc_inv, back = inv(d[-1]), -ring.sigma.l * dd
-    minus_one = neg(1)
+    lc_inv, l = field.inv_i(d[-1]), ring.sigma.l
     for e in range(count - 1, -1, -1):
         c = r[e + dd]
         if c:
-            q[e] = qc = frob(mul(c, lc_inv), back)
-            _addmul(field, r, minus_one, _mul_i(ring, d, [qc]), e)
+            q[e] = qc = field.frob_i(field.mul_i(c, lc_inv), -l * dd)
+            field.addmul_frob_i(r, d, field.neg_i(qc), l, e)
     return q, r[:dd]
 
 
@@ -397,11 +388,11 @@ class BezoutData(NamedTuple):
 
 
 def _right_euclid(g1: SkewPoly, g2: SkewPoly):
-    """Right Euclid on g1, g2 with the left cofactors of g1 only: (r, u, u_next)
-    with r the last nonzero remainder (a gcrd up to a unit), r = u*g1 + v*g2
-    for some v, and u_next*g1 in A*g2 (the cofactor of the zero remainder)."""
-    ring = g1.ring
-    r0, r1 = g1, g2
+    """Right Euclid on g1, g2 in F[y;sigma] (remove_derivation), with the left cofactors of g1
+    only: the images (r, u, u_next) of r the last nonzero remainder (a gcrd up to a unit), u with
+    r = u*g1 + v*g2 for some v, and u_next with u_next*g1 in A*g2 (the zero remainder's cofactor)."""
+    ring, r0 = remove_derivation(g1)
+    r1 = _from_idx(ring, _to_y_i(g1.ring, g2.idx))
     u0, u1 = ring.one, ring.zero
     while r1:
         q, r2 = r0.right_divmod(r1)
@@ -417,7 +408,7 @@ def gcrd_bezout(g1: SkewPoly, g2: SkewPoly) -> BezoutData:
         raise DomainError("gcrd(0, 0) is undefined")
     r, u, _ = _right_euclid(g1, g2)
     lead = r.lc().inverse()
-    d, u = lead * r, lead * u
+    d, u = (lead * _from_idx(g1.ring, _from_y_i(g1.ring, p.idx)) for p in (r, u))
     v, rem = (d - u * g1).right_divmod(g2) if g2 else (g2, d - u * g1)
     verify(not rem, "gcrd Bezout identity: d - u*g1 = v*g2 exactly")
     return BezoutData(d, u, v)
@@ -433,7 +424,7 @@ def lclm(g1: SkewPoly, g2: SkewPoly) -> SkewPoly:
     if not g1 or not g2:
         raise DomainError("lclm requires nonzero polynomials")
     r, _, u = _right_euclid(g1, g2)
-    m = (u * g1).monic()
+    m = (_from_idx(g1.ring, _from_y_i(g1.ring, u.idx)) * g1).monic()
     # eq (2.4a): deg gcrd + deg lclm = deg g1 + deg g2
     verify(m.degree + r.degree == g1.degree + g2.degree, "deg gcrd + deg lclm = deg g1 + deg g2")
     verify(g2.right_divides(m), "g2 right-divides lclm(g1, g2)")
@@ -667,28 +658,37 @@ def factor_irreducible(g: SkewPoly):
     return factors
 
 
-# -- change of variable ---------------------------------------------------------
+# -- change of variable: F[x;sigma,delta_w] = F[y;sigma] with y = x + w -----------
 
-def change_variable(g: SkewPoly, target: OreRing, image: SkewPoly) -> SkewPoly:
-    """Apply the coefficient-fixing ring map x -> image, by left Horner."""
-    acc = target.zero
-    for c in reversed(g.coeffs):
-        acc = acc * image + target.poly([c])
-    return acc
+def _to_y_i(ring: OreRing, g) -> list:
+    """g with x = y - w, by right Horner acc <- acc*(y - w) + g_i, where
+    acc*w = sum acc_j sigma^j(w) y^j; acc_j sits at index i + j."""
+    out, w = list(g), ring._w
+    if w:
+        capped(len(out) * (len(out) - 1) // 2, MAX_DELTA_ROWS, "change of variable y = x + w: step count")
+        for i in range(len(out) - 1, 0, -1):
+            ring.field.addmul_frob_i(out, out[i:], ring.field.neg_i(w), ring.sigma.l, i - 1)
+    return out
+
+
+def _from_y_i(ring: OreRing, h) -> list:
+    """h with y = x + w, by left Horner on h = sum y^i sigma^-i(h_i), the accumulator read as
+    sigma^-i(b): b <- b*x + sigma^i(w)*b + h_i, as y*(c x^j) = sigma(c) x^{j+1} + w*sigma(c) x^j."""
+    out, w = list(h), ring._w
+    if w:
+        capped(len(out) * (len(out) - 1) // 2, MAX_DELTA_ROWS, "change of variable y = x + w: step count")
+        for i in range(len(out) - 2, -1, -1):
+            ring.field.addmul_i(out, ring.field.frob_i(w, ring.sigma.l * i), out[i + 1:], i)
+    return out
 
 
 def remove_derivation(g: SkewPoly):
-    """Ring isomorphism F[x;sigma,delta_w] -> F[y;sigma], x -> y - w.
-
-    (y := x + w satisfies y*r = sigma(r)*y exactly; the substitution for
-    polynomials is therefore x -> y - w.)
-    """
+    """F[x;sigma,delta_w] -> F[y;sigma], x -> y - w (see _to_y_i): the target ring and the image of g."""
     ring = g.ring
     if ring.is_auto_type:
         return ring, g
     target = OreRing(ring.field, ring.sigma.l)
-    image = target.poly([-ring.delta.w, ring.field.one])
-    return target, change_variable(g, target, image)
+    return target, _from_idx(target, _to_y_i(ring, g.idx))
 
 
 # -- text I/O -------------------------------------------------------------------

@@ -237,6 +237,15 @@ def test_delta_ring_product_above_row_cap_is_refused_at_once(capsys):
         "x^e*d rows in a ring with delta: coefficient count 600050001 exceeds the cap 1048576")}}
 
 
+def test_delta_ring_left_division_above_conversion_cap_is_refused_at_once(capsys):
+    argv = ["poly", "divmod", "--side", "left", "--field", "GF(4)", "--sigma", "1", "--delta-w", "w",
+            "--a", "x^20000", "--b", "x^20000"]
+    code, out, _ = run_within(capsys, argv + ["--format", "json"])
+    assert code == 4
+    assert json.loads(out) == {"error": {"code": 4, "message": (
+        "change of variable y = x + w: step count 200010000 exceeds the cap 1048576")}}
+
+
 @pytest.mark.parametrize("delta_w", ["", " "])
 def test_empty_delta_w_is_refused_not_ignored(capsys, delta_w):
     argv = ["poly", "mul", "--field", "GF(4)", "--sigma", "1", "--delta-w", delta_w, "--a", "x", "--b", "w"]

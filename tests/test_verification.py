@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from orecodes import algset, codes, skewpoly, spbw
+from orecodes import algset, codes, gf, skewpoly, spbw
 from orecodes.cli import main
 from orecodes.errors import GuardError, capped
 
@@ -82,12 +82,22 @@ def sabotage(kind, patch=setattr):
             return acc
 
         patch(skewpoly, "_mul_i", bad)
+    elif kind == "from-y":  # images in F[y;sigma] map back off by one in the constant coefficient
+        good_from_y = skewpoly._from_y_i
+
+        def bad_from_y(ring, h):
+            out = good_from_y(ring, h)
+            if out:
+                out[0] = ring.field.add_i(out[0], 1)
+            return out
+
+        patch(skewpoly, "_from_y_i", bad_from_y)
     elif kind == "not-two-sided":  # the two-sided test refuses x^n - 1 though |sigma| = n
         patch(codes, "two_sided_test", lambda g: skewpoly.TwoSidedWitness(False, None, None, None))
     elif kind == "wrong-kernel":  # every F^sigma-kernel is the first unit vector
         patch(algset, "kernel_i", lambda field, rows, ncols: [[1] + [0] * (ncols - 1)])
     elif kind == "wrong-factor":  # m_X grows by x*m instead of (x - z^c)*m
-        patch(algset, "_addmul", lambda field, acc, k, row, off: None)
+        patch(gf.FiniteField, "addmul_i", lambda field, acc, k, row, off=0: None)
     else:  # the PBW ring product loses its lowest term
         good = spbw.PBWPresentation.mul_terms
 
@@ -104,6 +114,8 @@ GF9 = ["--field", "GF(9)", "--sigma", "1", "--a", "x^3+w*x+1", "--b", "x^2+w^3"]
 CASES = {
     "poly-gcrd": ("skew-mul", ["poly", "gcrd"] + GF9),
     "poly-lclm": ("skew-mul", ["poly", "lclm"] + GF9),
+    "poly-gcrd-delta": ("from-y", ["poly", "gcrd", "--delta-w", "w"] + GF9),
+    "poly-lclm-delta": ("from-y", ["poly", "lclm", "--delta-w", "w"] + GF9),
     "codes-rightmult": ("not-two-sided", ["codes", "rightmult", "--field", "GF(8)", "--sigma", "1",
                                           "--g", "x^2+w^3*x+w", "--n", "3"]),
     "algset-vanish": ("wrong-kernel", ["algset", "vanish", "--field", "GF(256)", "--sigma", "1", "--g", "x+w"]),
