@@ -301,7 +301,7 @@ class FiniteField:
 
     # -- row kernels: mul_i, frob_i and add_i inlined over a list of indices --
 
-    def frob_row_i(self, row, power: int = 1) -> list:
+    def frob_row_i(self, row, power: int) -> list:
         """[frob_i(v, power) for v in row]."""
         t, m = self.t, self._frob_mul[power % self.k]
         return [(v - 1) * m % t + 1 if v else 0 for v in row]
@@ -321,7 +321,7 @@ class FiniteField:
                     v = 0 if z is None else (v - 1 + z) % t + 1
                 acc[j] = v
 
-    def addmul_frob_i(self, acc: list, row, k: int, power: int, off: int = 0) -> None:
+    def addmul_frob_i(self, acc: list, row, k: int, power: int, off: int) -> None:
         """acc[off + j] += row[j] * frob_i(k, power * j) for every j: the
         coefficients of row * k in F[x; phi^power], shifted by off."""
         if not k:
