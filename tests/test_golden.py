@@ -50,6 +50,8 @@ CALLS = [
     'poly eval --field "GF(27)" --sigma 2 --delta-w "g^5" --g "g*x^4+x^2+g^7" --at "g^11" --mode operator',
     'poly divmod --field "GF(9)" --sigma 1 --a "x^5+w*x+1" --b "x^2+w"',
     'poly divmod --field "GF(9)" --sigma 1 --side left --delta-w w --a "x^5+w*x+1" --b "x^2+w"',
+    'poly divmod --field "GF(64)" --sigma 2 --side left --a "x^7+g^5*x^5+g*x^3+g^9*x+1" --b "g^3*x^3+g*x+g^5"',
+    'poly divmod --field "GF(27)" --sigma 1 --side left --a "g^2*x^6+x^4+g^7*x^3+g*x+2" --b "g^5*x^2+g^11*x+1"',
     'poly gcrd --field "GF(9)" --sigma 1 --a "x^3+w^7*x^2+w^3" --b "x^4+w*x^3+w^2*x^2+w^6*x+w^5"',
     'poly lclm --field "GF(9)" --sigma 1 --a "x+w" --b "x+1"',
     # skew cyclic codes
@@ -59,6 +61,8 @@ CALLS = [
     'codes build --field "GF(9)" --sigma 1 --modulus "x^4-1" --divisor "x^2+w*x+w" --emit G,H',
     'codes build --field "GF(27)" --sigma 1 --delta-w "g" --modulus "x^3+1" --divisor "x^2+g^13*x+1" --emit G,H',
     'codes theta --field "GF(8)" --sigma 1 --g "x^2+w^3*x+w" --n 3',
+    'codes theta --field "GF(64)" --sigma 2 --g "g^5*x^4+x^2+g*x+g^7" --n 3',
+    'codes theta --field "GF(16)" --sigma 1 --g "g^3*x^5+x^3+g^9*x^2+g*x+g^4" --n 4',
     'codes bezout --field "GF(4)" --sigma 1 --g "x+1" --h "x+w" --n 2',
     'codes idempotent --field "GF(4)" --sigma 1 --e "w*x+w" --n 2',
     # linearized polynomials
