@@ -14,7 +14,7 @@ import itertools
 
 from .errors import DomainError, verify
 from .linalg import Matrix
-from .skewpoly import OreRing, SkewPoly, gcrd, gcrd_bezout, lclm, residue_rows_i, two_sided_test
+from .skewpoly import OreRing, SkewPoly, _from_idx, gcrd, gcrd_bezout, lclm, residue_rows_i, two_sided_test
 
 
 class LinearCode:
@@ -157,16 +157,12 @@ def right_mult_matrix(ring: OreRing, g: SkewPoly, n: int) -> Matrix:
 
 
 def theta(ring: OreRing, g: SkewPoly, n: int) -> SkewPoly:
-    """The anti-isomorphism of A/(x^n - 1):
-    theta(g) = sigma^n(g0) x^n + sigma^{n-1}(g1) x^{n-1} + ... + sigma(g_{n-1}) x,
-    reduced mod x^n - 1 (so the x^n term lands on the constant)."""
+    """The anti-isomorphism of A/(x^n - 1), theta(sum g_i x^i) = sum sigma^{-i}(g_i) x^{-i}:
+    psi = twist_row_i(., -l) of g mod f with its degrees read mod n (sigma^n = id, x^n = 1)."""
     f = _check_cyclic_setting(ring, n)
-    gbar = g.right_divmod(f)[1]
-    coeffs = [ring.field.zero] * n
-    coeffs[0] = gbar[0]  # sigma^n = id and x^n = 1
-    for i in range(1, n):
-        coeffs[n - i] = ring.sigma(gbar[i], n - i)
-    return ring.poly(coeffs)
+    t = ring.field.twist_row_i(g.right_divmod(f)[1].idx, -ring.sigma.l)
+    t += [0] * (n - len(t))
+    return _from_idx(ring, [t[-i % n] for i in range(n)])
 
 
 def idempotent_to_generator(ring: OreRing, e: SkewPoly, n: int) -> SkewPoly:

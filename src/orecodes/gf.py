@@ -21,7 +21,6 @@ the Zech table and from_code.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import re
@@ -306,6 +305,16 @@ class FiniteField:
         t, m = self.t, self._frob_mul[power % self.k]
         return [(v - 1) * m % t + 1 if v else 0 for v in row]
 
+    def twist_row_i(self, row, power: int) -> list:
+        """[frob_i(v, power * j) for j, v in enumerate(row)].  With power = -l it
+        is the anti-isomorphism psi: F[x; phi^l] -> F[x; phi^-l],
+        sum a_j x^j -> sum phi^(-l*j)(a_j) x^j (Ore 1933), and power = l inverts it."""
+        t, step, m, out = self.t, self._frob_mul[power % self.k], 1, []
+        for v in row:  # m = q^(power*j) mod t, the exponent multiplier of phi^(power*j)
+            out.append((v - 1) * m % t + 1 if v else 0)
+            m = m * step % t
+        return out
+
     def addmul_i(self, acc: list, k: int, row, off: int = 0) -> None:
         """acc[off + j] += k * row[j] for every j."""
         if not k:
@@ -315,22 +324,6 @@ class FiniteField:
         for j, v in enumerate(row, off):
             if v:
                 v = (v + k) % t + 1
-                a = acc[j]
-                if a:
-                    z = zech[(a - v) % t]
-                    v = 0 if z is None else (v - 1 + z) % t + 1
-                acc[j] = v
-
-    def addmul_frob_i(self, acc: list, row, k: int, power: int, off: int) -> None:
-        """acc[off + j] += row[j] * frob_i(k, power * j) for every j: the
-        coefficients of row * k in F[x; phi^power], shifted by off."""
-        if not k:
-            return
-        t, zech, n = self.t, self._zech, self.k
-        logs = [(k - 1) * self._frob_mul[power * j % n] for j in range(n)]
-        for j, (v, e) in enumerate(zip(row, itertools.cycle(logs)), off):
-            if v:
-                v = (v - 1 + e) % t + 1
                 a = acc[j]
                 if a:
                     z = zech[(a - v) % t]

@@ -6,14 +6,16 @@ apply x*r = sigma(r)*x + delta(r) on indices through gf's row kernels.  With
 delta = delta_w, y = x + w gives A = F[y; sigma] (y*r = sigma(r)*y; Lam-Leroy
 1988): left division and the Euclid loop of gcrd/lclm run there, on
 conversions of n(n+1)/2 capped steps for degree n; products, right division
-and every certificate stay in A.  All divisions are exact; gcrd/lclm come
-with Bezout certificates; evaluation, conjugacy, two-sided/bound polynomials,
-similarity and brute-force factorization follow the conventions of
-noncommutative coding theory.
+and every certificate stay in A.  Left division is right division through the
+anti-isomorphism psi: F[y; sigma] -> F[y; sigma^-1] (gf.twist_row_i).  All
+divisions are exact; gcrd/lclm come with Bezout certificates; evaluation,
+conjugacy, two-sided/bound polynomials, similarity and brute-force
+factorization follow the conventions of noncommutative coding theory.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from typing import NamedTuple
@@ -158,24 +160,25 @@ class SkewPoly:
         if other.ring != self.ring:
             raise DomainError("polynomials from different Ore rings")
 
+    def _plus(self, other: "SkewPoly", k: int) -> "SkewPoly":
+        """self + k*other for the field index k: one addmul_i on a copy of self."""
+        out = list(self.idx) + [0] * (len(other.idx) - len(self.idx))
+        self.ring.field.addmul_i(out, k, other.idx)
+        return _from_idx(self.ring, out)
+
     def __add__(self, other):
         self._check(other)
-        add = self.ring.field.add_i
-        pairs = itertools.zip_longest(self.idx, other.idx, fillvalue=0)
-        return _from_idx(self.ring, [add(a, b) for a, b in pairs])
+        return self._plus(other, 1)
 
     def __neg__(self):
-        neg = self.ring.field.neg_i
-        return _from_idx(self.ring, [neg(c) for c in self.idx])
+        return self.ring.zero._plus(self, self.ring.field.neg_i(1))
 
     def __sub__(self, other):
         self._check(other)
-        sub = self.ring.field.sub_i
-        pairs = itertools.zip_longest(self.idx, other.idx, fillvalue=0)
-        return _from_idx(self.ring, [sub(a, b) for a, b in pairs])
+        return self._plus(other, self.ring.field.neg_i(1))
 
     def __mul__(self, other):
-        if isinstance(other, FieldElement):
+        if isinstance(other, (int, FieldElement)):
             other = self.ring.poly([other])
         self._check(other)
         return _from_idx(self.ring, _mul_i(self.ring, self.idx, other.idx))
@@ -183,9 +186,7 @@ class SkewPoly:
     def __rmul__(self, other):
         # left multiplication by a constant does not twist coefficients
         if isinstance(other, (int, FieldElement)):
-            field = self.ring.field
-            k, mul = field_index(field, other), field.mul_i
-            return _from_idx(self.ring, [mul(k, c) for c in self.idx])
+            return self.ring.zero._plus(self, field_index(self.ring.field, other))
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -223,13 +224,16 @@ class SkewPoly:
         return _from_idx(self.ring, q), _from_idx(self.ring, r)
 
     def left_divmod(self, d: "SkewPoly"):
-        """q, r with self = d*q + r and deg r < deg d, computed in F[y;sigma] (see _to_y_i)."""
+        """q, r with self = d*q + r and deg r < deg d.  With y = x + w (see _to_y_i) and
+        psi = twist_row_i(., -l), the anti-isomorphism F[y;sigma] -> F[y;sigma^-1], this is
+        psi(self) = psi(q)*psi(d) + psi(r): a right division in F[y;sigma^-1], mapped back by psi^-1."""
         self._check(d)
         if not d:
             raise ZeroDivisionError("left division by zero")
-        ring = self.ring
-        q, r = _left_divmod_i(ring, _to_y_i(ring, self.idx), _to_y_i(ring, d.idx))
-        return _from_idx(ring, _from_y_i(ring, q)), _from_idx(ring, _from_y_i(ring, r))
+        ring, field, l = self.ring, self.ring.field, self.ring.sigma.l
+        a, b = (field.twist_row_i(_to_y_i(ring, p.idx), -l) for p in (self, d))
+        q, r = _right_divmod_i(_sigma_ring(field, -l), a, b)
+        return tuple(_from_idx(ring, _from_y_i(ring, field.twist_row_i(p, l))) for p in (q, r))
 
     def right_divides(self, g: "SkewPoly") -> bool:
         return not g.right_divmod(self)[1]
@@ -300,26 +304,6 @@ def _right_divmod_i(ring: OreRing, a, d) -> tuple:
             off, row = rows[e]
             q[e] = qc = mul(c, inv(row[-1]))
             field.addmul_i(r, neg(qc), row, off)
-    return q, r[:dd]
-
-
-def _left_divmod_i(ring: OreRing, a, d) -> tuple:
-    """q, r with a = d*q + r and deg r < deg d in F[x;sigma] (d nonzero; delta
-    is not read): the top coefficient c of r at x^{e + deg d} is removed by
-    d * (qc x^e) = sum_i d_i sigma^i(qc) x^{i+e}, where qc = sigma^{-deg d}(c / lc(d))."""
-    field = ring.field
-    dd = len(d) - 1
-    r = list(a)
-    count = len(r) - dd
-    if count <= 0:
-        return [], r
-    q = [0] * count
-    lc_inv, l = field.inv_i(d[-1]), ring.sigma.l
-    for e in range(count - 1, -1, -1):
-        c = r[e + dd]
-        if c:
-            q[e] = qc = field.frob_i(field.mul_i(c, lc_inv), -l * dd)
-            field.addmul_frob_i(r, d, field.neg_i(qc), l, e)
     return q, r[:dd]
 
 
@@ -661,14 +645,20 @@ def factor_irreducible(g: SkewPoly):
 # -- change of variable: F[x;sigma,delta_w] = F[y;sigma] with y = x + w -----------
 
 def _to_y_i(ring: OreRing, g) -> list:
-    """g with x = y - w, by right Horner acc <- acc*(y - w) + g_i, where
-    acc*w = sum acc_j sigma^j(w) y^j; acc_j sits at index i + j."""
-    out, w = list(g), ring._w
-    if w:
-        capped(len(out) * (len(out) - 1) // 2, MAX_DELTA_ROWS, "change of variable y = x + w: step count")
-        for i in range(len(out) - 1, 0, -1):
-            ring.field.addmul_frob_i(out, out[i:], ring.field.neg_i(w), ring.sigma.l, i - 1)
-    return out
+    """g with x = y - w.  Under psi = twist_row_i(., -l), the anti-isomorphism F[y;sigma] ->
+    F[y;sigma^-1], sum g_i (y - w)^i becomes sum (y - w)^i g_i: left Horner B <- (y - w)*B + g_i
+    in F[y;sigma^-1], where y*B shifts B by one and applies sigma^-1; then g = psi^-1(B)."""
+    w = ring._w
+    if not w or not g:
+        return list(g)
+    capped(len(g) * (len(g) - 1) // 2, MAX_DELTA_ROWS, "change of variable y = x + w: step count")
+    field, l = ring.field, ring.sigma.l
+    neg_w, b = field.neg_i(w), [g[-1]]
+    for c in reversed(g[:-1]):
+        nb = [c] + field.frob_row_i(b, -l)
+        field.addmul_i(nb, neg_w, b)
+        b = nb
+    return field.twist_row_i(b, l)
 
 
 def _from_y_i(ring: OreRing, h) -> list:
@@ -682,12 +672,18 @@ def _from_y_i(ring: OreRing, h) -> list:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _sigma_ring(field: FiniteField, l: int) -> OreRing:
+    """F[y; phi^l], built once: the target of remove_derivation and, with -l, of psi (left_divmod)."""
+    return OreRing(field, l)
+
+
 def remove_derivation(g: SkewPoly):
     """F[x;sigma,delta_w] -> F[y;sigma], x -> y - w (see _to_y_i): the target ring and the image of g."""
     ring = g.ring
     if ring.is_auto_type:
         return ring, g
-    target = OreRing(ring.field, ring.sigma.l)
+    target = _sigma_ring(ring.field, ring.sigma.l)
     return target, _from_idx(target, _to_y_i(ring, g.idx))
 
 

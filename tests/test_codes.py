@@ -209,6 +209,27 @@ def test_theta_antimultiplicative(R8):
         assert lhs == rhs
 
 
+def boxed_theta(ring, g, n):
+    """The reference: sigma^{n-i}(gbar_i) at x^{n-i} for i >= 1 and gbar_0 at the
+    constant, gbar = g mod x^n - 1, on FieldElements."""
+    gbar = g.right_divmod(f_mod(ring, n))[1]
+    coeffs = [ring.field.zero] * n
+    coeffs[0] = gbar[0]
+    for i in range(1, n):
+        coeffs[n - i] = ring.sigma(gbar[i], n - i)
+    return ring.poly(coeffs)
+
+
+@pytest.mark.parametrize("q, k, l, n", [(2, 2, 1, 2), (2, 3, 1, 3), (2, 4, 1, 4), (3, 3, 1, 3), (2, 6, 2, 3)])
+def test_theta_matches_the_boxed_loop(q, k, l, n):
+    ring = OreRing(GF(q, k), l)
+    rng = random.Random(q ** k + l)
+    assert theta(ring, ring.zero, n) == ring.zero
+    for _ in range(30):  # degrees up to 2n - 1, so the reduction mod x^n - 1 is exercised
+        g = ring.poly([ring.field.element(rng.randrange(ring.field.size)) for _ in range(rng.randrange(2 * n + 1))])
+        assert theta(ring, g, n) == boxed_theta(ring, g, n)
+
+
 # -- idempotents -----------------------------------------------------------------------
 
 def test_bezout_idempotent_gf4_pipeline(R4):

@@ -1,9 +1,11 @@
 """The kernels of F[x;sigma,delta_w] that run in its untwisted image F[y;sigma]
-(y = x + w): left division, gcrd with its Bezout cofactors and lclm, against
-the direct delta_w algorithms kept here as references; the change of variable
-itself; and the row kernels of gf (addmul_i, addmul_frob_i, frob_row_i) and
-skewpoly._x_times_i against loops over add_i, mul_i and frob_i.  Fields:
-GF(4), GF(8), GF(9), GF(16), GF(25), GF(27) and GF(256), every sigma = phi^l."""
+(y = x + w): left division (also with delta = 0, where it runs through the
+anti-isomorphism psi: F[x;sigma] -> F[x;sigma^-1]), gcrd with its Bezout
+cofactors and lclm, against the direct algorithms kept here as references; the
+change of variable and psi themselves; and the row kernels of gf (addmul_i,
+twist_row_i, frob_row_i) and skewpoly._x_times_i against loops over add_i,
+mul_i and frob_i.  Fields: GF(4), GF(8), GF(9), GF(16), GF(25), GF(27) and
+GF(256), every sigma = phi^l."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,9 +74,9 @@ def direct_lclm(g1, g2):
 @settings(max_examples=8, deadline=None)
 @given(st.integers(0, 255), coeffs, coeffs)
 def test_left_divmod_matches_direct(params, w, a, d):
-    ring = delta_ring(params, w)
-    a, d = poly(ring, a), poly(ring, d) or ring.one
-    assert a.left_divmod(d) == direct_left_divmod(a, d)
+    for ring in (delta_ring(params, w), OreRing(GF(*params[:2]), params[2])):
+        a_, d_ = poly(ring, a), poly(ring, d) or ring.one
+        assert a_.left_divmod(d_) == direct_left_divmod(a_, d_)
 
 
 @pytest.mark.parametrize("params", RINGS, ids=ring_id)
@@ -104,6 +106,24 @@ def test_change_of_variable_is_a_ring_isomorphism(params, w, a, b):
     assert remove_derivation(a + b)[1] == ya + remove_derivation(b)[1]
 
 
+@pytest.mark.parametrize("params", RINGS, ids=ring_id)
+@settings(max_examples=8, deadline=None)
+@given(coeffs, coeffs)
+def test_twist_is_the_anti_isomorphism_onto_the_opposite_ring(params, a, b):
+    q, k, l = params
+    field = GF(q, k)
+    ring, op = OreRing(field, l), OreRing(field, -l)
+    a, b = poly(ring, a), poly(ring, b)
+
+    def psi(p):
+        return op.poly([field.element(c) for c in field.twist_row_i(p.idx, -l)])
+
+    assert psi(a * b) == psi(b) * psi(a)
+    assert psi(a + b) == psi(a) + psi(b)
+    assert psi(ring.x) == op.x and psi(ring.one) == op.one
+    assert tuple(field.twist_row_i(psi(a).idx, l)) == a.idx
+
+
 @pytest.mark.parametrize("q, k", FIELDS)
 def test_edge_cases_match_direct(q, k):
     ring = delta_ring((q, k, 1), 1)
@@ -130,17 +150,14 @@ def test_row_kernels_match_field_operations(q, k, acc, row, k_raw, power, off):
     acc, row = [c % field.size for c in acc], [c % field.size for c in row]
     acc += [0] * (off + len(row) - len(acc))
     for kk in (0, k_raw % field.size):  # k = 0 must leave acc as it is
-        want, got, got_frob = list(acc), list(acc), list(acc)
+        want, got = list(acc), list(acc)
         for j, v in enumerate(row):
             want[off + j] = field.add_i(want[off + j], field.mul_i(kk, v))
         field.addmul_i(got, kk, row, off)
         assert got == want
-        want = list(acc)
-        for j, v in enumerate(row):
-            want[off + j] = field.add_i(want[off + j], field.mul_i(v, field.frob_i(kk, power * j)))
-        field.addmul_frob_i(got_frob, row, kk, power, off)
-        assert got_frob == want
     assert field.frob_row_i(row, power) == [field.frob_i(v, power) for v in row]
+    for p in (power, -power):
+        assert field.twist_row_i(row, p) == [field.frob_i(v, p * j) for j, v in enumerate(row)]
 
 
 @pytest.mark.parametrize("params", RINGS, ids=ring_id)

@@ -97,6 +97,44 @@ def test_degree_multiplicative(R8):
             assert (a * b).degree == a.degree + b.degree
 
 
+ARITHMETIC_RINGS = [(2, 2, 1, 0), (3, 2, 1, 2), (5, 2, 1, 0), (3, 3, 2, 5), (2, 8, 3, 7)]
+
+
+def coefficient_loop(ring, op, a, b):
+    """op on each coefficient index pair of a and b, the shorter padded with 0."""
+    pairs = itertools.zip_longest(a.idx, b.idx, fillvalue=0)
+    return ring.poly([ring.field.element(op(x, y)) for x, y in pairs])
+
+
+@pytest.mark.parametrize("q, k, l, widx", ARITHMETIC_RINGS)
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 255), max_size=8), st.lists(st.integers(0, 255), max_size=8), st.integers(0, 255))
+def test_sum_difference_negation_and_scaling_match_the_coefficient_loop(q, k, l, widx, a, b, c):
+    F = GF(q, k)
+    ring = OreRing(F, l, F.element(widx))
+    a, b = (ring.poly([F.element(v % F.size) for v in raw]) for raw in (a, b))
+    c %= F.size
+    assert a + b == coefficient_loop(ring, F.add_i, a, b)
+    assert a - b == coefficient_loop(ring, F.sub_i, a, b)
+    assert -a == coefficient_loop(ring, lambda x, _: F.neg_i(x), a, ring.zero)
+    assert F.element(c) * a == coefficient_loop(ring, lambda x, _: F.mul_i(c, x), a, ring.zero)
+    # a full leading cancellation: the shared top term goes and the result is trimmed
+    top = ring.monomial(max(a.degree, b.degree) + 2, F.element(1 + c % F.t))
+    assert (a + top) - (b + top) == coefficient_loop(ring, F.sub_i, a, b)
+    assert (a + top) + (-top) == a and a - a == ring.zero and 0 * a == ring.zero
+
+
+@pytest.mark.parametrize("q, k, l, widx", ARITHMETIC_RINGS)
+def test_prime_subfield_ints_commute_with_polynomials(q, k, l, widx):
+    F = GF(q, k)
+    ring = OreRing(F, l, F.element(widx))
+    rng = random.Random(q ** k)
+    for _ in range(10):
+        p = rand_poly(rng, ring, 5)
+        for c in range(-q, 2 * q):
+            assert p * c == c * p == F.from_int(c) * p
+
+
 # -- division -----------------------------------------------------------------
 
 def test_right_division_cubic_examples(R4):
