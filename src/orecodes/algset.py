@@ -99,23 +99,22 @@ def rank_of_set(ring: OreRing, points) -> int:
     return minimal_polynomial(ring, points).degree
 
 
-def _point_matrix(ring: OreRing, points, nrows, column) -> Matrix:
-    """Column j holds column(ring, z_j, r - 1): r entries for the point z_j."""
+def _point_matrix(ring: OreRing, points, column) -> Matrix:
+    """Column j holds column(ring, z_j, r - 1): r = |Z| entries for the point z_j."""
     pts = list(points)
-    r = len(pts) if nrows is None else nrows
-    field = ring.field
+    r, field = len(pts), ring.field
     cols = [column(ring, field_index(field, z), r - 1) for z in pts]
-    return Matrix.from_indices(field, [[col[i] for col in cols] for i in range(r)], len(pts))
+    return Matrix.from_indices(field, [[col[i] for col in cols] for i in range(r)], r)
 
 
-def vandermonde(ring: OreRing, points, nrows: int | None = None) -> Matrix:
+def vandermonde(ring: OreRing, points) -> Matrix:
     """V_r(Z): row i holds N_i(z_j)."""
-    return _point_matrix(ring, points, nrows, norms_i)
+    return _point_matrix(ring, points, norms_i)
 
 
-def wronskian(ring: OreRing, points, nrows: int | None = None) -> Matrix:
+def wronskian(ring: OreRing, points) -> Matrix:
     """Wr_r(Z): row i holds D^i(z_j), D = sigma if delta = 0 else delta."""
-    return _point_matrix(ring, points, nrows, operator_powers_i)
+    return _point_matrix(ring, points, operator_powers_i)
 
 
 def is_w_polynomial(g: SkewPoly) -> bool:

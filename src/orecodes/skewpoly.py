@@ -231,8 +231,7 @@ class SkewPoly:
         if not d:
             raise ZeroDivisionError("left division by zero")
         ring, field, l = self.ring, self.ring.field, self.ring.sigma.l
-        a, b = (field.twist_row_i(_to_y_i(ring, p.idx), -l) for p in (self, d))
-        q, r = _right_divmod_i(_sigma_ring(field, -l), a, b)
+        q, r = _right_divmod_i(_sigma_ring(field, -l), _to_y_i(ring, self.idx), _to_y_i(ring, d.idx))
         return tuple(_from_idx(ring, _from_y_i(ring, field.twist_row_i(p, l))) for p in (q, r))
 
     def right_divides(self, g: "SkewPoly") -> bool:
@@ -375,8 +374,7 @@ def _right_euclid(g1: SkewPoly, g2: SkewPoly):
     """Right Euclid on g1, g2 in F[y;sigma] (remove_derivation), with the left cofactors of g1
     only: the images (r, u, u_next) of r the last nonzero remainder (a gcrd up to a unit), u with
     r = u*g1 + v*g2 for some v, and u_next with u_next*g1 in A*g2 (the zero remainder's cofactor)."""
-    ring, r0 = remove_derivation(g1)
-    r1 = _from_idx(ring, _to_y_i(g1.ring, g2.idx))
+    (ring, r0), (_, r1) = remove_derivation(g1), remove_derivation(g2)
     u0, u1 = ring.one, ring.zero
     while r1:
         q, r2 = r0.right_divmod(r1)
@@ -645,20 +643,19 @@ def factor_irreducible(g: SkewPoly):
 # -- change of variable: F[x;sigma,delta_w] = F[y;sigma] with y = x + w -----------
 
 def _to_y_i(ring: OreRing, g) -> list:
-    """g with x = y - w.  Under psi = twist_row_i(., -l), the anti-isomorphism F[y;sigma] ->
-    F[y;sigma^-1], sum g_i (y - w)^i becomes sum (y - w)^i g_i: left Horner B <- (y - w)*B + g_i
-    in F[y;sigma^-1], where y*B shifts B by one and applies sigma^-1; then g = psi^-1(B)."""
-    w = ring._w
+    """psi(g with x = y - w), psi = twist_row_i(., -l) the anti-isomorphism F[y;sigma] ->
+    F[y;sigma^-1], which turns sum g_i (y - w)^i into sum (y - w)^i g_i: left Horner
+    B <- (y - w)*B + g_i in F[y;sigma^-1], where y*B shifts B by one and applies sigma^-1."""
+    w, field, l = ring._w, ring.field, ring.sigma.l
     if not w or not g:
-        return list(g)
+        return field.twist_row_i(g, -l)
     capped(len(g) * (len(g) - 1) // 2, MAX_DELTA_ROWS, "change of variable y = x + w: step count")
-    field, l = ring.field, ring.sigma.l
     neg_w, b = field.neg_i(w), [g[-1]]
     for c in reversed(g[:-1]):
         nb = [c] + field.frob_row_i(b, -l)
         field.addmul_i(nb, neg_w, b)
         b = nb
-    return field.twist_row_i(b, l)
+    return b
 
 
 def _from_y_i(ring: OreRing, h) -> list:
@@ -684,7 +681,7 @@ def remove_derivation(g: SkewPoly):
     if ring.is_auto_type:
         return ring, g
     target = _sigma_ring(ring.field, ring.sigma.l)
-    return target, _from_idx(target, _to_y_i(ring, g.idx))
+    return target, _from_idx(target, ring.field.twist_row_i(_to_y_i(ring, g.idx), ring.sigma.l))
 
 
 # -- text I/O -------------------------------------------------------------------

@@ -380,10 +380,9 @@ def reduce_full(f: PBWPoly, divisors) -> PBWPoly:
 # -- Groebner bases ----------------------------------------------------------------
 
 # completion stops (and reports the cap) past this many basis elements or S-pairs
+# and right multiples
 MAX_GROEBNER_BASIS = 64
 MAX_GROEBNER_PAIRS = 4096
-# a two-sided closure that has not stabilized after this many rounds is refused
-MAX_CLOSURE_ROUNDS = 32
 
 
 class GroebnerResult(NamedTuple):
@@ -392,8 +391,13 @@ class GroebnerResult(NamedTuple):
     cap: str  # the cap completion stopped at, e.g. "max_pairs 4096"; "" when complete
 
 
-def groebner_left(gens) -> GroebnerResult:
-    """Left Groebner basis by overlap-pair completion, then interreduction."""
+def _complete(gens, right_mults) -> GroebnerResult:
+    """Left Groebner basis of the least left ideal holding gens and closed under
+    right multiplication by right_mults: one Buchberger loop over the S-pairs,
+    then (once no pair is left, so G is a left Groebner basis) the right
+    multiples g*m (Kandri-Rody-Weispfenning 1990), each first in, first out.
+    G[i]*m is skipped when a later element's leading monomial divides lm(G[i]):
+    such elements drop out of a Groebner basis one at a time."""
     gens = [g for g in gens if g]
     if not gens:
         raise DomainError("no nonzero generators")
@@ -401,28 +405,42 @@ def groebner_left(gens) -> GroebnerResult:
     one = pres.domain.one
     G = [g.monic() for g in gens]
     pairs = list(itertools.combinations(range(len(G)), 2))
+    mults = [(i, m) for i in range(len(G)) for m in right_mults]
     processed = 0
     cap = ""
-    while pairs:
+    while pairs or mults:
         processed += 1
         if processed > MAX_GROEBNER_PAIRS or len(G) > MAX_GROEBNER_BASIS:
             cap = (f"max_pairs {MAX_GROEBNER_PAIRS}" if processed > MAX_GROEBNER_PAIRS
                    else f"max_basis {MAX_GROEBNER_BASIS}")
             break
-        i, j = pairs.pop(0)
-        gi, gj = G[i], G[j]
-        lmi, lmj = gi.lm(), gj.lm()
-        gamma = tuple(max(a, b) for a, b in zip(lmi, lmj))
-        A = pres._mono_times(tuple(a - b for a, b in zip(gamma, lmi)), gi.terms)
-        B = pres._mono_times(tuple(a - b for a, b in zip(gamma, lmj)), gj.terms)
-        S = _addto(_addto({}, A, one / A[gamma]), B, -one / B[gamma])
+        if pairs:
+            i, j = pairs.pop(0)
+            gi, gj = G[i], G[j]
+            lmi, lmj = gi.lm(), gj.lm()
+            gamma = tuple(max(a, b) for a, b in zip(lmi, lmj))
+            A = pres._mono_times(tuple(a - b for a, b in zip(gamma, lmi)), gi.terms)
+            B = pres._mono_times(tuple(a - b for a, b in zip(gamma, lmj)), gj.terms)
+            S = _addto(_addto({}, A, one / A[gamma]), B, -one / B[gamma])
+        else:
+            i, m = mults.pop(0)
+            lmi = G[i].lm()
+            if any(_mono_divides(g.lm(), lmi) for g in G[i + 1:]):
+                continue
+            S = pres.mul_terms(G[i].terms, m.terms)
         if not S:
             continue
         h = reduce_full(PBWPoly(pres, S), G)
         if h:
             G.append(h.monic())
             pairs.extend((t, len(G) - 1) for t in range(len(G) - 1))
+            mults.extend((len(G) - 1, m) for m in right_mults)
     return GroebnerResult(_interreduce(G), not cap, cap)
+
+
+def groebner_left(gens) -> GroebnerResult:
+    """Left Groebner basis by overlap-pair completion, then interreduction."""
+    return _complete(gens, [])
 
 
 def _interreduce(G):
@@ -448,42 +466,23 @@ def in_left_ideal(f: PBWPoly, basis) -> bool:
 
 # -- two-sided closure ---------------------------------------------------------------
 
-def _complete_left_basis(gens) -> list:
-    """groebner_left(gens).basis; a basis cut short by a cap would make the
-    closure, and every membership answer read from it, wrong."""
-    res = groebner_left(gens)
+def two_sided_closure(gens) -> list:
+    """Left Groebner basis generating (as a left ideal) the two-sided ideal
+    spanned by gens: a left ideal closed under right multiplication by every
+    x_i and by the field generators in twisting_scalars is two-sided.  A basis
+    cut short by a cap would make every membership answer read from it wrong,
+    so it is refused."""
+    gens = [g for g in gens if g]
+    if not gens:
+        raise DomainError("no nonzero generators")
+    pres = gens[0].pres
+    res = _complete(gens, pres.gens + [pres.constant(r) for r in pres.twisting_scalars])
     if not res.complete:
         raise GuardError(
             f"two-sided closure: left Groebner completion stopped at its cap ({res.cap}) "
             f"with a basis of {len(res.basis)} elements"
         )
     return res.basis
-
-
-def two_sided_closure(gens) -> list:
-    """Left Groebner basis generating (as a left ideal) the two-sided ideal
-    spanned by gens: a left ideal closed under right multiplication by every
-    x_i and by the field generators in twisting_scalars is two-sided."""
-    gens = [g for g in gens if g]
-    if not gens:
-        raise DomainError("no nonzero generators")
-    pres = gens[0].pres
-    right_mults = pres.gens + [pres.constant(r) for r in pres.twisting_scalars]
-    G = _complete_left_basis(gens)
-    for _ in range(MAX_CLOSURE_ROUNDS):
-        new = []
-        for g in G:
-            for m in right_mults:
-                r = reduce_full(g * m, G)
-                if r:
-                    new.append(r)
-        if not new:
-            return G
-        G = _complete_left_basis(G + new)
-    raise GuardError(
-        f"two-sided closure did not stabilize: basis of {len(G)} elements after "
-        f"{MAX_CLOSURE_ROUNDS} rounds (cap {MAX_CLOSURE_ROUNDS})"
-    )
 
 
 def in_two_sided_ideal(f: PBWPoly, gens) -> bool:

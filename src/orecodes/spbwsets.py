@@ -311,15 +311,17 @@ def nullstellensatz_check(gens, degree: int = 4, sample_budget: int = 50, seed: 
         if f:
             candidates.append(f)
     checked = confirmed = 0
+    seen = {}  # candidate -> (nilpotent mod I, in I(V)): the counts are of draws, each reduced once
     for f in candidates:
-        r = reduce_full(f, G2)
-        for _ in range(POWER_BOUND - 1):
-            if not r:
-                break
-            r = reduce_full(r * f, G2)
-        if not r:
-            checked += 1
-            confirmed += _vanishes_at(f, points)
+        if f not in seen:
+            r = reduce_full(f, G2)
+            for _ in range(POWER_BOUND - 1):
+                if not r:
+                    break
+                r = reduce_full(r * f, G2)
+            seen[f] = (not r, not r and _vanishes_at(f, points))
+        checked += seen[f][0]
+        confirmed += seen[f][1]
     report["radical_side"] = {
         "candidates": len(candidates),
         "nilpotent_mod_I": checked,

@@ -37,12 +37,16 @@ def poly(ring, raw):
 
 def direct_left_divmod(a, d):
     """a = d*q + r: the top coefficient c of r at x^{e + deg d} is removed by
-    d * (qc x^e), qc = sigma^{-deg d}(c / lc(d)), multiplied in the delta_w ring."""
+    d * (qc x^e), qc = sigma^{-deg d}(c / lc(d)), multiplied in the delta_w ring.
+    Each step lowers deg r, so deg a - deg d + 1 steps must reach deg r < deg d."""
     ring = a.ring
     q, r = ring.zero, a
-    while r.degree >= d.degree:
+    for _ in range(a.degree - d.degree + 1):
+        if r.degree < d.degree:
+            break
         term = ring.monomial(r.degree - d.degree, ring.sigma(r.lc() / d.lc(), -d.degree))
         q, r = q + term, r - d * term
+    assert r.degree < d.degree, "a division step did not lower the degree of the remainder"
     return q, r
 
 

@@ -12,7 +12,7 @@ from orecodes.algset import wronskian
 from orecodes.codes import SkewCyclicCode, right_mult_matrix
 from orecodes.gf import GF, Automorphism, basis_over_fixed_subfield, fixed_field_coordinates
 from orecodes.linearized import moore_matrix
-from orecodes.skewpoly import OreRing, gcrd, lclm, operator_eval, similarity_test
+from orecodes.skewpoly import OreRing, gcrd, lclm, operator_eval, operator_powers_i, similarity_test
 
 RINGS = [
     (q, k, l, w)
@@ -75,12 +75,14 @@ def test_operator_eval_matches_boxed_loop(params, raw, at):
 @given(raw=draws, extra=st.integers(-1, 2))
 def test_wronskian_rows_match_boxed_loop(params, raw, extra):
     ring = ring_of(params)
-    points = elements(ring.field, raw)
-    nrows = len(points) + extra
-    W = wronskian(ring, points, nrows)
-    assert (W.nrows, W.ncols) == (nrows, len(points))
-    assert W.rows == boxed_operator_rows(ring, points, nrows)
-    assert wronskian(ring, points).rows == boxed_operator_rows(ring, points, len(points))
+    field = ring.field
+    points = elements(field, raw)
+    nrows = len(points) + extra  # the operator powers behind the square Wronskian, at every length
+    cols = [operator_powers_i(ring, z.idx, nrows - 1) for z in points]
+    assert [[field.element(col[i]) for col in cols] for i in range(nrows)] == boxed_operator_rows(ring, points, nrows)
+    W = wronskian(ring, points)
+    assert (W.nrows, W.ncols) == (len(points), len(points))
+    assert W.rows == boxed_operator_rows(ring, points, len(points))
 
 
 @pytest.mark.parametrize("q, k", [(3, 2), (5, 2), (3, 3), (2, 4)])

@@ -354,6 +354,66 @@ def test_closure_with_coefficient_twisting():
     assert [pbw_str(g) for g in G] == ["1"]
 
 
+def round_closure(gens):
+    """The round-based two-sided closure, the reference: complete the left basis,
+    reduce every right multiple g*m modulo it, and complete again with the
+    nonzero remainders until a round adds nothing."""
+    gens = [g for g in gens if g]
+    pres = gens[0].pres
+    right_mults = pres.gens + [pres.constant(r) for r in pres.twisting_scalars]
+    res = groebner_left(gens)
+    for _ in range(32):
+        assert res.complete
+        new = [r for g in res.basis for m in right_mults if (r := reduce_full(g * m, res.basis))]
+        if not new:
+            return res.basis
+        res = groebner_left(res.basis + new)
+    raise AssertionError("the reference closure did not stabilize in 32 rounds")
+
+
+def closure_cases(pres, rng, count):
+    """count lists of 1-3 generators of 1-3 terms of degree <= 2; a quarter
+    repeat their first generator and a quarter add one with its leading monomial."""
+    def gen():
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            alpha = tuple(rng.randrange(3) for _ in range(pres.n))
+            if sum(alpha) <= 2:
+                terms[alpha] = pres.domain.parse(str(rng.randrange(1, 4) * rng.choice((1, -1))))
+        return pres.poly(terms)
+
+    for _ in range(count):
+        gens = [gen() for _ in range(rng.randint(1, 3))]
+        kind = rng.randrange(4)
+        if kind == 0:
+            gens.append(gens[0])
+        elif kind == 1:
+            gens.append(gens[0] + pres.one)
+        if any(gens):
+            yield gens
+
+
+@pytest.mark.parametrize("name", ["qplane4", "qplane9", "qspace3", "weyl1z", "witten", "twisted"])
+def test_closure_matches_the_round_based_reference(name):
+    from orecodes.gf import GF
+    from orecodes.scalars import GFDomain
+
+    if name == "twisted":  # x*r = r^2*x over GF(4): the field generator is a right multiplier too
+        A = PBWPresentation(["x"], GFDomain(GF(2, 2)), sigma=[1])
+    else:
+        A = load_presentation(os.path.join(os.path.dirname(__file__), "..", "presentations", f"{name}.json"))
+    for gens in closure_cases(A, random.Random(name), 25):
+        assert two_sided_closure(gens) == round_closure(gens), [pbw_str(g) for g in gens]
+
+
+def test_closure_keeps_generators_with_a_shared_leading_monomial():
+    # skipping the right multiples of every element another one's leading
+    # monomial divides, earlier ones included, closes these to x*z+1/2 and to z, x^2
+    W = load_presentation(os.path.join(os.path.dirname(__file__), "..", "presentations", "weyl1z.json"))
+    for gens in ["x*z+1/2,x*z+1/2", "x^2+y*z,2*x^2+z"]:
+        assert [pbw_str(g) for g in two_sided_closure([W.parse(t) for t in gens.split(",")])] == ["1"]
+
+
 def test_in_two_sided_ideal_api():
     A = qplane()
     assert in_two_sided_ideal(A.parse("x*y-x"), [A.parse("y-1")])
@@ -526,15 +586,6 @@ def test_relation_incompatible_with_sigma_is_refused():
         load_presentation(data)
 
 
-def test_two_sided_closure_guard_reports_rounds_and_cap(monkeypatch):
-    import orecodes.spbw as spbw
-
-    monkeypatch.setattr(spbw, "MAX_CLOSURE_ROUNDS", 0)
-    A = load_presentation(GF9_PLANE)
-    with pytest.raises(GuardError, match=r"basis of 1 elements after 0 rounds \(cap 0\)"):
-        two_sided_closure([A.parse("x+y")])
-
-
 @pytest.fixture
 def capped_groebner(monkeypatch):
     """groebner_left stopped by MAX_GROEBNER_PAIRS = 0 wherever the closure calls it."""
@@ -547,6 +598,14 @@ def test_two_sided_closure_refuses_a_capped_basis(capped_groebner):
     A = load_presentation(GF9_PLANE)
     with pytest.raises(GuardError, match=r"stopped at its cap \(max_pairs 0\) with a basis of 2 elements"):
         two_sided_closure([A.parse("x^2+y"), A.parse("x*y+1")])
+
+
+def test_two_sided_closure_refuses_a_basis_past_its_size_cap(monkeypatch):
+    import orecodes.spbw as spbw
+
+    monkeypatch.setattr(spbw, "MAX_GROEBNER_BASIS", 2)
+    with pytest.raises(GuardError, match=r"stopped at its cap \(max_basis 2\) with a basis of 3 elements"):
+        two_sided_closure([witten().parse("z")])
 
 
 def test_two_sided_closure_capped_basis_exits_4(capped_groebner, tmp_path, capsys):

@@ -281,6 +281,21 @@ def test_nullstellensatz_spec_ideal(QP9):
     assert report["center_side"]["center_generators"] == ["x^2", "y^2"]
 
 
+def test_nullstellensatz_reduces_each_distinct_candidate_once(QP9, monkeypatch):
+    # at degree 0 the candidates are the scalars, at most 9 distinct among 2000
+    # draws; the report still counts draws
+    calls = []
+
+    def counting(f, divisors):
+        calls.append(f)
+        return reduce_full(f, divisors)
+
+    monkeypatch.setattr(spbwsets, "reduce_full", counting)
+    report = nullstellensatz_check([QP9.parse("x^2-1"), QP9.parse("y")], degree=0, sample_budget=2000, seed=0)
+    assert report["radical_side"]["candidates"] > 1500
+    assert len(calls) <= 9 * POWER_BOUND + 1  # and the one central monomial of the center side
+
+
 def test_negative_degree_and_sample_budget_are_refused(QP9):
     gens = [QP9.parse("x^2-1"), QP9.parse("y")]
     with pytest.raises(DomainError, match="center degree -3 is negative"):

@@ -47,7 +47,7 @@ def test_capped_returns_the_size_up_to_the_cap_and_refuses_past_it():
 # cap (its message is pinned by the benchmark's reference) and a two-sided
 # closure whose completion was cut short
 GUARD_RAISES = Counter({("errors.py", "capped"): 1, ("gf.py", "__init__"): 1, ("gf.py", "parse_field"): 1,
-                        ("spbw.py", "_complete_left_basis"): 1, ("spbw.py", "two_sided_closure"): 1})
+                        ("spbw.py", "two_sided_closure"): 1})
 
 
 def test_guard_errors_are_raised_through_capped():
