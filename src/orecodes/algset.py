@@ -16,7 +16,7 @@ import math
 from .errors import DomainError, verify
 from .linalg import Matrix, dot_i, kernel_i
 from .gf import FieldElement, fixed_field_coordinates, parse_element, split_list
-from .skewpoly import (OreRing, SkewPoly, _from_idx, _x_times_i, field_index, norms_i,
+from .skewpoly import (OreRing, SkewPoly, _from_idx, _x_times_i, conjugate_i, field_index, norms_i,
                        operator_powers_i, remove_derivation)
 
 
@@ -34,7 +34,7 @@ def _roots_i(ring: OreRing, g) -> set:
     F^sigma-linear map y -> sum_i g_i N_i(a) sigma^i(y), a (k/r) x (k/r)
     matrix over F^sigma."""
     field = ring.field
-    add, mul, inv, frob = field.add_i, field.mul_i, field.inv_i, field.frob_i
+    add, mul, frob = field.add_i, field.mul_i, field.frob_i
     l = ring.sigma.l
     fixed = field.q ** math.gcd(l, field.k)  # |F^sigma|
     basis, coords = fixed_field_coordinates(ring.sigma)
@@ -52,7 +52,7 @@ def _roots_i(ring: OreRing, g) -> set:
         for v in kernel_i(field, list(zip(*cols)), len(basis)):
             y = dot_i(field, v, basis)
             span = {add(s, mul(c, y)) for s in span for c in scalars}
-        roots.update(mul(frob(y, l), mul(a, inv(y))) for y in span if y)
+        roots.update(conjugate_i(ring, a, y) for y in span if y)
     return roots
 
 
@@ -77,17 +77,13 @@ def minimal_polynomial(ring: OreRing, points) -> SkewPoly:
     m_{X u {z}} = (x - z^c)*m with z^c = (sigma(c) z + delta(c)) c^-1, and
     c = 0 means z is already a root."""
     field = ring.field
-    add, sub, mul, inv, frob = field.add_i, field.sub_i, field.mul_i, field.inv_i, field.frob_i
-    l, w = ring.sigma.l, ring._w
     pts = [field_index(field, z) for z in _sorted_points(points)]
     m = [1]
     for z in pts:
         c = dot_i(field, m, norms_i(ring, z, len(m) - 1))
         if c:
-            sc = frob(c, l)
-            zc = mul(add(mul(sc, z), mul(w, sub(sc, c))), inv(c))
             out = _x_times_i(ring, m)
-            field.addmul_i(out, field.neg_i(zc), m)
+            field.addmul_i(out, field.neg_i(conjugate_i(ring, z, c)), m)
             m = out
     verify(m[-1] == 1 and len(m) <= len(pts) + 1, "m_X is monic of degree <= |X|")
     verify(all(not dot_i(field, m, norms_i(ring, z, len(m) - 1)) for z in pts), "m_X vanishes on X")

@@ -424,22 +424,35 @@ def lclm_list(polys) -> SkewPoly:
 
 # -- conjugacy ----------------------------------------------------------------
 
+def conjugate_i(ring: OreRing, z: int, u: int) -> int:
+    """Index of z^u = (sigma(u) z + delta(u)) u^-1 for the indices z and u != 0."""
+    field = ring.field
+    su = field.frob_i(u, ring.sigma.l)
+    t = field.mul_i(su, z)
+    if ring._w:  # delta(u) = w (sigma(u) - u)
+        t = field.add_i(t, field.mul_i(ring._w, field.sub_i(su, u)))
+    return field.mul_i(t, field.inv_i(u))
+
+
 def conjugate(ring: OreRing, z: FieldElement, u: FieldElement) -> FieldElement:
     """z^u = sigma(u) z u^{-1} + delta(u) u^{-1}."""
     if not u:
         raise DomainError("conjugation requires u != 0")
-    ui = u.inverse()
-    return ring.sigma(u) * z * ui + ring.delta(u) * ui
+    field = ring.field
+    return FieldElement(field, conjugate_i(ring, field_index(field, z), field_index(field, u)))
 
 
 def conjugacy_class(ring: OreRing, z: FieldElement):
-    cls = {conjugate(ring, z, u) for u in ring.field.elements() if u}
-    return sorted(cls, key=lambda e: e.idx)
+    field = ring.field
+    z = field_index(field, z)
+    cls = {conjugate_i(ring, z, u) for u in range(1, field.size)}
+    return [FieldElement(field, c) for c in sorted(cls)]
 
 
 def centralizer(ring: OreRing, z: FieldElement):
-    cent = [u for u in ring.field.elements() if u and conjugate(ring, z, u) == z]
-    return sorted([ring.field.zero] + cent, key=lambda e: e.idx)
+    field = ring.field
+    z = field_index(field, z)
+    return [FieldElement(field, u) for u in range(field.size) if not u or conjugate_i(ring, z, u) == z]
 
 
 def conjugacy_classes(ring: OreRing):

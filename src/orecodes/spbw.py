@@ -379,8 +379,8 @@ def reduce_full(f: PBWPoly, divisors) -> PBWPoly:
 
 # -- Groebner bases ----------------------------------------------------------------
 
-# completion stops (and reports the cap) past this many basis elements or S-pairs
-# and right multiples
+# completion stops (and reports the cap) past this many basis elements or
+# reductions of S-pairs and right multiples
 MAX_GROEBNER_BASIS = 64
 MAX_GROEBNER_PAIRS = 4096
 
@@ -391,73 +391,72 @@ class GroebnerResult(NamedTuple):
     cap: str  # the cap completion stopped at, e.g. "max_pairs 4096"; "" when complete
 
 
-def _complete(gens, right_mults) -> GroebnerResult:
-    """Left Groebner basis of the least left ideal holding gens and closed under
-    right multiplication by right_mults: one Buchberger loop over the S-pairs,
-    then (once no pair is left, so G is a left Groebner basis) the right
-    multiples g*m (Kandri-Rody-Weispfenning 1990), each first in, first out.
-    G[i]*m is skipped when a later element's leading monomial divides lm(G[i]):
-    such elements drop out of a Groebner basis one at a time."""
+def _superseded(lms, i) -> bool:
+    """Another element's leading monomial divides lms[i], the later element
+    winning on equal ones.  Such divisors lead from every superseded element
+    to one that is not, so the elements that are not superseded form a left
+    Groebner basis whenever the whole list does."""
+    return any(_mono_divides(b, lms[i]) and (b != lms[i] or j > i) for j, b in enumerate(lms) if j != i)
+
+
+def _complete(gens, two_sided: bool) -> GroebnerResult:
+    """Reduced left Groebner basis of the least left ideal holding gens and,
+    when two_sided, closed under right multiplication by the x_i and
+    twisting_scalars: one Buchberger loop over the S-pairs, then (once no pair
+    is left, so G is a left Groebner basis) the right multiples g*m
+    (Kandri-Rody-Weispfenning 1990), each first in, first out.  The right
+    multiples of a _superseded element are skipped, and the basis is the other
+    elements, each reduced once modulo the rest: no leading monomial among
+    them divides another, so one pass leaves none dividing a term of another
+    element, and that reduced basis is unique.  The caps count the elements
+    and the S-pairs and right multiples that reach reduce_full."""
     gens = [g for g in gens if g]
     if not gens:
         raise DomainError("no nonzero generators")
     pres = gens[0].pres
     one = pres.domain.one
+    right_mults = pres.gens + [pres.constant(r) for r in pres.twisting_scalars] if two_sided else []
     G = [g.monic() for g in gens]
+    lms = [g.lm() for g in G]
     pairs = list(itertools.combinations(range(len(G)), 2))
     mults = [(i, m) for i in range(len(G)) for m in right_mults]
-    processed = 0
+    reductions = 0
     cap = ""
     while pairs or mults:
-        processed += 1
-        if processed > MAX_GROEBNER_PAIRS or len(G) > MAX_GROEBNER_BASIS:
-            cap = (f"max_pairs {MAX_GROEBNER_PAIRS}" if processed > MAX_GROEBNER_PAIRS
-                   else f"max_basis {MAX_GROEBNER_BASIS}")
-            break
         if pairs:
             i, j = pairs.pop(0)
-            gi, gj = G[i], G[j]
-            lmi, lmj = gi.lm(), gj.lm()
-            gamma = tuple(max(a, b) for a, b in zip(lmi, lmj))
-            A = pres._mono_times(tuple(a - b for a, b in zip(gamma, lmi)), gi.terms)
-            B = pres._mono_times(tuple(a - b for a, b in zip(gamma, lmj)), gj.terms)
+            gamma = tuple(map(max, lms[i], lms[j]))
+            A = pres._mono_times(tuple(a - b for a, b in zip(gamma, lms[i])), G[i].terms)
+            B = pres._mono_times(tuple(a - b for a, b in zip(gamma, lms[j])), G[j].terms)
             S = _addto(_addto({}, A, one / A[gamma]), B, -one / B[gamma])
         else:
             i, m = mults.pop(0)
-            lmi = G[i].lm()
-            if any(_mono_divides(g.lm(), lmi) for g in G[i + 1:]):
+            if _superseded(lms, i):
                 continue
             S = pres.mul_terms(G[i].terms, m.terms)
         if not S:
             continue
+        if reductions == MAX_GROEBNER_PAIRS or len(G) > MAX_GROEBNER_BASIS:
+            cap = (f"max_pairs {MAX_GROEBNER_PAIRS}" if reductions == MAX_GROEBNER_PAIRS
+                   else f"max_basis {MAX_GROEBNER_BASIS}")
+            break
+        reductions += 1
         h = reduce_full(PBWPoly(pres, S), G)
         if h:
             G.append(h.monic())
+            lms.append(h.lm())
             pairs.extend((t, len(G) - 1) for t in range(len(G) - 1))
             mults.extend((len(G) - 1, m) for m in right_mults)
-    return GroebnerResult(_interreduce(G), not cap, cap)
+    kept = [g for i, g in enumerate(G) if not _superseded(lms, i)]
+    # a G cut short is no Groebner basis: the remainders of its superseded
+    # elements stay too, so the basis still spans the left ideal of G
+    basis = [h.monic() for g in (G if cap else kept) if (h := reduce_full(g, [k for k in kept if k is not g]))]
+    return GroebnerResult(sorted(basis, key=lambda g: _deglex_key(g.lm())), not cap, cap)
 
 
 def groebner_left(gens) -> GroebnerResult:
-    """Left Groebner basis by overlap-pair completion, then interreduction."""
-    return _complete(gens, [])
-
-
-def _interreduce(G):
-    G = list(G)
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(G)):
-            others = [g for t, g in enumerate(G) if t != idx and g]
-            if not others:
-                continue
-            h = reduce_full(G[idx], others)
-            if h != G[idx]:
-                changed = True
-                G[idx] = h.monic() if h else h
-        G = [g for g in G if g]
-    return sorted(G, key=lambda g: _deglex_key(g.lm()))
+    """Reduced left Groebner basis by overlap-pair completion."""
+    return _complete(gens, two_sided=False)
 
 
 def in_left_ideal(f: PBWPoly, basis) -> bool:
@@ -472,11 +471,7 @@ def two_sided_closure(gens) -> list:
     x_i and by the field generators in twisting_scalars is two-sided.  A basis
     cut short by a cap would make every membership answer read from it wrong,
     so it is refused."""
-    gens = [g for g in gens if g]
-    if not gens:
-        raise DomainError("no nonzero generators")
-    pres = gens[0].pres
-    res = _complete(gens, pres.gens + [pres.constant(r) for r in pres.twisting_scalars])
+    res = _complete(gens, two_sided=True)
     if not res.complete:
         raise GuardError(
             f"two-sided closure: left Groebner completion stopped at its cap ({res.cap}) "

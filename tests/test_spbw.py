@@ -407,11 +407,50 @@ def test_closure_matches_the_round_based_reference(name):
 
 
 def test_closure_keeps_generators_with_a_shared_leading_monomial():
-    # skipping the right multiples of every element another one's leading
-    # monomial divides, earlier ones included, closes these to x*z+1/2 and to z, x^2
+    # skipping the right multiples of both elements that share a leading
+    # monomial, not only the earlier one, closes these to x*z+1/2 and to z, x^2
     W = load_presentation(os.path.join(os.path.dirname(__file__), "..", "presentations", "weyl1z.json"))
     for gens in ["x*z+1/2,x*z+1/2", "x^2+y*z,2*x^2+z"]:
         assert [pbw_str(g) for g in two_sided_closure([W.parse(t) for t in gens.split(",")])] == ["1"]
+
+
+@pytest.mark.parametrize("name", ["weyl1z", "witten", "qplane9"])
+def test_closure_skips_a_generator_an_earlier_leading_monomial_strictly_divides(name):
+    # lm(x) strictly divides lm(x^2+y), so the right multiples of x^2+y are skipped
+    A = load_presentation(os.path.join(os.path.dirname(__file__), "..", "presentations", f"{name}.json"))
+    for gens in ["x,x^2+y", "x,x^2+y,x*y", "x+y,x^2+x*y+1"]:
+        gens = [A.parse(t) for t in gens.split(",")]
+        assert two_sided_closure(gens) == round_closure(gens), [pbw_str(g) for g in gens]
+
+
+def fixpoint(G):
+    """The fixpoint interreduction, the reference for a reduced basis: reduce
+    each element modulo the others, made monic, until no element changes; drop
+    the zeros and sort by leading monomial."""
+    G = list(G)
+    changed = True
+    while changed:
+        changed = False
+        for idx in range(len(G)):
+            others = [g for t, g in enumerate(G) if t != idx and g]
+            if not others:
+                continue
+            h = reduce_full(G[idx], others)
+            if h != G[idx]:
+                changed = True
+                G[idx] = h.monic() if h else h
+        G = [g for g in G if g]
+    return sorted(G, key=lambda g: (g.degree, g.lm()))
+
+
+@pytest.mark.parametrize("name", ["qplane4", "qplane9", "qspace3", "weyl1z", "witten"])
+def test_basis_is_the_fixpoint_interreduction(name):
+    # the reduced left Groebner basis is unique for a monomial order, so one
+    # reduction pass over the kept elements is the fixpoint of the old loop
+    A = load_presentation(os.path.join(os.path.dirname(__file__), "..", "presentations", f"{name}.json"))
+    for gens in closure_cases(A, random.Random(name), 25):
+        basis = groebner_left(gens).basis
+        assert basis == fixpoint(gens + basis), [pbw_str(g) for g in gens]
 
 
 def test_in_two_sided_ideal_api():
@@ -598,6 +637,30 @@ def test_two_sided_closure_refuses_a_capped_basis(capped_groebner):
     A = load_presentation(GF9_PLANE)
     with pytest.raises(GuardError, match=r"stopped at its cap \(max_pairs 0\) with a basis of 2 elements"):
         two_sided_closure([A.parse("x^2+y"), A.parse("x*y+1")])
+
+
+def test_the_pair_cap_counts_reductions_not_items(monkeypatch):
+    # the closure of x^2 in weyl1z reduces 7 S-pairs and right multiples; the
+    # zero S-polynomials and the skipped right multiples it also pops do not count
+    import orecodes.spbw as spbw
+
+    W = load_presentation(os.path.join(os.path.dirname(__file__), "..", "presentations", "weyl1z.json"))
+    monkeypatch.setattr(spbw, "MAX_GROEBNER_PAIRS", 7)
+    assert [pbw_str(g) for g in two_sided_closure([W.parse("x^2")])] == ["1"]
+    monkeypatch.setattr(spbw, "MAX_GROEBNER_PAIRS", 6)
+    with pytest.raises(GuardError, match=r"stopped at its cap \(max_pairs 6\)"):
+        two_sided_closure([W.parse("x^2")])
+
+
+def test_a_basis_cut_short_still_spans_the_left_ideal(monkeypatch):
+    # lm(x) divides lm(x^2+y), but before completion ends x^2+y is not a left
+    # multiple of x, so its remainder y stays in the basis
+    import orecodes.spbw as spbw
+
+    W = load_presentation(os.path.join(os.path.dirname(__file__), "..", "presentations", "weyl1z.json"))
+    monkeypatch.setattr(spbw, "MAX_GROEBNER_PAIRS", 0)
+    res = groebner_left([W.parse("x"), W.parse("x^2+y")])
+    assert (res.complete, res.cap, [pbw_str(g) for g in res.basis]) == (False, "max_pairs 0", ["y", "x"])
 
 
 def test_two_sided_closure_refuses_a_basis_past_its_size_cap(monkeypatch):
