@@ -11,8 +11,6 @@ evaluating it with the norm sum.
 
 from __future__ import annotations
 
-import math
-
 from .errors import DomainError, verify
 from .linalg import Matrix, dot_i, kernel_i
 from .gf import FieldElement, fixed_field_coordinates, parse_element, split_list
@@ -36,16 +34,14 @@ def _roots_i(ring: OreRing, g) -> set:
     field = ring.field
     add, mul, frob = field.add_i, field.mul_i, field.frob_i
     l = ring.sigma.l
-    fixed = field.q ** math.gcd(l, field.k)  # |F^sigma|
+    scalars = ring.sigma.fixed_subfield_i()  # F^sigma, as indices
     basis, coords = fixed_field_coordinates(ring.sigma)
     basis = [b.idx for b in basis]
     d = len(g) - 1
-    step = field.t // (fixed - 1)
-    scalars = [0] + [1 + j * step for j in range(fixed - 1)]  # F^sigma, as indices
     # g_i sigma^i(b) for each basis element b: column b is its dot product with the N_i(a)
     twisted = [[mul(gi, frob(b, l * i)) for i, gi in enumerate(g)] for b in basis]
     roots = set() if g[0] else {0}
-    for a in range(1, fixed):
+    for a in range(1, len(scalars)):
         norms = norms_i(ring, a, d)
         cols = [coords[dot_i(field, t, norms)] for t in twisted]
         span = {0}

@@ -4,8 +4,8 @@ A skew cyclic code is stored in canonical form as the monic right divisor g
 of the modulus f; its generator matrix holds the coefficients of
 g, xg, ..., x^{s-1}g reduced mod f.  The operations of the f = x^n - 1,
 |sigma| = n setting (right-multiplication matrices, the anti-isomorphism
-theta, dual codes through generating idempotents) live here too and insist on
-that setting.
+theta, generating idempotents, dual codes as skew reciprocals) live here too
+and insist on that setting.
 """
 
 from __future__ import annotations
@@ -129,12 +129,7 @@ class SkewCyclicCode:
 
 def monic_right_divisors(ring: OreRing, f: SkewPoly):
     """All monic right divisors of f, by brute-force enumeration."""
-    out = []
-    for d in range(f.degree + 1):
-        for cand in ring.all_polys(d):
-            if cand.right_divides(f):
-                out.append(cand)
-    return out
+    return [cand for d in range(f.degree + 1) for cand in ring.all_polys(d) if cand.right_divides(f)]
 
 
 # -- the f = x^n - 1, |sigma| = n setting -------------------------------------------
@@ -171,20 +166,16 @@ def idempotent_to_generator(ring: OreRing, e: SkewPoly, n: int) -> SkewPoly:
     ebar = e.right_divmod(f)[1]
     if (ebar * ebar).right_divmod(f)[1] != ebar:
         raise DomainError("e is not idempotent mod x^n - 1")
-    if not ebar:
-        return f
-    return gcrd(e, f)
+    return gcrd(ebar, f)  # f itself when ebar = 0
 
 
 def complement_divisor(ring: OreRing, g: SkewPoly, n: int) -> SkewPoly:
-    """Lex-least monic h with lclm(g, h) = x^n - 1 and deg g + deg h = n."""
+    """Lex-least monic h with lclm(g, h) = x^n - 1 and deg g + deg h = n (so gcrd(g, h) = 1)."""
     f = _check_cyclic_setting(ring, n)
-    if g == f:
-        return ring.one
     if g.degree == 0:
         return f
     for h in ring.all_polys(n - g.degree):
-        if h.right_divides(f) and gcrd(g, h).degree == 0 and lclm(g, h) == f:
+        if h.right_divides(f) and lclm(g, h) == f:
             return h
     raise DomainError("no complementary divisor exists")  # pragma: no cover
 
@@ -211,19 +202,18 @@ def generating_idempotent(code: SkewCyclicCode) -> SkewPoly:
         return ring.zero
     if g.degree == 0:
         return ring.one
-    h = complement_divisor(ring, g, n)
-    return bezout_idempotent(ring, g, h, n)
+    return bezout_idempotent(ring, g, complement_divisor(ring, g, n), n)
 
 
 def dual_skew_cyclic(code: SkewCyclicCode) -> SkewCyclicCode:
-    """The dual as a skew cyclic code: generated by theta(1 - e) for a
-    generating idempotent e; cross-checked against the kernel-path dual."""
+    """The dual (Boucher-Ulmer 2009): for x^n - 1 = h*g and k = deg h, the monic skew reciprocal
+    sum_i sigma^i(h_{k-i}) x^i = x^k theta(h) mod x^n - 1 (x^n - 1 when g = 1); kernel-checked."""
     ring, n = code.ring, code.n
     f = _check_cyclic_setting(ring, n)
-    e = generating_idempotent(code)
-    comp = (ring.one - e).right_divmod(f)[1]
-    te = theta(ring, comp, n)
-    gperp = idempotent_to_generator(ring, te, n)
+    h, rest = f.right_divmod(code.g)
+    if rest:
+        raise DomainError(f"the divisor does not right-divide x^{n} - 1")
+    gperp = f if h == f else (ring.monomial(h.degree) * theta(ring, h, n)).right_divmod(f)[1].monic()
     dual_code = SkewCyclicCode(ring, f, gperp)
-    verify(dual_code.to_linear().same_code(code.to_linear().dual()), "idempotent-path dual = kernel dual")
+    verify(dual_code.to_linear().same_code(code.to_linear().dual()), "skew-reciprocal dual = kernel dual")
     return dual_code

@@ -144,7 +144,7 @@ def _gabidulin_check(code: LinearCode, ring: OreRing):
     matrices, None otherwise. The rank depends only on the row space of Y, so
     Y runs over the reduced row-echelon forms, one per (r-k)-dimensional
     subspace of (F^sigma)^r."""
-    sub = [z.idx for z in ring.sigma.fixed_subfield()]
+    sub = ring.sigma.fixed_subfield_i()
     n, m = code.n, code.n - code.dim
     if m == 0:
         return True

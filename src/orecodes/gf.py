@@ -470,9 +470,14 @@ class Automorphism:
     def __call__(self, z: FieldElement, power: int = 1) -> FieldElement:
         return FieldElement(self.field, self.field.frob_i(z.idx, self.l * (power % self.order)))
 
+    def fixed_subfield_i(self):
+        """Indices of F^sigma in index order: 0 and the 1 + j*t/(q^r - 1), r = gcd(l, k)."""
+        step = self.field.t // (self.field.q ** math.gcd(self.l, self.field.k) - 1)
+        return [0, *range(1, self.field.size, step)]
+
     def fixed_subfield(self):
-        """F^sigma together with 0; a subfield of size q^gcd(l, k)."""
-        return [z for z in self.field.elements() if self(z) == z]
+        """F^sigma together with 0, in index order; a subfield of size q^gcd(l, k)."""
+        return [FieldElement(self.field, i) for i in self.fixed_subfield_i()]
 
     def __eq__(self, other):
         return (
@@ -575,8 +580,7 @@ def fixed_field_coordinates(sigma: Automorphism):
     scanning elements in index order, and table[i] the coordinate tuple of the
     element with index i, as element indices of F^sigma."""
     field = sigma.field
-    sub = [z.idx for z in sigma.fixed_subfield()]
-    basis, table = subfield_coordinates(field, sub, range(field.size))
+    basis, table = subfield_coordinates(field, sigma.fixed_subfield_i(), range(field.size))
     return tuple(FieldElement(field, b) for b in basis), table
 
 

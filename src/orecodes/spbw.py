@@ -549,6 +549,13 @@ def _entry(data: dict, key: str, where: str):
     return data[key]
 
 
+def _known(data: dict, keys, where: str) -> dict:
+    unknown = [key for key in data if key not in keys]
+    if unknown:  # a misspelled entry would otherwise be silently ignored
+        raise DomainError(f"presentation {where} has unknown entry {unknown[0]!r}")
+    return data
+
+
 _JSON_KINDS = {"a string": str, "an integer": int, "a list": list, "an object": dict, "null": type(None)}
 
 
@@ -578,6 +585,7 @@ def load_presentation(path_or_dict) -> PBWPresentation:
         raise DomainError(f"a presentation is a JSON object, not {type(data).__name__}")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise DomainError(f"unsupported presentation schema_version {data.get('schema_version')!r}")
+    _known(data, ("schema_version", "vars", "field", "sigma", "delta", "relations"), "document")
     names = _typed(_entry(data, "vars", "document"), "'vars'", "a list")
     if not all(isinstance(v, str) and v.isidentifier() for v in names) or len(set(names)) != len(names):
         raise DomainError(f"presentation entry 'vars' must list distinct variable names, not {json.dumps(names)}")
@@ -591,9 +599,11 @@ def load_presentation(path_or_dict) -> PBWPresentation:
         _typed(d, "'delta' item", "a string", "an integer", "null")
     relations = {}
     for rel in _typed(data.get("relations", []), "'relations'", "a list"):
-        _typed(rel, "'relations' item", "an object")
+        _known(_typed(rel, "'relations' item", "an object"), ("i", "j", "c", "a", "d"), "relation")
         i = _typed(_entry(rel, "i", "relation"), "relation 'i'", "an integer") - 1
         j = _typed(_entry(rel, "j", "relation"), "relation 'j'", "an integer") - 1
+        if (i, j) in relations:
+            raise DomainError(f"presentation repeats the relation of the pair (i, j) = ({i + 1}, {j + 1})")
         c = _scalar(domain, rel.get("c", "1"), "relation 'c'")
         a = _typed(rel.get("a", ["0"] * n), "relation 'a'", "a list")
         a = [_scalar(domain, v, "relation 'a' item") for v in a]

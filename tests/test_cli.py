@@ -320,9 +320,9 @@ def test_spbwsets_negative_or_oversized_inputs_are_refused_at_once(capsys, op, f
 
 
 @pytest.mark.parametrize("argv, size", [
-    # the complement divisor of x+1 has degree 7
-    (["codes", "build", "--field", "GF(256)", "--sigma", "1", "--modulus", "x^8-1", "--divisor", "x+1",
-      "--emit", "dual"], "256^7 = 72057594037927936"),
+    # a cubic with no right root, so the search reaches degree 2
+    (["poly", "factor", "--field", "GF(512)", "--sigma", "1", "--g", "x^3+w^278*x^2+w^303*x+w^121"],
+     "512^2 = 262144"),
     # an irreducible quartic: no divisor of degree 1 or 2, so the search reaches degree 3
     (["poly", "factor", "--field", "GF(64)", "--sigma", "1", "--g", "x^4+w^18*x^3+w^28*x^2+w^18*x+w^49"],
      "64^3 = 262144"),

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+from orecodes import codes as codes_module
 from orecodes.errors import DomainError
 from orecodes.gf import GF
 from orecodes.linalg import Matrix
-from orecodes.skewpoly import OreRing
+from orecodes.skewpoly import OreRing, gcrd, lclm
 from orecodes.codes import (
     LinearCode,
     SkewCyclicCode,
@@ -291,6 +292,87 @@ def test_dual_skew_cyclic_matches_kernel_dual(R4, R8):
             dual = dual_skew_cyclic(code)
             assert dual.to_linear().same_code(code.to_linear().dual())
             assert dual.dim == n - code.dim
+
+
+# (q, k, l, n): every field and sigma = phi^l of order n below has all its monic
+# right divisors of x^n - 1 checked, 205 of them
+CYCLIC_SETTINGS = [(2, 2, 1, 2), (2, 3, 1, 3), (2, 3, 2, 3), (2, 4, 1, 4), (2, 4, 3, 4), (3, 2, 1, 2), (3, 3, 1, 3)]
+
+
+def _all_divisors(ring, n):
+    """The monic right divisors of f = x^n - 1: f is its only one of degree n."""
+    f = f_mod(ring, n)
+    return [g for d in range(n) for g in ring.all_polys(d) if g.right_divides(f)] + [f]
+
+
+def idempotent_dual(code):
+    """The dual's generator through a generating idempotent e: gcrd(theta(1 - e), x^n - 1)."""
+    ring, n = code.ring, code.n
+    return idempotent_to_generator(ring, theta(ring, ring.one - generating_idempotent(code), n), n)
+
+
+def reciprocal_dual(code):
+    """The skew reciprocal of h, x^n - 1 = h*g, written out: sum_i sigma^i(h_{k-i}) x^i, made monic."""
+    ring, f = code.ring, f_mod(code.ring, code.n)
+    h = f.right_divmod(code.g)[0]
+    if h == f:
+        return f
+    k = h.degree
+    return ring.poly([ring.sigma(h[k - i], i) for i in range(k + 1)]).monic()
+
+
+@pytest.mark.parametrize("q, k, l, n", CYCLIC_SETTINGS)
+def test_dual_skew_cyclic_matches_both_references(q, k, l, n):
+    ring = OreRing(GF(q, k), l)
+    f = f_mod(ring, n)
+    for g in _all_divisors(ring, n):
+        code = SkewCyclicCode(ring, f, g)
+        dual = dual_skew_cyclic(code).g
+        assert dual == idempotent_dual(code) == reciprocal_dual(code), g
+
+
+def test_dual_skew_cyclic_does_not_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dual searched")
+
+    for name in ("generating_idempotent", "complement_divisor", "bezout_idempotent", "idempotent_to_generator"):
+        monkeypatch.setattr(codes_module, name, refuse)
+    monkeypatch.setattr(OreRing, "all_polys", refuse)
+    ring = OreRing(GF(2, 8), 1)
+    f = f_mod(ring, 8)
+    # over GF(256) the complement search of x + 1 would span 256^7 candidates
+    for g, gperp in ((ring.one, f), (ring.parse("x+1"), ring.parse("x^7+x^6+x^5+x^4+x^3+x^2+x+1")), (f, ring.one)):
+        assert dual_skew_cyclic(SkewCyclicCode(ring, f, g)).g == gperp
+
+
+def test_dual_refuses_a_divisor_of_another_modulus():
+    # x + w right-divides x^2 + 1 over GF(9)[x;phi] but not x^2 - 1
+    ring = OreRing(GF(3, 2), 1)
+    f = ring.parse("x^2+1")
+    assert f.right_divmod(ring.parse("x+w"))[1] == ring.zero
+    with pytest.raises(DomainError, match=r"the divisor does not right-divide x\^2 - 1"):
+        dual_skew_cyclic(SkewCyclicCode(ring, f, ring.parse("x+w")))
+
+
+def complement_with_gcrd(ring, g, n):
+    """complement_divisor with the gcrd(g, h) = 1 test that lclm(g, h) = x^n - 1 makes redundant."""
+    f = f_mod(ring, n)
+    if g.degree == 0:
+        return f
+    for h in ring.all_polys(n - g.degree):
+        if h.right_divides(f) and gcrd(g, h).degree == 0 and lclm(g, h) == f:
+            return h
+
+
+@pytest.mark.parametrize("q, k, l, n", [s for s in CYCLIC_SETTINGS if s[0] == 2])
+def test_complement_divisor_matches_the_gcrd_reference(q, k, l, n):
+    ring = OreRing(GF(q, k), l)
+    f = f_mod(ring, n)
+    for g in _all_divisors(ring, n):
+        h = complement_with_gcrd(ring, g, n)
+        assert complement_divisor(ring, g, n) == h, g
+        if 0 < g.degree < n:  # so the generating idempotent does not move either
+            assert generating_idempotent(SkewCyclicCode(ring, f, g)) == bezout_idempotent(ring, g, h, n)
 
 
 def test_dual_of_full_and_zero(R4):

@@ -196,6 +196,17 @@ def test_fixed_subfield_size_and_closure(q, k, l, size):
             assert a / b in subset
 
 
+@pytest.mark.parametrize("q,k", [(2, k) for k in range(1, 9)] + [(3, k) for k in range(1, 6)])
+def test_fixed_subfield_closed_form_matches_the_scan(q, k):
+    # reference: box every element and keep those sigma fixes, in index order
+    F = GF(q, k)
+    for l in range(k):
+        s = Automorphism(F, l)
+        scan = [z.idx for z in F.elements() if s(z) == z]
+        assert s.fixed_subfield_i() == scan
+        assert [z.idx for z in s.fixed_subfield()] == scan
+
+
 def test_gf16_fixed_subfield_via_z4_eq_z():
     F = GF(2, 4)
     s = Automorphism(F, 2)

@@ -126,9 +126,11 @@ CALLS = [
     'spbwsets center --presentation presentations/weyl1z.json --degree 3',
     'spbwsets nullstellensatz --presentation presentations/qplane4.json --gens "x^3-1,y" --degree 3 --samples 10 --seed 2',
     'spbwsets nullstellensatz --presentation presentations/qplane9.json --gens "x*y-1" --degree 2 --samples 8 --seed 3',
-    # the monic search cap: two searches past it, one large field under it
+    # the monic search cap: two searches past it, one large field under it, and a
+    # dual over GF(256) that needs no search
     'codes build --field "GF(256)" --sigma 1 --modulus "x^8-1" --divisor "x+1" --emit dual',
     'poly factor --field "GF(64)" --sigma 1 --g "x^4+w^18*x^3+w^28*x^2+w^18*x+w^49"',
+    'poly factor --field "GF(512)" --sigma 1 --g "x^3+w^278*x^2+w^303*x+w^121"',
     'poly factor --field "GF(128)" --sigma 1 --g "x^2+1"',
     # the Nullstellensatz work budget: a pair past it, and a pair past the old degree cap under it
     'spbwsets nullstellensatz --presentation presentations/qplane9.json --gens "x^2-1,y" --degree 16 --samples 500',

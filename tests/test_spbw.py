@@ -602,6 +602,39 @@ def test_presentation_wrong_entry_type_cli(tmp_path, capsys, key, value, rel, me
     assert error["code"] == 3 and re.search(message, error["message"])
 
 
+# -- a repeated relation pair or an unknown key: refused before any arithmetic ---------
+
+REPEATED_OR_UNKNOWN = [
+    ("repeated-pair", dict(GF9_PLANE, relations=[{"i": 1, "j": 2, "c": "-1"}, {"i": 1, "j": 2, "c": "w"}]),
+     r"presentation repeats the relation of the pair \(i, j\) = \(1, 2\)"),
+    ("document-key", dict(GF9_PLANE, sigmaa=[1, None]), r"presentation document has unknown entry 'sigmaa'"),
+    ("relation-key", dict(GF9_PLANE, relations=[{"i": 1, "j": 2, "C": "w"}]),
+     r"presentation relation has unknown entry 'C'"),
+]
+
+
+@pytest.mark.parametrize("data, message", [c[1:] for c in REPEATED_OR_UNKNOWN],
+                         ids=[c[0] for c in REPEATED_OR_UNKNOWN])
+def test_presentation_repeated_pair_or_unknown_key(monkeypatch, data, message):
+    def no_arithmetic(*args, **kwargs):
+        raise AssertionError("a presentation was built")
+
+    monkeypatch.setattr(PBWPresentation, "__init__", no_arithmetic)
+    with pytest.raises(DomainError, match=message):
+        load_presentation(data)
+
+
+@pytest.mark.parametrize("data, message", [c[1:] for c in REPEATED_OR_UNKNOWN],
+                         ids=[c[0] for c in REPEATED_OR_UNKNOWN])
+def test_presentation_repeated_pair_or_unknown_key_cli(tmp_path, capsys, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    argv = ["spbw", "mul", "--presentation", str(path), "--a", "x", "--b", "y", "--format", "json"]
+    assert main(argv) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == 3 and re.fullmatch(message, error["message"])
+
+
 # -- associativity: the overlap conditions are checked when a presentation is built ------
 
 def test_shipped_presentations_are_associative():
