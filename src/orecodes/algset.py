@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .errors import DomainError, verify
 from .linalg import Matrix, dot_i, kernel_i
-from .gf import FieldElement, fixed_field_coordinates, parse_element, split_list
+from .gf import FieldElement, element_str, fixed_field_coordinates, parse_element, split_list
 from .skewpoly import (OreRing, SkewPoly, _from_idx, _x_times_i, conjugate_i, field_index, norms_i,
                        operator_powers_i, remove_derivation)
 
@@ -122,8 +122,6 @@ def ideal_of_points(ring: OreRing, points) -> SkewPoly:
 
 
 def points_str(points) -> str:
-    from .gf import element_str
-
     return ",".join(element_str(z) for z in _sorted_points(points))
 
 

@@ -198,6 +198,8 @@ def generating_idempotent(code: SkewCyclicCode) -> SkewPoly:
     """A generating idempotent of the code (zero code gives 0, full code 1)."""
     ring, n, g = code.ring, code.n, code.g
     f = _check_cyclic_setting(ring, n)
+    if code.f != f:
+        raise DomainError(f"the code's modulus is not x^{n} - 1")
     if g == f:
         return ring.zero
     if g.degree == 0:
@@ -213,6 +215,8 @@ def dual_skew_cyclic(code: SkewCyclicCode) -> SkewCyclicCode:
     h, rest = f.right_divmod(code.g)
     if rest:
         raise DomainError(f"the divisor does not right-divide x^{n} - 1")
+    if code.f != f:
+        raise DomainError(f"the code's modulus is not x^{n} - 1")
     gperp = f if h == f else (ring.monomial(h.degree) * theta(ring, h, n)).right_divmod(f)[1].monic()
     dual_code = SkewCyclicCode(ring, f, gperp)
     verify(dual_code.to_linear().same_code(code.to_linear().dual()), "skew-reciprocal dual = kernel dual")

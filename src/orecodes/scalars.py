@@ -11,7 +11,7 @@ import sys
 from math import gcd
 
 from .errors import DomainError
-from .gf import FiniteField, element_str, parse_element, parse_field, split_terms
+from .gf import Automorphism, FiniteField, InnerDerivation, element_str, parse_element, parse_field, split_terms
 
 
 def _q_str(n: int, d: int) -> str:
@@ -181,14 +181,10 @@ class GFDomain:
 
     def sigma(self, spec):
         """spec: a Frobenius power l (int) or None for the identity."""
-        from .gf import Automorphism
-
         return Automorphism(self.field, 0 if spec is None else int(spec))
 
     def delta(self, spec, sigma):
         """spec: the inner element w as a literal, or None for zero."""
-        from .gf import InnerDerivation
-
         if spec in (None, 0, "0"):
             return None
         d = InnerDerivation(sigma, self.parse(str(spec)))

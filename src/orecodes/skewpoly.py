@@ -21,9 +21,9 @@ import re
 from typing import NamedTuple
 
 from .errors import DomainError, capped, verify
-from .gf import (Automorphism, FieldElement, FiniteField, InnerDerivation, element_str, literal_int,
-                 parse_element, split_factors, split_terms)
-from .linalg import Matrix, dot_i, kernel_i
+from .gf import (Automorphism, FieldElement, FiniteField, InnerDerivation, element_str, fixed_field_coordinates,
+                 literal_int, parse_element, split_factors, split_terms)
+from .linalg import Matrix, dot_i, identity, kernel_i
 
 
 # a dense polynomial holds degree + 1 coefficients, so a larger degree is
@@ -482,13 +482,13 @@ def two_sided_test(g: SkewPoly) -> TwoSidedWitness:
     ring = g.ring
     if not ring.is_auto_type:
         raise DomainError("two_sided_test requires delta = 0; change variable first")
-    field, sigma = ring.field, ring.sigma
+    field = ring.field
     if not g:
         return TwoSidedWitness(True, field.zero, 0, ring.one)
-    t = next(i for i, c in enumerate(g.coeffs) if c)
+    t = next(i for i, c in enumerate(g.idx) if c)
     c = g.lc()
-    h_coeffs = [sigma(ci / c, -t) if ci else ci for ci in g.coeffs[t:]]
-    h = ring.poly(h_coeffs)
+    inv = field.inv_i(c.idx)
+    h = _from_idx(ring, field.frob_row_i([field.mul_i(v, inv) for v in g.idx[t:]], -ring.sigma.l * t))
     verify(c * (ring.monomial(t) * h) == g, "two-sided decomposition g = c*x^t*h")
     if not is_central(h):
         return TwoSidedWitness(False, None, None, None)
@@ -500,9 +500,8 @@ def is_central(g: SkewPoly) -> bool:
     ring = g.ring
     if not ring.is_auto_type:
         raise DomainError("center description requires delta = 0")
-    return all(
-        not c or (i % ring.s == 0 and ring.sigma(c) == c) for i, c in enumerate(g.coeffs)
-    )
+    support = all(not c for i, c in enumerate(g.idx) if i % ring.s)
+    return support and ring.field.frob_row_i(g.idx, ring.sigma.l) == list(g.idx)
 
 
 def residue_rows_i(g: SkewPoly, f: SkewPoly):
@@ -526,26 +525,26 @@ def annihilator_poly(a: SkewPoly, f: SkewPoly) -> SkewPoly:
 
 
 def bound_polynomial(f: SkewPoly) -> SkewPoly:
-    """f* = lclm(f, f_{a_1}, ..., f_{a_r}) over the Z(A)-module generators
-    {b_j x^i}, the largest two-sided ideal inside A*f."""
+    """f* = x^e h, the largest two-sided ideal inside A*f, for f = f1 x^e with f1(0) != 0: h is the
+    least monic central multiple of f1, whose coefficients in Z(A) = F^sigma[x^s] (Jacobson 1996)
+    are the first F^sigma-linear relation among the rows x^(s*j) mod f1, j = 0 .. deg f1 * [F:F^sigma]."""
     ring = f.ring
-    if not f.is_monic or not f:
+    if not f.is_monic:
         raise DomainError("bound polynomial requires a monic nonzero f")
     if not ring.is_auto_type:
         raise DomainError("bound polynomial requires delta = 0; change variable first")
-    if f.degree == 0:
-        return ring.one
-    from .gf import basis_over_fixed_subfield
-
-    basis = basis_over_fixed_subfield(ring.sigma)
-    acc = f.monic()
-    for b in basis:
-        for i in range(ring.s):
-            a = ring.monomial(i, b)
-            acc = lclm(acc, annihilator_poly(a, f))
-    verify(two_sided_test(acc).is_two_sided, "the bound polynomial is two-sided")
-    verify(f.right_divides(acc), "f right-divides its bound polynomial")
-    return acc
+    s, e = ring.s, next(i for i, c in enumerate(f.idx) if c)
+    f1 = _from_idx(ring, list(f.idx[e:]))
+    basis, table = fixed_field_coordinates(ring.sigma)
+    dim = f1.degree * len(basis)  # dim + 1 rows over F^sigma of this dimension are dependent
+    rows = itertools.islice(residue_rows_i(ring.one, f1), 0, s * dim + 1, s)
+    cols = [[c for v in row for c in table[v]] for row in rows]
+    idx = [0] * (e + s * dim + 1)
+    idx[e::s] = kernel_i(ring.field, list(zip(*cols)), dim + 1)[0]
+    bound = _from_idx(ring, idx)
+    verify(two_sided_test(bound).is_two_sided, "the bound polynomial is two-sided")
+    verify(f.right_divides(bound), "f right-divides its bound polynomial")
+    return bound
 
 
 # -- similarity ---------------------------------------------------------------
@@ -580,8 +579,6 @@ def similarity_test(g: SkewPoly, h: SkewPoly):
     m = g.degree
     field = ring.field
     if g == h:
-        from .linalg import identity
-
         return True, identity(m, field.zero, field.one)
     capped(field.size ** m, MAX_SEARCH, f"similarity search space |F|^m = {field.size}^{m} =")
     for tail in itertools.product(range(field.size), repeat=m):
@@ -633,17 +630,11 @@ def factor_irreducible(g: SkewPoly):
     unit = g.lc()
     cur = g.monic()
     factors: list[SkewPoly] = []
-    while True:
-        d = _min_right_divisor(cur)
-        if d is None:
-            factors.insert(0, cur)
-            break
-        q, r = cur.right_divmod(d)
+    while (d := _min_right_divisor(cur)) is not None:
+        cur, r = cur.right_divmod(d)
         verify(not r, "a found right divisor divides exactly")
         factors.insert(0, d)
-        cur = q
-        if cur.degree == 0:
-            break
+    factors.insert(0, cur)
     if unit != g.ring.field.one:
         factors[0] = unit * factors[0]
     prod = factors[0]

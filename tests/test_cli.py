@@ -134,6 +134,15 @@ def test_codes_build_emit_items_are_stripped(capsys):
     assert sorted(json.loads(run(capsys, BUILD + ["--format", "json"])[1])["result"]) == ["G", "dim", "n"]
 
 
+def test_codes_build_refuses_the_dual_of_a_code_of_another_modulus(capsys):
+    other = ["codes", "build", "--field", "GF(8)", "--sigma", "1", "--modulus", "x^3+x", "--divisor", "x+1",
+             "--format", "json"]
+    code, out, _ = run(capsys, other + ["--emit", "dual"])
+    assert (code, json.loads(out)) == (3, {"error": {"code": 3, "message": "the code's modulus is not x^3 - 1"}})
+    code, out, _ = run(capsys, other + ["--emit", "G,H"])
+    assert code == 0 and sorted(json.loads(out)["result"]) == ["G", "H", "dim", "n"]
+
+
 def test_linearized_dickson(capsys):
     code, out, _ = run(
         capsys,

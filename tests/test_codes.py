@@ -354,6 +354,17 @@ def test_dual_refuses_a_divisor_of_another_modulus():
         dual_skew_cyclic(SkewCyclicCode(ring, f, ring.parse("x+w")))
 
 
+def test_cyclic_operations_refuse_a_code_of_another_modulus(R8):
+    # x + 1 right-divides both x^3 + x and x^3 - 1 over GF(8)[x;phi]; the parent answered x^2 + x,
+    # which is not idempotent mod x^3 + x, and the dual x^2 + x + 1, which does not divide it
+    f = R8.parse("x^3+x")
+    code = SkewCyclicCode(R8, f, R8.parse("x+1"))
+    assert R8.parse("x+1").right_divides(f_mod(R8, 3))
+    for op in (generating_idempotent, dual_skew_cyclic):
+        with pytest.raises(DomainError, match=r"the code's modulus is not x\^3 - 1"):
+            op(code)
+
+
 def complement_with_gcrd(ring, g, n):
     """complement_divisor with the gcrd(g, h) = 1 test that lclm(g, h) = x^n - 1 makes redundant."""
     f = f_mod(ring, n)

@@ -60,6 +60,8 @@ CALLS = [
     'codes build --field "GF(8)" --sigma 1 --modulus "x^3-1" --divisor "x^2+w^3*x+w" --emit G,H,dual',
     'codes build --field "GF(9)" --sigma 1 --modulus "x^4-1" --divisor "x^2+w*x+w" --emit G,H',
     'codes build --field "GF(27)" --sigma 1 --delta-w "g" --modulus "x^3+1" --divisor "x^2+g^13*x+1" --emit G,H',
+    # a dual refused: x + 1 right-divides x^3 + x, which is not x^3 - 1
+    'codes build --field "GF(8)" --sigma 1 --modulus "x^3+x" --divisor "x+1" --emit dual',
     'codes theta --field "GF(8)" --sigma 1 --g "x^2+w^3*x+w" --n 3',
     'codes theta --field "GF(64)" --sigma 2 --g "g^5*x^4+x^2+g*x+g^7" --n 3',
     'codes theta --field "GF(16)" --sigma 1 --g "g^3*x^5+x^3+g^9*x^2+g*x+g^4" --n 4',

@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orecodes import gf, skewpoly
 from orecodes.errors import DomainError, GuardError
-from orecodes.gf import GF, FieldElement
+from orecodes.gf import GF, FieldElement, basis_over_fixed_subfield
 from orecodes.linalg import Matrix
 from orecodes.skewpoly import (
     OreRing,
@@ -29,6 +30,7 @@ from orecodes.skewpoly import (
     residue_rows_i,
     right_eval,
     similarity_test,
+    TwoSidedWitness,
     two_sided_test,
 )
 
@@ -55,6 +57,17 @@ def test_reference_product_gf4(R4):
     a = R4.parse("x^2+w*x+w")
     b = R4.parse("x+w")
     assert a * b == R4.parse("x^3+w^2*x+w^2")
+
+
+def test_power_is_repeated_product(R4):
+    g = R4.parse("x^2+w*x+1")
+    acc = R4.one
+    for n in range(5):
+        assert g ** n == acc
+        acc = acc * g
+    assert R4.parse("w*x+1") ** 0 == R4.one
+    with pytest.raises(DomainError, match="negative power"):
+        g ** -1
 
 
 def test_unit_and_annihilator(R4):
@@ -362,6 +375,54 @@ def test_two_sided_witness_reconstructs(R4):
     assert is_central(res.h)
 
 
+def boxed_is_central(g):
+    """Reference: membership in F^sigma[x^s], each coefficient boxed and tested by sigma(c) == c."""
+    ring = g.ring
+    return all(not c or (i % ring.s == 0 and ring.sigma(c) == c) for i, c in enumerate(g.coeffs))
+
+
+def boxed_two_sided_test(g):
+    """Reference: g = c x^t h with h = c^-1 sigma^-t(g_i) boxed coefficient by coefficient."""
+    ring = g.ring
+    if not g:
+        return TwoSidedWitness(True, ring.field.zero, 0, ring.one)
+    t = next(i for i, c in enumerate(g.coeffs) if c)
+    c = g.lc()
+    h = ring.poly([ring.sigma(ci / c, -t) if ci else ci for ci in g.coeffs[t:]])
+    if not boxed_is_central(h):
+        return TwoSidedWitness(False, None, None, None)
+    return TwoSidedWitness(True, c, t, h)
+
+
+def _bound_cases():
+    """(ring, f): every monic f of degree <= 3 over GF(4) and GF(8) for every l, and 40 seeded monic
+    f = f1 x^e, f1(0) != 0, deg f1 in 1..4, over GF(9), GF(16), GF(27) and GF(64) for every l, where
+    e is 0, 1 or 2 with probabilities 1/2, 1/4 and 1/4."""
+    for q, k in ((2, 2), (2, 3)):
+        F = GF(q, k)
+        for l in range(k):
+            ring = OreRing(F, l)
+            for d in range(4):
+                for f in ring.all_polys(d):
+                    yield ring, f
+    for q, k in ((3, 2), (2, 4), (3, 3), (2, 6)):
+        F = GF(q, k)
+        for l in range(k):
+            ring = OreRing(F, l)
+            rng = random.Random(q ** k * 10 + l)
+            for _ in range(40):
+                d, e = rng.randrange(1, 5), rng.choice((0, 0, 1, 2))
+                tail = [rng.randrange(F.size) for _ in range(d - 1)]
+                yield ring, skewpoly._from_idx(ring, [0] * e + [rng.randrange(1, F.size)] + tail + [1])
+
+
+def test_center_by_indices_matches_the_boxed_references():
+    for ring, f in _bound_cases():
+        for g in (ring.zero, f, f * ring.monomial(2), ring.monomial(ring.s) + ring.one):
+            assert is_central(g) == boxed_is_central(g)
+            assert two_sided_test(g) == boxed_two_sided_test(g), g
+
+
 # -- annihilators and bounds -------------------------------------------------------
 
 def test_annihilator_trivial_cases(R4):
@@ -413,11 +474,49 @@ def test_annihilator_matches_grow_and_solve_and_is_minimal(q, k, l, delta):
             assert all((h * a).right_divmod(f)[1] for h in ring.all_polys(d))
 
 
+def test_bound_of_one_is_one(R4):
+    for ring in (R4, OreRing(GF(3, 2), 1), OreRing(GF(2, 4), 0)):
+        assert bound_polynomial(ring.one) == ring.one
+
+
 def test_bound_polynomial_examples(R4):
     assert bound_polynomial(R4.parse("x^2+1")) == R4.parse("x^2+1")  # two-sided fixpoint
     assert bound_polynomial(R4.parse("x+1")) == R4.parse("x^2+1")
     # x is itself two-sided, so its bound is x (Prop: f two-sided iff f* = f)
     assert bound_polynomial(R4.x) == R4.x
+
+
+def fold_bound(f):
+    """Reference: f* = lclm(f, f_{a_1}, ..., f_{a_r}) over the Z(A)-module generators {b_j x^i}."""
+    ring = f.ring
+    if f.degree == 0:
+        return ring.one
+    acc = f
+    for b in basis_over_fixed_subfield(ring.sigma):
+        for i in range(ring.s):
+            acc = lclm(acc, annihilator_poly(ring.monomial(i, b), f))
+    return acc
+
+
+def test_bound_polynomial_equals_the_lclm_fold():
+    count = 0
+    for ring, f in _bound_cases():
+        assert bound_polynomial(f) == fold_bound(f), (ring, f)
+        count += 1
+    assert count == 2 * (1 + 4 + 16 + 64) + 3 * (1 + 8 + 64 + 512) + 40 * (2 + 4 + 3 + 6)
+
+
+def test_bound_polynomial_uses_no_lclm_fold(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bound folded lclm over annihilators")
+
+    R16 = OreRing(GF(2, 4), 1)
+    f = R16.parse("x^3+g*x^2+g^5") * R16.x
+    expected = fold_bound(f)
+    monkeypatch.setattr(skewpoly, "lclm", refuse)
+    monkeypatch.setattr(skewpoly, "annihilator_poly", refuse)
+    monkeypatch.setattr(gf, "basis_over_fixed_subfield", refuse)
+    assert bound_polynomial(f) == expected
 
 
 def test_bound_polynomial_is_minimal_two_sided_multiple(R4):

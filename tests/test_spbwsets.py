@@ -480,6 +480,19 @@ def test_nullstellensatz_under_a_derivation(gen, nilpotent):
         "presentations with trivial coefficient maps")}
 
 
+def test_nullstellensatz_center_side_with_a_mixed_central_monomial():
+    # three pairwise anticommuting variables over GF(3): x^2, y^2, z^2 are central, and so is x*y*z,
+    # which is no monomial in them, so the center is not F[x^2, y^2, z^2] at degree 3
+    dom = GFDomain(GF(3))
+    zero = [dom.zero] * 3
+    A = PBWPresentation(["x", "y", "z"], dom, {pair: (dom.parse("2"), zero, dom.zero)
+                                               for pair in ((0, 1), (0, 2), (1, 2))})
+    assert (1, 1, 1) in {next(iter(m.terms)) for m in center_basis(A, 3)}
+    report = nullstellensatz_check([A.parse("x^2-1")], degree=3)
+    assert report["center_side"] == {"holds": None,
+                                     "note": "center is not the expected polynomial ring at this degree"}
+
+
 def reference_nullstellensatz(gens, degree, sample_budget, seed):
     """The report built the direct way: each candidate's powers f^m formed
     explicitly and tested for membership in I, and I_Z(A)(V_Z(A)(J)) as the

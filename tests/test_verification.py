@@ -96,6 +96,14 @@ def sabotage(kind, patch=setattr):
         patch(codes, "two_sided_test", lambda g: skewpoly.TwoSidedWitness(False, None, None, None))
     elif kind == "wrong-kernel":  # every F^sigma-kernel is the first unit vector
         patch(algset, "kernel_i", lambda field, rows, ncols: [[1] + [0] * (ncols - 1)])
+    elif kind == "late-relation":  # the bound's central relation is read one row late: h_j from row j + 1
+        good_kernel = skewpoly.kernel_i
+
+        def late(field, rows, ncols):
+            first = good_kernel(field, rows, ncols)[0]
+            return [first[1:] + [0]]
+
+        patch(skewpoly, "kernel_i", late)
     elif kind == "wrong-factor":  # m_X grows by x*m instead of (x - z^c)*m
         patch(gf.FiniteField, "addmul_i", lambda field, acc, k, row, off=0: None)
     else:  # the PBW ring product loses its lowest term
@@ -118,6 +126,7 @@ CASES = {
     "poly-lclm-delta": ("from-y", ["poly", "lclm", "--delta-w", "w"] + GF9),
     "codes-rightmult": ("not-two-sided", ["codes", "rightmult", "--field", "GF(8)", "--sigma", "1",
                                           "--g", "x^2+w^3*x+w", "--n", "3"]),
+    "poly-bound": ("late-relation", ["poly", "bound", "--field", "GF(9)", "--sigma", "1", "--g", "x^2+w*x+1"]),
     "algset-vanish": ("wrong-kernel", ["algset", "vanish", "--field", "GF(256)", "--sigma", "1", "--g", "x+w"]),
     "algset-minpoly": ("wrong-factor", ["algset", "minpoly", "--field", "GF(4)", "--sigma", "1",
                                         "--points", "1,w,w^2"]),
