@@ -212,11 +212,9 @@ def dual_skew_cyclic(code: SkewCyclicCode) -> SkewCyclicCode:
     sum_i sigma^i(h_{k-i}) x^i = x^k theta(h) mod x^n - 1 (x^n - 1 when g = 1); kernel-checked."""
     ring, n = code.ring, code.n
     f = _check_cyclic_setting(ring, n)
-    h, rest = f.right_divmod(code.g)
-    if rest:
-        raise DomainError(f"the divisor does not right-divide x^{n} - 1")
     if code.f != f:
         raise DomainError(f"the code's modulus is not x^{n} - 1")
+    h = f.right_divmod(code.g)[0]  # exact: SkewCyclicCode makes g right-divide code.f
     gperp = f if h == f else (ring.monomial(h.degree) * theta(ring, h, n)).right_divmod(f)[1].monic()
     dual_code = SkewCyclicCode(ring, f, gperp)
     verify(dual_code.to_linear().same_code(code.to_linear().dual()), "skew-reciprocal dual = kernel dual")

@@ -15,6 +15,10 @@ class VerificationError(Exception):
     the program, never in the input."""
 
 
+# a brute-force search or enumeration over more candidates is refused before it starts
+MAX_SEARCH = 1 << 16
+
+
 def capped(size: int, cap: int, what: str) -> int:
     """size, if at most cap; otherwise a GuardError naming what was sized, the
     size it saw and the cap it hit, raised before the work is attempted."""

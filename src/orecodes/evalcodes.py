@@ -6,10 +6,10 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .errors import DomainError, capped, verify
+from .errors import MAX_SEARCH, DomainError, capped, verify
 from .gf import fixed_field_coordinates
 from .linalg import Matrix, dot_i, rank_i
-from .skewpoly import MAX_SEARCH, OreRing
+from .skewpoly import OreRing
 from .algset import vandermonde, wronskian
 from .codes import LinearCode
 

@@ -20,7 +20,7 @@ import itertools
 import re
 from typing import NamedTuple
 
-from .errors import DomainError, capped, verify
+from .errors import MAX_SEARCH, DomainError, capped, verify
 from .gf import (Automorphism, FieldElement, FiniteField, InnerDerivation, element_str, fixed_field_coordinates,
                  literal_int, parse_element, split_factors, split_terms)
 from .linalg import Matrix, dot_i, identity, kernel_i
@@ -29,8 +29,6 @@ from .linalg import Matrix, dot_i, identity, kernel_i
 # a dense polynomial holds degree + 1 coefficients, so a larger degree is
 # refused before it is allocated
 MAX_DEGREE = 1 << 16
-# a brute-force search over more candidates is refused before it starts
-MAX_SEARCH = 1 << 16
 
 
 class OreRing:
@@ -442,30 +440,32 @@ def conjugate(ring: OreRing, z: FieldElement, u: FieldElement) -> FieldElement:
     return FieldElement(field, conjugate_i(ring, field_index(field, z), field_index(field, u)))
 
 
+def _class_i(ring: OreRing, z: int) -> list:
+    """Sorted indices of the class of z: z^u = sigma(u) u^-1 (z + w) - w, where sigma(u) u^-1 =
+    u^(q^l - 1) runs over the m-th powers, m = q^(k/s) - 1 = |F^sigma| - 1.  So the class is {z}
+    at z = -w, otherwise every index congruent to index(z + w) mod m, shifted back by -w."""
+    field, w = ring.field, ring._w
+    y, m = field.add_i(z, w), field.q ** (field.k // ring.s) - 1
+    return sorted(field.sub_i(v, w) for v in range((y - 1) % m + 1, field.size, m)) if y else [z]
+
+
 def conjugacy_class(ring: OreRing, z: FieldElement):
     field = ring.field
-    z = field_index(field, z)
-    cls = {conjugate_i(ring, z, u) for u in range(1, field.size)}
-    return [FieldElement(field, c) for c in sorted(cls)]
+    return [FieldElement(field, c) for c in _class_i(ring, field_index(field, z))]
 
 
 def centralizer(ring: OreRing, z: FieldElement):
+    """{u : z^u = z} with 0: F^sigma, or all of F at z = -w (see _class_i)."""
     field = ring.field
-    z = field_index(field, z)
-    return [FieldElement(field, u) for u in range(field.size) if not u or conjugate_i(ring, z, u) == z]
+    return ring.sigma.fixed_subfield() if field.add_i(field_index(field, z), ring._w) else field.elements()
 
 
 def conjugacy_classes(ring: OreRing):
-    """Partition of F into conjugacy classes, each sorted, reps in index order."""
-    seen = set()
-    classes = []
-    for z in ring.field.elements():
-        if z in seen:
-            continue
-        cls = conjugacy_class(ring, z)
-        seen.update(cls)
-        classes.append(cls)
-    return classes
+    """Partition of F into conjugacy classes, each sorted, by least element: one
+    class per index 0 .. m of z + w (see _class_i)."""
+    field = ring.field
+    classes = sorted(_class_i(ring, field.sub_i(y, ring._w)) for y in range(field.q ** (field.k // ring.s)))
+    return [[FieldElement(field, c) for c in cls] for cls in classes]
 
 
 # -- two-sided / bound polynomials ---------------------------------------------

@@ -18,7 +18,7 @@ import itertools
 import random
 from typing import NamedTuple
 
-from .errors import DomainError, capped, verify
+from .errors import MAX_SEARCH, DomainError, capped, verify
 from .gf import Automorphism, FieldElement, fixed_field_coordinates
 from .linalg import Matrix
 from .spbw import (
@@ -92,8 +92,11 @@ def root_test(f: PBWPoly, Z) -> bool:
 
 
 def all_points(pres: PBWPresentation):
+    """All of F^n; more than MAX_SEARCH points are refused."""
     if not pres.domain.is_finite:
         raise DomainError("full point enumeration needs a finite base field")
+    q = pres.domain.field.size
+    capped(q ** pres.n, MAX_SEARCH, f"point enumeration |F|^n = {q}^{pres.n} =")
     return [tuple(p) for p in itertools.product(pres.domain.elements(), repeat=pres.n)]
 
 
@@ -284,8 +287,9 @@ def nullstellensatz_check(gens, degree: int = 4, sample_budget: int = 50, seed: 
     if not pres.domain.is_finite:
         raise DomainError("the executable check needs a finite base field")
     cmonos = center_basis(pres, degree)  # refuses a degree past its cap before the closure is built
+    grid = all_points(pres)  # and so does a point enumeration past MAX_SEARCH
     G2 = two_sided_closure(gens)
-    variety, points = _variety(pres, gens, all_points(pres))
+    variety, points = _variety(pres, gens, grid)
     report = {
         "variety_size": len(variety),
         "exercised": [],

@@ -346,11 +346,11 @@ def test_dual_skew_cyclic_does_not_search(monkeypatch):
 
 
 def test_dual_refuses_a_divisor_of_another_modulus():
-    # x + w right-divides x^2 + 1 over GF(9)[x;phi] but not x^2 - 1
+    # x + w right-divides x^2 + 1 over GF(9)[x;phi] but not x^2 - 1: the modulus check refuses it
     ring = OreRing(GF(3, 2), 1)
     f = ring.parse("x^2+1")
     assert f.right_divmod(ring.parse("x+w"))[1] == ring.zero
-    with pytest.raises(DomainError, match=r"the divisor does not right-divide x\^2 - 1"):
+    with pytest.raises(DomainError, match=r"the code's modulus is not x\^2 - 1"):
         dual_skew_cyclic(SkewCyclicCode(ring, f, ring.parse("x+w")))
 
 

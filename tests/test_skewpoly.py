@@ -340,6 +340,90 @@ def test_class_partition(R4, R8):
         assert sum(len(c) for c in classes) == ring.field.size
 
 
+# The orbit enumeration the closed forms of skewpoly._class_i replaced: |F| conjugates per class.
+
+def enum_conjugacy_class(ring, z):
+    field = ring.field
+    z = skewpoly.field_index(field, z)
+    cls = {skewpoly.conjugate_i(ring, z, u) for u in range(1, field.size)}
+    return [FieldElement(field, c) for c in sorted(cls)]
+
+
+def enum_centralizer(ring, z):
+    field = ring.field
+    z = skewpoly.field_index(field, z)
+    return [FieldElement(field, u) for u in range(field.size) if not u or skewpoly.conjugate_i(ring, z, u) == z]
+
+
+def enum_conjugacy_classes(ring):
+    seen = set()
+    classes = []
+    for z in ring.field.elements():
+        if z in seen:
+            continue
+        cls = enum_conjugacy_class(ring, z)
+        seen.update(cls)
+        classes.append(cls)
+    return classes
+
+
+def class_rings(F):
+    """F[x;phi^l] for every l, and F[x;phi^l, delta_w] for three nonzero w when l != 0."""
+    ws = [None, F.one, F.gen, F.element(F.size - 1)]
+    return [OreRing(F, l, w) for l in range(F.k) for w in (ws if l else ws[:1])]
+
+
+CLASS_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (2, 6)]
+
+
+@pytest.mark.parametrize("q, k", CLASS_FIELDS, ids=[f"GF({q}^{k})" for q, k in CLASS_FIELDS])
+def test_closed_forms_equal_the_enumeration(q, k):
+    for ring in class_rings(GF(q, k)):
+        assert conjugacy_classes(ring) == enum_conjugacy_classes(ring), ring
+        for z in ring.field.elements():
+            assert conjugacy_class(ring, z) == enum_conjugacy_class(ring, z), (ring, z)
+            assert centralizer(ring, z) == enum_centralizer(ring, z), (ring, z)
+
+
+def test_classes_never_conjugate(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a class was enumerated")
+
+    F = GF(2, 4)
+    rings = [OreRing(F, 1), OreRing(F, 2, F.gen), OreRing(F, 0)]
+    expected = [(enum_conjugacy_classes(R), [(enum_conjugacy_class(R, z), enum_centralizer(R, z))
+                                            for z in F.elements()]) for R in rings]
+    monkeypatch.setattr(skewpoly, "conjugate_i", refuse)
+    for ring, (classes, per_element) in zip(rings, expected):
+        assert conjugacy_classes(ring) == classes
+        assert [(conjugacy_class(ring, z), centralizer(ring, z)) for z in F.elements()] == per_element
+
+
+def test_centralizer_of_minus_w_is_the_field():
+    F = GF(3, 2)
+    ring = OreRing(F, 1, F.gen)
+    minus_w = -F.gen
+    assert centralizer(ring, minus_w) == enum_centralizer(ring, minus_w) == F.elements()
+    assert centralizer(ring, F.zero) == enum_centralizer(ring, F.zero) == ring.sigma.fixed_subfield()
+
+
+def test_class_of_zero_with_a_derivation_is_not_zero_alone():
+    # 0^u = delta(u) u^-1 = w (sigma(u) u^-1 - 1): the class of 0 is the class of w, shifted by -w
+    F = GF(2, 3)
+    ring = OreRing(F, 1, F.gen)
+    cls = conjugacy_class(ring, F.zero)
+    assert cls == enum_conjugacy_class(ring, F.zero)
+    assert len(cls) == (F.size - 1) // (F.q - 1) and cls != [F.zero]
+
+
+@pytest.mark.parametrize("q, k", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_identity_sigma_gives_singleton_classes(q, k):
+    F = GF(q, k)
+    ring = OreRing(F, k, F.gen)  # phi^k = id (phi itself on a prime field), so delta_w vanishes
+    assert conjugacy_classes(ring) == enum_conjugacy_classes(ring) == [[z] for z in F.elements()]
+    assert all(centralizer(ring, z) == enum_centralizer(ring, z) == F.elements() for z in F.elements())
+
+
 # -- two-sided / center -----------------------------------------------------------
 
 def test_two_sided_examples(R4):

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -381,6 +382,38 @@ def test_each_point_is_checked_for_admissibility_once(monkeypatch):
     points = POINT_CASES["qplane9"][1]
     assert len(truncated_ideal_of_points(A, points, 3)) > 1
     assert len(calls) == len(points) and set(calls.values()) == {1}
+
+
+# GF(4096)^3 has 68,719,476,736 points; an explicit candidate list stays uncapped
+BIG = {"schema_version": 1, "vars": ["x", "y", "z"], "field": "GF(4096)", "relations": []}
+BIG_REFUSAL = "point enumeration |F|^n = 4096^3 = 68719476736 exceeds the cap 65536"
+
+
+def test_point_enumeration_past_the_cap_is_refused(monkeypatch):
+    A = PBWPresentation(BIG["vars"], GFDomain(GF(2, 12)))
+    gens = [A.parse("x")]
+    with pytest.raises(GuardError, match=re.escape(BIG_REFUSAL)):
+        vanishing_set(gens)
+
+    def refuse(*args):
+        raise AssertionError("the closure was built before the point enumeration was refused")
+
+    monkeypatch.setattr(spbwsets, "two_sided_closure", refuse)
+    with pytest.raises(GuardError, match=re.escape(BIG_REFUSAL)):
+        nullstellensatz_check(gens, degree=0, sample_budget=0)
+    assert vanishing_set(gens, [("0", "1", "g"), ("1", "1", "1")]) == [("0", "1", "g")]
+
+
+def test_point_enumeration_past_the_cap_exits_4(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(BIG))
+    for op in (["variety", "--domain", "full"], ["nullstellensatz"]):
+        argv = ["spbwsets", *op, "--presentation", str(path), "--gens", "x", "--format", "json"]
+        assert main(argv) == 4
+        assert json.loads(capsys.readouterr().out) == {"error": {"code": 4, "message": BIG_REFUSAL}}
+    argv = ["spbwsets", "variety", "--domain", "0,1,g;1,1,1", "--presentation", str(path), "--gens", "x"]
+    assert main(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"result": {"points": [["0", "1", "g"]]}}
 
 
 def test_twisted_gf256_normality_is_exact(tmp_path, capsys):
