@@ -73,14 +73,15 @@ def minimal_polynomial(ring: OreRing, points) -> SkewPoly:
     m_{X u {z}} = (x - z^c)*m with z^c = (sigma(c) z + delta(c)) c^-1, and
     c = 0 means z is already a root."""
     field = ring.field
+    rows = field.rows
     pts = [field_index(field, z) for z in _sorted_points(points)]
     m = [1]
     for z in pts:
         c = dot_i(field, m, norms_i(ring, z, len(m) - 1))
         if c:
-            out = _x_times_i(ring, m)
-            field.addmul_i(out, field.neg_i(conjugate_i(ring, z, c)), m)
-            m = out
+            packed = rows.pack(m)
+            out = rows.addmul(_x_times_i(ring, packed), field.neg_i(conjugate_i(ring, z, c)), packed)
+            m = rows.unpack(out, len(m) + 1)
     verify(m[-1] == 1 and len(m) <= len(pts) + 1, "m_X is monic of degree <= |X|")
     verify(all(not dot_i(field, m, norms_i(ring, z, len(m) - 1)) for z in pts), "m_X vanishes on X")
     return _from_idx(ring, m)

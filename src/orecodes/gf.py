@@ -16,6 +16,12 @@ high half of a code's digits, and each step is one lookup per half plus one
 digitwise addition mod q (see FiniteField._powers).  A Zech entry needs only
 c + 1, which changes the lowest digit, and one code -> index list serves both
 the Zech table and from_code.
+
+Skew-polynomial kernels work on rows of coefficients through the operations
+of FiniteField.rows.  A characteristic-2 field of at most 256 elements packs a
+row into an int, one element code per byte (ByteRows), so that adding rows is
+XOR and scaling a row or applying phi^p is one bytes.translate; every other
+field keeps lists of indices and the Zech loop (ZechRows).
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import sys
 from .errors import DomainError, GuardError
 
 MAX_FIELD_SIZE = 1 << 16
+_from_bytes = int.from_bytes
 
 
 def factorize(n: int) -> dict:
@@ -115,6 +122,8 @@ class FiniteField:
         self.t = self.size - 1  # order of the multiplicative group
         self.modulus = self._least_irreducible()
         self._build_tables()
+        # the row operations of every skew-polynomial kernel, packed where the field allows it
+        self.rows = (ByteRows if q == 2 and self.size <= 256 else ZechRows)(self)
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
         self.gen = FieldElement(self, 2) if self.t >= 2 else self.one
@@ -298,12 +307,7 @@ class FiniteField:
             return 0
         return ((a - 1) * self._frob_mul[power % self.k]) % self.t + 1
 
-    # -- row kernels: mul_i, frob_i and add_i inlined over a list of indices --
-
-    def frob_row_i(self, row, power: int) -> list:
-        """[frob_i(v, power) for v in row]."""
-        t, m = self.t, self._frob_mul[power % self.k]
-        return [(v - 1) * m % t + 1 if v else 0 for v in row]
+    # -- the anti-isomorphism psi on a list of indices ------------------------
 
     def twist_row_i(self, row, power: int) -> list:
         """[frob_i(v, power * j) for j, v in enumerate(row)].  With power = -l it
@@ -314,21 +318,6 @@ class FiniteField:
             out.append((v - 1) * m % t + 1 if v else 0)
             m = m * step % t
         return out
-
-    def addmul_i(self, acc: list, k: int, row, off: int = 0) -> None:
-        """acc[off + j] += k * row[j] for every j."""
-        if not k:
-            return
-        t, zech = self.t, self._zech
-        k -= 2
-        for j, v in enumerate(row, off):
-            if v:
-                v = (v + k) % t + 1
-                a = acc[j]
-                if a:
-                    z = zech[(a - v) % t]
-                    v = 0 if z is None else (v - 1 + z) % t + 1
-                acc[j] = v
 
     # -- element factories ---------------------------------------------------
 
@@ -355,6 +344,115 @@ class FiniteField:
 
     def __reduce__(self):
         return (GF, (self.q, self.k))
+
+
+class ZechRows:
+    """The row operations of FiniteField.rows on lists of field indices: the
+    fallback of every field ByteRows does not take (odd characteristic, or
+    more than 256 elements).  Each operation is one loop with the log multiply
+    and the Zech add inlined.
+
+    Both row kinds share these operations, and every skew-polynomial kernel
+    is written against them: pack(idx) and unpack(row, n), the first n entries
+    as a list of indices (the row has no nonzero entry past them); coeff(row,
+    j), the index of entry j; shift(row, e), x^e * row without twisting (e < 0
+    drops the lowest -e entries); frob(row, p), phi^p on every entry; and
+    addmul(acc, k, row, off) = acc + k * x^off * row for the index k, which
+    may reuse acc, so a caller keeps only its result."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field: FiniteField):
+        self.field = field
+
+    def pack(self, idx) -> list:
+        return list(idx)
+
+    def unpack(self, row: list, n: int) -> list:
+        return row[:n] + [0] * (n - len(row))
+
+    def coeff(self, row: list, j: int) -> int:
+        return row[j] if j < len(row) else 0
+
+    def shift(self, row: list, e: int) -> list:
+        return [0] * e + row if e >= 0 else row[-e:]
+
+    def frob(self, row: list, p: int) -> list:
+        t, m = self.field.t, self.field._frob_mul[p % self.field.k]
+        return [(v - 1) * m % t + 1 if v else 0 for v in row]
+
+    def addmul(self, acc: list, k: int, row: list, off: int = 0) -> list:
+        if not k:
+            return acc
+        if len(acc) < off + len(row):
+            acc += [0] * (off + len(row) - len(acc))
+        t, zech = self.field.t, self.field._zech
+        k -= 2
+        for j, v in enumerate(row, off):
+            if v:
+                v = (v + k) % t + 1
+                a = acc[j]
+                if a:
+                    z = zech[(a - v) % t]
+                    v = 0 if z is None else (v - 1 + z) % t + 1
+                acc[j] = v
+        return acc
+
+
+class ByteRows:
+    """The row operations of ZechRows for a characteristic-2 field of at most
+    256 elements, on packed rows: a row is an int holding the code of entry j
+    in byte j.  Adding two rows is XOR of their codes; multiplying by a
+    constant and applying phi^p each map every code through a 256-byte table,
+    one bytes.translate.  A table is built on first use, by translating the
+    code -> index table through a rotation of the exp table, and kept."""
+
+    __slots__ = ("field", "_code_bytes", "_idx_bytes", "_scale_tables", "_frob_tables")
+
+    def __init__(self, field: FiniteField):
+        self.field = field
+        self._code_bytes = bytes(field._idx_to_code).ljust(256, b"\0")  # index -> code
+        self._idx_bytes = bytes(field._code_to_idx).ljust(256, b"\0")  # code -> index
+        self._scale_tables = [None] * field.size  # code -> code of k*z, by the index k
+        self._frob_tables = [None] * field.k  # code -> code of phi^p(z), by p
+
+    def _table(self, images: list) -> bytes:
+        """code -> images[index(code) - 1], the code of the image of z0^e at position e."""
+        return self._idx_bytes.translate((b"\0" + bytes(images)).ljust(256, b"\0"))
+
+    def pack(self, idx) -> int:
+        return _from_bytes(bytes(idx).translate(self._code_bytes), "little")
+
+    def unpack(self, row: int, n: int) -> list:
+        return list(row.to_bytes(n, "little").translate(self._idx_bytes))
+
+    def coeff(self, row: int, j: int) -> int:
+        return self._idx_bytes[row >> 8 * j & 255]
+
+    def shift(self, row: int, e: int) -> int:
+        return row << 8 * e if e >= 0 else row >> -8 * e
+
+    def frob(self, row: int, p: int) -> int:
+        p %= self.field.k
+        if not p:
+            return row
+        table = self._frob_tables[p]
+        if table is None:
+            field = self.field
+            exp, t, m = field._exp, field.t, field._frob_mul[p]
+            table = self._frob_tables[p] = self._table([exp[e * m % t] for e in range(t)])
+        return _from_bytes(row.to_bytes((row.bit_length() + 7) >> 3, "little").translate(table), "little")
+
+    def addmul(self, acc: int, k: int, row: int, off: int = 0) -> int:
+        if k != 1:
+            if not k:
+                return acc
+            table = self._scale_tables[k]
+            if table is None:
+                exp = self.field._exp
+                table = self._scale_tables[k] = self._table(exp[k - 1:] + exp[:k - 1])
+            row = _from_bytes(row.to_bytes((row.bit_length() + 7) >> 3, "little").translate(table), "little")
+        return acc ^ row << 8 * off
 
 
 class FieldElement:

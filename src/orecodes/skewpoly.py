@@ -2,9 +2,11 @@
 
 Polynomials are tuples of field indices (low degree first, trailing zeros
 trimmed), boxed as FieldElements only by coeffs, p[i] and lc(); the kernels
-apply x*r = sigma(r)*x + delta(r) on indices through gf's row kernels.  With
-delta = delta_w, y = x + w gives A = F[y; sigma] (y*r = sigma(r)*y; Lam-Leroy
-1988): left division and the Euclid loop of gcrd/lclm run there, on
+apply x*r = sigma(r)*x + delta(r) through the field's row operations
+(gf.FiniteField.rows: packed rows where the field allows it, the Zech loop
+otherwise), packing and unpacking only at their boundary.  With delta =
+delta_w, y = x + w gives A = F[y; sigma] (y*r = sigma(r)*y; Lam-Leroy 1988):
+left division and the Euclid loop of gcrd/lclm run there, on
 conversions of n(n+1)/2 capped steps for degree n; products, right division
 and every certificate stay in A.  Left division is right division through the
 anti-isomorphism psi: F[y; sigma] -> F[y; sigma^-1] (gf.twist_row_i).  All
@@ -159,10 +161,10 @@ class SkewPoly:
             raise DomainError("polynomials from different Ore rings")
 
     def _plus(self, other: "SkewPoly", k: int) -> "SkewPoly":
-        """self + k*other for the field index k: one addmul_i on a copy of self."""
-        out = list(self.idx) + [0] * (len(other.idx) - len(self.idx))
-        self.ring.field.addmul_i(out, k, other.idx)
-        return _from_idx(self.ring, out)
+        """self + k*other for the field index k: one row addmul."""
+        rows = self.ring.field.rows
+        out = rows.addmul(rows.pack(self.idx), k, rows.pack(other.idx))
+        return _from_idx(self.ring, rows.unpack(out, max(len(self.idx), len(other.idx))))
 
     def __add__(self, other):
         self._check(other)
@@ -239,16 +241,17 @@ class SkewPoly:
         return not g.left_divmod(self)[1]
 
 
-# -- index-space kernels (lists of field indices, low degree first) ----------------
+# -- index-space kernels: lists of field indices in and out, field rows inside -------
 
-def _x_times_i(ring: OreRing, c) -> list:
-    """x * sum c_j x^j = sum sigma(c_j) x^{j+1} + delta(c_j) x^j, delta(c) = w*sigma(c) - w*c."""
+def _x_times_i(ring: OreRing, c):
+    """x * sum c_j x^j = sum sigma(c_j) x^{j+1} + delta(c_j) x^j, delta(c) = w*(sigma(c) - c),
+    on a row of ring.field.rows."""
     field, w = ring.field, ring._w
-    sc = field.frob_row_i(c, ring.sigma.l)
-    out = [0] + sc
+    rows = field.rows
+    sc = rows.frob(c, ring.sigma.l)
+    out = rows.shift(sc, 1)
     if w:
-        field.addmul_i(out, w, sc)
-        field.addmul_i(out, field.neg_i(w), c)
+        out = rows.addmul(out, w, rows.addmul(sc, field.neg_i(1), c))
     return out
 
 
@@ -256,19 +259,22 @@ MAX_DELTA_ROWS = 1 << 20
 
 
 def _x_power_rows(ring: OreRing, d, count: int) -> list:
-    """(off, row) for e = 0 .. count-1 with x^e * d = sum_j row[j] x^{off+j}.
+    """(off, row) for e = 0 .. count-1 with x^e * d = x^off * row, a row of
+    ring.field.rows.
     With delta = 0 the row is sigma^e(d) at offset e, and sigma^e depends only
     on e mod s; otherwise each row is x times the previous one, and the rows
     hold count*len(d) + count*(count-1)/2 coefficients, which is capped."""
+    rows = ring.field.rows
+    packed = rows.pack(d)
     if ring._w:
         capped(count * len(d) + count * (count - 1) // 2, MAX_DELTA_ROWS,
                "x^e*d rows in a ring with delta: coefficient count")
-        rows = [list(d)]
+        out = [packed]
         for _ in range(count - 1):
-            rows.append(_x_times_i(ring, rows[-1]))
-        return [(0, row) for row in rows]
-    field, l, s = ring.field, ring.sigma.l, ring.s
-    twisted = [field.frob_row_i(d, l * e) for e in range(min(s, count))]
+            out.append(_x_times_i(ring, out[-1]))
+        return [(0, row) for row in out]
+    l, s = ring.sigma.l, ring.s
+    twisted = [rows.frob(packed, l * e) for e in range(min(s, count))]
     return [(e, twisted[e % s]) for e in range(count)]
 
 
@@ -276,32 +282,35 @@ def _mul_i(ring: OreRing, a, b) -> list:
     """a * b = sum_i a_i (x^i * b)."""
     if not a or not b:
         return []
-    acc = [0] * (len(a) + len(b) - 1)
+    rows = ring.field.rows
+    addmul, acc = rows.addmul, rows.pack(())
     for ai, (off, row) in zip(a, _x_power_rows(ring, b, len(a))):
         if ai:
-            ring.field.addmul_i(acc, ai, row, off)
-    return acc
+            acc = addmul(acc, ai, row, off)
+    return rows.unpack(acc, len(a) + len(b) - 1)
 
 
 def _right_divmod_i(ring: OreRing, a, d) -> tuple:
     """q, r with a = q*d + r and deg r < deg d (d nonzero): the top coefficient
-    of r at x^{e + deg d} is removed by qc * (x^e * d), each row x^e * d built once."""
+    of r at x^{e + deg d} is removed by qc * (x^e * d), each row x^e * d built
+    once; its leading coefficient is sigma^e(lc d)."""
     field = ring.field
-    mul, inv, neg = field.mul_i, field.inv_i, field.neg_i
     dd = len(d) - 1
-    r = list(a)
-    count = len(r) - dd
+    count = len(a) - dd
     if count <= 0:
-        return [], r
-    q = [0] * count
-    rows = _x_power_rows(ring, d, count)
+        return [], list(a)
+    rows, l = field.rows, ring.sigma.l
+    coeff, addmul = rows.coeff, rows.addmul
+    mul, frob, neg = field.mul_i, field.frob_i, field.neg_i
+    inv_lc, r, q = field.inv_i(d[-1]), rows.pack(a), [0] * count
+    x_rows = _x_power_rows(ring, d, count)
     for e in range(count - 1, -1, -1):
-        c = r[e + dd]
+        c = coeff(r, e + dd)
         if c:
-            off, row = rows[e]
-            q[e] = qc = mul(c, inv(row[-1]))
-            field.addmul_i(r, neg(qc), row, off)
-    return q, r[:dd]
+            off, row = x_rows[e]
+            q[e] = qc = mul(c, frob(inv_lc, l * e))
+            r = addmul(r, neg(qc), row, off)
+    return q, rows.unpack(r, dd)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -486,9 +495,9 @@ def two_sided_test(g: SkewPoly) -> TwoSidedWitness:
     if not g:
         return TwoSidedWitness(True, field.zero, 0, ring.one)
     t = next(i for i, c in enumerate(g.idx) if c)
-    c = g.lc()
-    inv = field.inv_i(c.idx)
-    h = _from_idx(ring, field.frob_row_i([field.mul_i(v, inv) for v in g.idx[t:]], -ring.sigma.l * t))
+    c, rows = g.lc(), field.rows
+    h = rows.frob(rows.addmul(rows.pack(()), field.inv_i(c.idx), rows.pack(g.idx[t:])), -ring.sigma.l * t)
+    h = _from_idx(ring, rows.unpack(h, len(g.idx) - t))
     verify(c * (ring.monomial(t) * h) == g, "two-sided decomposition g = c*x^t*h")
     if not is_central(h):
         return TwoSidedWitness(False, None, None, None)
@@ -501,16 +510,18 @@ def is_central(g: SkewPoly) -> bool:
     if not ring.is_auto_type:
         raise DomainError("center description requires delta = 0")
     support = all(not c for i, c in enumerate(g.idx) if i % ring.s)
-    return support and ring.field.frob_row_i(g.idx, ring.sigma.l) == list(g.idx)
+    rows = ring.field.rows
+    packed = rows.pack(g.idx)
+    return support and rows.frob(packed, ring.sigma.l) == packed
 
 
 def residue_rows_i(g: SkewPoly, f: SkewPoly):
     """Index rows of x^i * g mod f for i = 0, 1, 2, ..., each of length deg f."""
-    ring, n = g.ring, f.degree
+    ring, n, rows = g.ring, f.degree, g.ring.field.rows
     cur = _right_divmod_i(ring, g.idx, f.idx)[1]
     while True:
         yield cur + [0] * (n - len(cur))
-        cur = _right_divmod_i(ring, _x_times_i(ring, cur), f.idx)[1]
+        cur = _right_divmod_i(ring, rows.unpack(_x_times_i(ring, rows.pack(cur)), len(cur) + 1), f.idx)[1]
 
 
 def annihilator_poly(a: SkewPoly, f: SkewPoly) -> SkewPoly:
@@ -654,23 +665,26 @@ def _to_y_i(ring: OreRing, g) -> list:
     if not w or not g:
         return field.twist_row_i(g, -l)
     capped(len(g) * (len(g) - 1) // 2, MAX_DELTA_ROWS, "change of variable y = x + w: step count")
-    neg_w, b = field.neg_i(w), [g[-1]]
+    rows = field.rows
+    addmul, frob, shift = rows.addmul, rows.frob, rows.shift
+    neg_w, one, b = field.neg_i(w), rows.pack([1]), rows.pack(g[-1:])
     for c in reversed(g[:-1]):
-        nb = [c] + field.frob_row_i(b, -l)
-        field.addmul_i(nb, neg_w, b)
-        b = nb
-    return b
+        b = addmul(addmul(shift(frob(b, -l), 1), neg_w, b), c, one)
+    return rows.unpack(b, len(g))
 
 
 def _from_y_i(ring: OreRing, h) -> list:
     """h with y = x + w, by left Horner on h = sum y^i sigma^-i(h_i), the accumulator read as
     sigma^-i(b): b <- b*x + sigma^i(w)*b + h_i, as y*(c x^j) = sigma(c) x^{j+1} + w*sigma(c) x^j."""
-    out, w = list(h), ring._w
-    if w:
-        capped(len(out) * (len(out) - 1) // 2, MAX_DELTA_ROWS, "change of variable y = x + w: step count")
-        for i in range(len(out) - 2, -1, -1):
-            ring.field.addmul_i(out, ring.field.frob_i(w, ring.sigma.l * i), out[i + 1:], i)
-    return out
+    field, w, n = ring.field, ring._w, len(h)
+    if not w:
+        return list(h)
+    capped(n * (n - 1) // 2, MAX_DELTA_ROWS, "change of variable y = x + w: step count")
+    rows = field.rows
+    out = rows.pack(h)
+    for i in range(n - 2, -1, -1):
+        out = rows.addmul(out, field.frob_i(w, ring.sigma.l * i), rows.shift(out, -(i + 1)), i)
+    return rows.unpack(out, n)
 
 
 @functools.lru_cache(maxsize=None)

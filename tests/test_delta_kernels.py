@@ -2,16 +2,18 @@
 (y = x + w): left division (also with delta = 0, where it runs through the
 anti-isomorphism psi: F[x;sigma] -> F[x;sigma^-1]), gcrd with its Bezout
 cofactors and lclm, against the direct algorithms kept here as references; the
-change of variable and psi themselves; and the row kernels of gf (addmul_i,
-twist_row_i, frob_row_i) and skewpoly._x_times_i against loops over add_i,
-mul_i and frob_i.  Fields: GF(4), GF(8), GF(9), GF(16), GF(25), GF(27) and
-GF(256), every sigma = phi^l."""
+change of variable and psi themselves; the row operations of gf (FiniteField.rows,
+packed or Zech, and twist_row_i) and skewpoly._x_times_i against loops over add_i,
+mul_i and frob_i; and the product and right division over GF(2^8) against the
+Zech loop.  Rings: GF(4), GF(8), GF(9), GF(16), GF(25), GF(27) and GF(256), every
+sigma = phi^l; the row operations also over GF(2), GF(3), GF(5) and GF(2^9)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orecodes.gf import GF
-from orecodes.skewpoly import OreRing, _from_y_i, _to_y_i, _x_times_i, gcrd_bezout, lclm, remove_derivation
+from orecodes.gf import GF, ByteRows, ZechRows
+from orecodes.skewpoly import (OreRing, _from_y_i, _mul_i, _right_divmod_i, _to_y_i, _x_times_i, gcrd_bezout, lclm,
+                               remove_derivation)
 
 FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 8)]
 RINGS = [(q, k, l) for q, k in FIELDS for l in range(k)]
@@ -144,24 +146,76 @@ def test_edge_cases_match_direct(q, k):
         assert lclm(a, b) == direct_lclm(a, b)
 
 
-# -- the row kernels against add_i, mul_i and frob_i ------------------------------------
+# -- the row operations against add_i, mul_i and frob_i ---------------------------------
 
-@pytest.mark.parametrize("q, k", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 8), (5, 2), (3, 3)])
+# GF(2), GF(4), GF(16) and GF(2^8) pack their rows; GF(3), GF(5), GF(9), GF(27), GF(25) and
+# GF(2^9) keep the Zech loop
+PACKED = [(2, 1), (2, 2), (2, 4), (2, 8)]
+ZECH = [(3, 1), (5, 1), (3, 2), (3, 3), (5, 2), (2, 9)]
+rows_st = st.lists(st.integers(0, 1 << 9), max_size=20)  # longer than 8 bytes
+
+
+def test_fields_pick_their_row_kind():
+    for q, k in PACKED:
+        assert type(GF(q, k).rows) is ByteRows
+    for q, k in ZECH:
+        assert type(GF(q, k).rows) is ZechRows
+
+
+def check_rows(field, acc, row, kk, power, off):
+    """Every row operation of field.rows on acc and row against the per-element loop."""
+    ops, size = field.rows, field.size
+    acc, row = [c % size for c in acc], [c % size for c in row]
+    n = max(len(acc), off + len(row))
+    assert ops.unpack(ops.pack(row), len(row) + off) == row + [0] * off
+    assert [ops.coeff(ops.pack(row), j) for j in range(len(row) + 2)] == row + [0, 0]
+    assert ops.unpack(ops.shift(ops.pack(row), off), len(row) + off) == [0] * off + row
+    assert ops.unpack(ops.shift(ops.pack(row), -off), len(row)) == row[off:] + [0] * min(off, len(row))
+    assert ops.unpack(ops.frob(ops.pack(row), power), len(row)) == [field.frob_i(v, power) for v in row]
+    for k in (0, 1, kk % size):
+        want = acc + [0] * (n - len(acc))
+        for j, v in enumerate(row):
+            want[off + j] = field.add_i(want[off + j], field.mul_i(k, v))
+        assert ops.unpack(ops.addmul(ops.pack(acc), k, ops.pack(row), off), n) == want
+
+
+@pytest.mark.parametrize("q, k", PACKED + ZECH)
 @settings(max_examples=15, deadline=None)
-@given(coeffs, coeffs, st.integers(0, 255), st.integers(0, 7), st.integers(0, 3))
+@given(rows_st, rows_st, st.integers(0, 1 << 9), st.integers(-9, 9), st.integers(0, 10))
 def test_row_kernels_match_field_operations(q, k, acc, row, k_raw, power, off):
     field = GF(q, k)
-    acc, row = [c % field.size for c in acc], [c % field.size for c in row]
-    acc += [0] * (off + len(row) - len(acc))
-    for kk in (0, k_raw % field.size):  # k = 0 must leave acc as it is
-        want, got = list(acc), list(acc)
-        for j, v in enumerate(row):
-            want[off + j] = field.add_i(want[off + j], field.mul_i(kk, v))
-        field.addmul_i(got, kk, row, off)
-        assert got == want
-    assert field.frob_row_i(row, power) == [field.frob_i(v, power) for v in row]
+    check_rows(field, acc, row, k_raw, power, off)
     for p in (power, -power):
-        assert field.twist_row_i(row, p) == [field.frob_i(v, p * j) for j, v in enumerate(row)]
+        row_i = [c % field.size for c in row]
+        assert field.twist_row_i(row_i, p) == [field.frob_i(v, p * j) for j, v in enumerate(row_i)]
+
+
+@pytest.mark.parametrize("q, k", PACKED + ZECH)
+def test_row_edge_cases(q, k):
+    field = GF(q, k)
+    ops, top = field.rows, field.size - 1
+    for acc, row in [([], []), ([], [1]), ([top], []), ([1], [top]), ([0] * 3, [0] * 2), ([top] * 12, [1] * 11)]:
+        for off in (0, 1, 9):
+            check_rows(field, acc, row, top, 1, off)
+    # the top entry cancels: k*row added to -k*row (and to a longer row with that top)
+    row = [c % field.size for c in range(1, 12)] + [top]
+    minus = [field.mul_i(field.neg_i(1), field.mul_i(top, v)) for v in row]
+    assert ops.unpack(ops.addmul(ops.pack(minus), top, ops.pack(row)), len(row)) == [0] * len(row)
+    longer = [1] * 5 + minus[5:]
+    got = ops.unpack(ops.addmul(ops.pack(longer), top, ops.pack(row[5:]), 5), len(row))
+    assert got == [1] * 5 + [0] * (len(row) - 5)
+
+
+# -- x times a row, the product and right division against the Zech loop -------------
+# (the kernels before packed rows, on add_i, mul_i and frob_i)
+
+def zech_x_times(ring, c):
+    field, l, w = ring.field, ring.sigma.l, ring._w
+    sc = [field.frob_i(v, l) for v in c]
+    out = [0] + sc
+    for j, v in enumerate(c):
+        out[j] = field.add_i(out[j], field.mul_i(w, field.sub_i(sc[j], v)))
+    return out
 
 
 @pytest.mark.parametrize("params", RINGS, ids=ring_id)
@@ -169,10 +223,49 @@ def test_row_kernels_match_field_operations(q, k, acc, row, k_raw, power, off):
 @given(st.integers(0, 255), coeffs)
 def test_x_times_matches_field_operations(params, w, c):
     for ring in (delta_ring(params, w), OreRing(GF(*params[:2]), params[2])):
-        field, l, wi = ring.field, ring.sigma.l, ring._w
-        c = [v % field.size for v in c]
-        sc = [field.frob_i(v, l) for v in c]
-        want = [0] + sc
-        for j, v in enumerate(c):
-            want[j] = field.add_i(want[j], field.mul_i(wi, field.sub_i(sc[j], v)))
-        assert _x_times_i(ring, c) == want
+        ops = ring.field.rows
+        c = [v % ring.field.size for v in c]
+        assert ops.unpack(_x_times_i(ring, ops.pack(c)), len(c) + 1) == zech_x_times(ring, c)
+
+
+def zech_rows(ring, d, count):
+    """x^e * d for e < count, each a full list of indices."""
+    rows = [list(d)]
+    for _ in range(count - 1):
+        rows.append(zech_x_times(ring, rows[-1]))
+    return rows
+
+
+def zech_mul(ring, a, b):
+    field = ring.field
+    acc = [0] * (len(a) + len(b) - 1)
+    for ai, row in zip(a, zech_rows(ring, b, len(a))):
+        for j, v in enumerate(row):
+            acc[j] = field.add_i(acc[j], field.mul_i(ai, v))
+    return acc
+
+
+def zech_right_divmod(ring, a, d):
+    field, dd = ring.field, len(d) - 1
+    r, count = list(a), len(a) - dd
+    if count <= 0:
+        return [], r
+    q, rows = [0] * count, zech_rows(ring, d, count)
+    for e in range(count - 1, -1, -1):
+        row = rows[e]
+        q[e] = qc = field.mul_i(r[e + dd], field.inv_i(row[-1]))
+        for j, v in enumerate(row):
+            r[j] = field.sub_i(r[j], field.mul_i(qc, v))
+    return q, r[:dd]
+
+
+@pytest.mark.parametrize("kind", ["sigma", "delta"])
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 255), st.integers(0, 7), st.integers(0, 64), st.integers(0, 64), st.randoms())
+def test_mul_and_right_divmod_match_the_zech_loop(kind, w, l, da, dd, rng):
+    field = GF(2, 8)
+    ring = OreRing(field, l, field.element(w)) if kind == "delta" else OreRing(field, l)
+    a = [rng.randrange(256) for _ in range(da)] + [rng.randrange(1, 256)]
+    d = [rng.randrange(256) for _ in range(dd)] + [rng.randrange(1, 256)]
+    assert _mul_i(ring, a, d) == zech_mul(ring, a, d)
+    assert _right_divmod_i(ring, a, d) == zech_right_divmod(ring, a, d)

@@ -105,7 +105,8 @@ def sabotage(kind, patch=setattr):
 
         patch(skewpoly, "kernel_i", late)
     elif kind == "wrong-factor":  # m_X grows by x*m instead of (x - z^c)*m
-        patch(gf.FiniteField, "addmul_i", lambda field, acc, k, row, off=0: None)
+        for rows in (gf.ByteRows, gf.ZechRows):
+            patch(rows, "addmul", lambda self, acc, k, row, off=0: acc)
     else:  # the PBW ring product loses its lowest term
         good = spbw.PBWPresentation.mul_terms
 
@@ -118,12 +119,18 @@ def sabotage(kind, patch=setattr):
         patch(spbw.PBWPresentation, "mul_terms", bad)
 
 
+# GF(9) keeps the Zech loop and GF(256) packs its rows (gf.ByteRows)
 GF9 = ["--field", "GF(9)", "--sigma", "1", "--a", "x^3+w*x+1", "--b", "x^2+w^3"]
+GF256 = ["--field", "GF(256)", "--sigma", "1", "--a", "x^3+w*x+1", "--b", "x^2+w^3"]
 CASES = {
     "poly-gcrd": ("skew-mul", ["poly", "gcrd"] + GF9),
     "poly-lclm": ("skew-mul", ["poly", "lclm"] + GF9),
     "poly-gcrd-delta": ("from-y", ["poly", "gcrd", "--delta-w", "w"] + GF9),
     "poly-lclm-delta": ("from-y", ["poly", "lclm", "--delta-w", "w"] + GF9),
+    "poly-gcrd-gf256": ("skew-mul", ["poly", "gcrd"] + GF256),
+    "poly-lclm-gf256": ("skew-mul", ["poly", "lclm"] + GF256),
+    "poly-gcrd-delta-gf256": ("from-y", ["poly", "gcrd", "--delta-w", "w"] + GF256),
+    "poly-lclm-delta-gf256": ("from-y", ["poly", "lclm", "--delta-w", "w"] + GF256),
     "codes-rightmult": ("not-two-sided", ["codes", "rightmult", "--field", "GF(8)", "--sigma", "1",
                                           "--g", "x^2+w^3*x+w", "--n", "3"]),
     "poly-bound": ("late-relation", ["poly", "bound", "--field", "GF(9)", "--sigma", "1", "--g", "x^2+w*x+1"]),
