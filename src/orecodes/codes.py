@@ -135,6 +135,9 @@ def monic_right_divisors(ring: OreRing, f: SkewPoly):
 # -- the f = x^n - 1, |sigma| = n setting -------------------------------------------
 
 def _check_cyclic_setting(ring: OreRing, n: int) -> SkewPoly:
+    """x^n - 1, certified two-sided.  Each public operation of this setting checks it once and
+    hands the result down as the keyword f to the operations it calls, which check only when f is
+    None; nothing is cached, so every public call runs the certificate."""
     if not ring.is_auto_type:
         raise DomainError("the x^n - 1 setting requires delta = 0")
     if ring.s != n:
@@ -151,27 +154,27 @@ def right_mult_matrix(ring: OreRing, g: SkewPoly, n: int) -> Matrix:
     return Matrix.from_indices(ring.field, itertools.islice(residue_rows_i(g, f), n), n)
 
 
-def theta(ring: OreRing, g: SkewPoly, n: int) -> SkewPoly:
+def theta(ring: OreRing, g: SkewPoly, n: int, *, f: SkewPoly | None = None) -> SkewPoly:
     """The anti-isomorphism of A/(x^n - 1), theta(sum g_i x^i) = sum sigma^{-i}(g_i) x^{-i}:
     psi = twist_row_i(., -l) of g mod f with its degrees read mod n (sigma^n = id, x^n = 1)."""
-    f = _check_cyclic_setting(ring, n)
+    f = _check_cyclic_setting(ring, n) if f is None else f
     t = ring.field.twist_row_i(g.right_divmod(f)[1].idx, -ring.sigma.l)
     t += [0] * (n - len(t))
     return _from_idx(ring, [t[-i % n] for i in range(n)])
 
 
-def idempotent_to_generator(ring: OreRing, e: SkewPoly, n: int) -> SkewPoly:
+def idempotent_to_generator(ring: OreRing, e: SkewPoly, n: int, *, f: SkewPoly | None = None) -> SkewPoly:
     """Minimal generator g = gcrd(e, x^n - 1) of the code A*ebar."""
-    f = _check_cyclic_setting(ring, n)
+    f = _check_cyclic_setting(ring, n) if f is None else f
     ebar = e.right_divmod(f)[1]
     if (ebar * ebar).right_divmod(f)[1] != ebar:
         raise DomainError("e is not idempotent mod x^n - 1")
     return gcrd(ebar, f)  # f itself when ebar = 0
 
 
-def complement_divisor(ring: OreRing, g: SkewPoly, n: int) -> SkewPoly:
+def complement_divisor(ring: OreRing, g: SkewPoly, n: int, *, f: SkewPoly | None = None) -> SkewPoly:
     """Lex-least monic h with lclm(g, h) = x^n - 1 and deg g + deg h = n (so gcrd(g, h) = 1)."""
-    f = _check_cyclic_setting(ring, n)
+    f = _check_cyclic_setting(ring, n) if f is None else f
     if g.degree == 0:
         return f
     for h in ring.all_polys(n - g.degree):
@@ -180,17 +183,17 @@ def complement_divisor(ring: OreRing, g: SkewPoly, n: int) -> SkewPoly:
     raise DomainError("no complementary divisor exists")  # pragma: no cover
 
 
-def bezout_idempotent(ring: OreRing, g: SkewPoly, h: SkewPoly, n: int) -> SkewPoly:
+def bezout_idempotent(ring: OreRing, g: SkewPoly, h: SkewPoly, n: int, *, f: SkewPoly | None = None) -> SkewPoly:
     """From 1 = u g + v h (gcrd Bezout data), e = u g is a generating
     idempotent of the code A*gbar."""
-    f = _check_cyclic_setting(ring, n)
+    f = _check_cyclic_setting(ring, n) if f is None else f
     if g.degree + h.degree != n or lclm(g, h) != f:
         raise DomainError("need lclm(g, h) = x^n - 1 and deg g + deg h = n")
     d, u, _ = gcrd_bezout(g, h)
     verify(d.degree == 0, "gcrd(g, h) = 1 when lclm(g, h) = x^n - 1 and deg g + deg h = n")
     e = (u * g).right_divmod(f)[1]
     verify((e * e).right_divmod(f)[1] == e, "e = u*g is idempotent mod x^n - 1")
-    verify(idempotent_to_generator(ring, e, n) == g, "A*ebar = A*gbar")
+    verify(idempotent_to_generator(ring, e, n, f=f) == g, "A*ebar = A*gbar")
     return e
 
 
@@ -204,7 +207,7 @@ def generating_idempotent(code: SkewCyclicCode) -> SkewPoly:
         return ring.zero
     if g.degree == 0:
         return ring.one
-    return bezout_idempotent(ring, g, complement_divisor(ring, g, n), n)
+    return bezout_idempotent(ring, g, complement_divisor(ring, g, n, f=f), n, f=f)
 
 
 def dual_skew_cyclic(code: SkewCyclicCode) -> SkewCyclicCode:
@@ -215,7 +218,7 @@ def dual_skew_cyclic(code: SkewCyclicCode) -> SkewCyclicCode:
     if code.f != f:
         raise DomainError(f"the code's modulus is not x^{n} - 1")
     h = f.right_divmod(code.g)[0]  # exact: SkewCyclicCode makes g right-divide code.f
-    gperp = f if h == f else (ring.monomial(h.degree) * theta(ring, h, n)).right_divmod(f)[1].monic()
+    gperp = f if h == f else (ring.monomial(h.degree) * theta(ring, h, n, f=f)).right_divmod(f)[1].monic()
     dual_code = SkewCyclicCode(ring, f, gperp)
     verify(dual_code.to_linear().same_code(code.to_linear().dual()), "skew-reciprocal dual = kernel dual")
     return dual_code

@@ -355,8 +355,9 @@ class ZechRows:
     Both row kinds share these operations, and every skew-polynomial kernel
     is written against them: pack(idx) and unpack(row, n), the first n entries
     as a list of indices (the row has no nonzero entry past them); coeff(row,
-    j), the index of entry j; shift(row, e), x^e * row without twisting (e < 0
-    drops the lowest -e entries); frob(row, p), phi^p on every entry; and
+    j), the index of entry j; length(row), the number of entries up to the
+    last nonzero one; shift(row, e), x^e * row without twisting (e < 0 drops
+    the lowest -e entries); frob(row, p), phi^p on every entry; and
     addmul(acc, k, row, off) = acc + k * x^off * row for the index k, which
     may reuse acc, so a caller keeps only its result."""
 
@@ -373,6 +374,12 @@ class ZechRows:
 
     def coeff(self, row: list, j: int) -> int:
         return row[j] if j < len(row) else 0
+
+    def length(self, row: list) -> int:
+        # drops the zero tail that addmul leaves where the top entries cancel
+        while row and not row[-1]:
+            row.pop()
+        return len(row)
 
     def shift(self, row: list, e: int) -> list:
         return [0] * e + row if e >= 0 else row[-e:]
@@ -428,6 +435,9 @@ class ByteRows:
 
     def coeff(self, row: int, j: int) -> int:
         return self._idx_bytes[row >> 8 * j & 255]
+
+    def length(self, row: int) -> int:
+        return (row.bit_length() + 7) >> 3
 
     def shift(self, row: int, e: int) -> int:
         return row << 8 * e if e >= 0 else row >> -8 * e

@@ -379,15 +379,31 @@ class BezoutData(NamedTuple):
 
 def _right_euclid(g1: SkewPoly, g2: SkewPoly):
     """Right Euclid on g1, g2 in F[y;sigma] (remove_derivation), with the left cofactors of g1
-    only: the images (r, u, u_next) of r the last nonzero remainder (a gcrd up to a unit), u with
-    r = u*g1 + v*g2 for some v, and u_next with u_next*g1 in A*g2 (the zero remainder's cofactor)."""
-    (ring, r0), (_, r1) = remove_derivation(g1), remove_derivation(g2)
-    u0, u1 = ring.one, ring.zero
-    while r1:
-        q, r2 = r0.right_divmod(r1)
-        r0, r1 = r1, r2
-        u0, u1 = u1, u0 - q * u1
-    return r0, u0, u1
+    only: index lists of the images (r, u, u_next) of r the last nonzero remainder (a gcrd up to
+    a unit), u with r = u*g1 + v*g2 for some v, and u_next with u_next*g1 in A*g2 (the zero
+    remainder's cofactor).  One loop over rows of ring.field.rows: each quotient digit qc at
+    y^e (see _right_divmod_i) updates the remainder, r0 -= qc * y^e * r1, and the cofactor,
+    u0 -= qc * y^e * u1, where y^e * p = sigma^e(p) shifted by e; the rows are packed once before
+    the loop and unpacked once after it."""
+    (ring, a), (_, b) = remove_derivation(g1), remove_derivation(g2)
+    field, l = ring.field, ring.sigma.l
+    rows = field.rows
+    coeff, length, addmul, frob = rows.coeff, rows.length, rows.addmul, rows.frob
+    mul, frob_i, neg, inv = field.mul_i, field.frob_i, field.neg_i, field.inv_i
+    r0, r1, u0, u1 = rows.pack(a.idx), rows.pack(b.idx), rows.pack([1]), rows.pack(())
+    n0, n1 = len(a.idx), len(b.idx)  # lengths of r0 and r1 (degree + 1)
+    while n1:
+        inv_lc = inv(coeff(r1, n1 - 1))
+        for e in range(n0 - n1, -1, -1):
+            c = coeff(r0, e + n1 - 1)
+            if c:
+                p = l * e
+                k = neg(mul(c, frob_i(inv_lc, p)))
+                r0 = addmul(r0, k, frob(r1, p), e)
+                u0 = addmul(u0, k, frob(u1, p), e)
+        r0, r1, n0, n1 = r1, r0, n1, length(r0)
+        u0, u1 = u1, u0
+    return rows.unpack(r0, n0), rows.unpack(u0, length(u0)), rows.unpack(u1, length(u1))
 
 
 def gcrd_bezout(g1: SkewPoly, g2: SkewPoly) -> BezoutData:
@@ -395,9 +411,10 @@ def gcrd_bezout(g1: SkewPoly, g2: SkewPoly) -> BezoutData:
     d - u*g1 by g2, so the division's zero remainder certifies the identity."""
     if not g1 and not g2:
         raise DomainError("gcrd(0, 0) is undefined")
+    ring = g1.ring
     r, u, _ = _right_euclid(g1, g2)
-    lead = r.lc().inverse()
-    d, u = (lead * _from_idx(g1.ring, _from_y_i(g1.ring, p.idx)) for p in (r, u))
+    lead = FieldElement(ring.field, ring.field.inv_i(r[-1]))
+    d, u = (lead * _from_idx(ring, _from_y_i(ring, p)) for p in (r, u))
     v, rem = (d - u * g1).right_divmod(g2) if g2 else (g2, d - u * g1)
     verify(not rem, "gcrd Bezout identity: d - u*g1 = v*g2 exactly")
     return BezoutData(d, u, v)
@@ -413,9 +430,9 @@ def lclm(g1: SkewPoly, g2: SkewPoly) -> SkewPoly:
     if not g1 or not g2:
         raise DomainError("lclm requires nonzero polynomials")
     r, _, u = _right_euclid(g1, g2)
-    m = (_from_idx(g1.ring, _from_y_i(g1.ring, u.idx)) * g1).monic()
+    m = (_from_idx(g1.ring, _from_y_i(g1.ring, u)) * g1).monic()
     # eq (2.4a): deg gcrd + deg lclm = deg g1 + deg g2
-    verify(m.degree + r.degree == g1.degree + g2.degree, "deg gcrd + deg lclm = deg g1 + deg g2")
+    verify(m.degree + len(r) - 1 == g1.degree + g2.degree, "deg gcrd + deg lclm = deg g1 + deg g2")
     verify(g2.right_divides(m), "g2 right-divides lclm(g1, g2)")
     return m
 

@@ -402,3 +402,33 @@ def test_cyclic_setting_guard(R4):
     bad = OreRing(GF(2, 2), 1, GF(2, 2).gen)
     with pytest.raises(DomainError):
         theta(bad, bad.one, 2)
+
+
+def test_each_public_call_runs_the_two_sided_test_once(R8, monkeypatch):
+    # the check is handed down, not cached: a second call checks again
+    tested = []
+    good = codes_module.two_sided_test
+
+    def counted(g):
+        tested.append(g)
+        return good(g)
+
+    monkeypatch.setattr(codes_module, "two_sided_test", counted)
+    f, g = f_mod(R8, 3), R8.parse("x+1")
+    code = SkewCyclicCode(R8, f, g)
+    h = complement_divisor(R8, g, 3)
+    e = bezout_idempotent(R8, g, h, 3)
+    calls = {
+        "right_mult_matrix": lambda: right_mult_matrix(R8, g, 3),
+        "theta": lambda: theta(R8, g, 3),
+        "idempotent_to_generator": lambda: idempotent_to_generator(R8, e, 3),
+        "complement_divisor": lambda: complement_divisor(R8, g, 3),
+        "bezout_idempotent": lambda: bezout_idempotent(R8, g, h, 3),
+        "generating_idempotent": lambda: generating_idempotent(code),
+        "dual_skew_cyclic": lambda: dual_skew_cyclic(code),
+    }
+    for name, call in calls.items():
+        for _ in range(2):
+            tested.clear()
+            call()
+            assert tested == [f], name

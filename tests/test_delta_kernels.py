@@ -2,18 +2,20 @@
 (y = x + w): left division (also with delta = 0, where it runs through the
 anti-isomorphism psi: F[x;sigma] -> F[x;sigma^-1]), gcrd with its Bezout
 cofactors and lclm, against the direct algorithms kept here as references; the
+row loop of the Euclid algorithm against the SkewPoly loop it replaced; the
 change of variable and psi themselves; the row operations of gf (FiniteField.rows,
 packed or Zech, and twist_row_i) and skewpoly._x_times_i against loops over add_i,
 mul_i and frob_i; and the product and right division over GF(2^8) against the
 Zech loop.  Rings: GF(4), GF(8), GF(9), GF(16), GF(25), GF(27) and GF(256), every
-sigma = phi^l; the row operations also over GF(2), GF(3), GF(5) and GF(2^9)."""
+sigma = phi^l; the row operations and the Euclid loop also over GF(2^9), the row
+operations also over GF(2), GF(3) and GF(5)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orecodes.gf import GF, ByteRows, ZechRows
-from orecodes.skewpoly import (OreRing, _from_y_i, _mul_i, _right_divmod_i, _to_y_i, _x_times_i, gcrd_bezout, lclm,
-                               remove_derivation)
+from orecodes.skewpoly import (OreRing, _from_y_i, _mul_i, _right_divmod_i, _right_euclid, _to_y_i, _x_times_i,
+                               gcrd_bezout, lclm, remove_derivation)
 
 FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 8)]
 RINGS = [(q, k, l) for q, k in FIELDS for l in range(k)]
@@ -146,6 +148,48 @@ def test_edge_cases_match_direct(q, k):
         assert lclm(a, b) == direct_lclm(a, b)
 
 
+# -- the Euclid row loop against the SkewPoly loop ------------------------------------
+
+# GF(2^8) packs its rows; GF(9), GF(25) and GF(2^9) keep the Zech loop
+EUCLID_RINGS = [(2, 8, l) for l in (0, 1, 3, 7)] + [(3, 2, 0), (3, 2, 1), (5, 2, 1), (2, 9, 0), (2, 9, 2), (2, 9, 5)]
+
+
+def skewpoly_right_euclid(g1, g2):
+    """_right_euclid as SkewPoly operations: r0.right_divmod(r1) and u0 - q*u1 on the images
+    in F[y;sigma], each step a division, a product and a difference."""
+    (_, a), (_, b) = remove_derivation(g1), remove_derivation(g2)
+    return tuple(list(p.idx) for p in direct_right_euclid(a, b))
+
+
+def euclid_pairs(ring, a, b, c):
+    """A planted common right factor, a zero operand, g1 | g2 (both ways) and equal degrees."""
+    top = ring.monomial(1 + max(a.degree, b.degree, 0))
+    pairs = [(a * c, b * c), (ring.zero, a), (a, ring.zero), (c, b * c), (b * c, c), (a + top, b - top)]
+    return [(g1, g2) for g1, g2 in pairs if g1 or g2]
+
+
+@pytest.mark.parametrize("params", EUCLID_RINGS, ids=ring_id)
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 255), coeffs, coeffs, coeffs)
+def test_right_euclid_row_loop_matches_the_skewpoly_loop(params, w, a, b, c):
+    for ring in (delta_ring(params, w), OreRing(GF(*params[:2]), params[2])):
+        a_, b_, c_ = poly(ring, a), poly(ring, b), poly(ring, c) or ring.one
+        for g1, g2 in euclid_pairs(ring, a_, b_, c_):
+            assert _right_euclid(g1, g2) == skewpoly_right_euclid(g1, g2)
+
+
+def test_right_euclid_edge_cases():
+    for q, k, l in EUCLID_RINGS:
+        for ring in (delta_ring((q, k, l), 1), OreRing(GF(q, k), l)):
+            big, small = ring.parse("x^3+w*x+1"), ring.parse("w*x^2+x+w")
+            one, zero = ring.one, ring.zero
+            for g1, g2 in [(big, zero), (zero, big), (one, big), (big, one), (big, big), (small * big, big),
+                           (big, small * big), (small, big), (big * small, small * small)]:
+                assert _right_euclid(g1, g2) == skewpoly_right_euclid(g1, g2)
+            r, u, u_next = _right_euclid(big, zero)
+            assert (r, u, u_next) == (list(remove_derivation(big)[1].idx), [1], [])
+
+
 # -- the row operations against add_i, mul_i and frob_i ---------------------------------
 
 # GF(2), GF(4), GF(16) and GF(2^8) pack their rows; GF(3), GF(5), GF(9), GF(27), GF(25) and
@@ -162,11 +206,20 @@ def test_fields_pick_their_row_kind():
         assert type(GF(q, k).rows) is ZechRows
 
 
+def trimmed(row):
+    """row without its zero tail, the row that length counts."""
+    row = list(row)
+    while row and not row[-1]:
+        row.pop()
+    return row
+
+
 def check_rows(field, acc, row, kk, power, off):
     """Every row operation of field.rows on acc and row against the per-element loop."""
     ops, size = field.rows, field.size
     acc, row = [c % size for c in acc], [c % size for c in row]
     n = max(len(acc), off + len(row))
+    assert ops.length(ops.pack(row)) == len(trimmed(row))
     assert ops.unpack(ops.pack(row), len(row) + off) == row + [0] * off
     assert [ops.coeff(ops.pack(row), j) for j in range(len(row) + 2)] == row + [0, 0]
     assert ops.unpack(ops.shift(ops.pack(row), off), len(row) + off) == [0] * off + row
@@ -176,7 +229,10 @@ def check_rows(field, acc, row, kk, power, off):
         want = acc + [0] * (n - len(acc))
         for j, v in enumerate(row):
             want[off + j] = field.add_i(want[off + j], field.mul_i(k, v))
-        assert ops.unpack(ops.addmul(ops.pack(acc), k, ops.pack(row), off), n) == want
+        out = ops.addmul(ops.pack(acc), k, ops.pack(row), off)
+        assert ops.unpack(out, n) == want
+        length = ops.length(out)
+        assert length == len(trimmed(want)) and ops.unpack(out, length) == trimmed(want)
 
 
 @pytest.mark.parametrize("q, k", PACKED + ZECH)
@@ -200,10 +256,13 @@ def test_row_edge_cases(q, k):
     # the top entry cancels: k*row added to -k*row (and to a longer row with that top)
     row = [c % field.size for c in range(1, 12)] + [top]
     minus = [field.mul_i(field.neg_i(1), field.mul_i(top, v)) for v in row]
-    assert ops.unpack(ops.addmul(ops.pack(minus), top, ops.pack(row)), len(row)) == [0] * len(row)
+    cancelled = ops.addmul(ops.pack(minus), top, ops.pack(row))
+    assert ops.unpack(cancelled, len(row)) == [0] * len(row)
+    assert ops.length(cancelled) == 0
     longer = [1] * 5 + minus[5:]
-    got = ops.unpack(ops.addmul(ops.pack(longer), top, ops.pack(row[5:]), 5), len(row))
-    assert got == [1] * 5 + [0] * (len(row) - 5)
+    cancelled = ops.addmul(ops.pack(longer), top, ops.pack(row[5:]), 5)
+    assert ops.unpack(cancelled, len(row)) == [1] * 5 + [0] * (len(row) - 5)
+    assert ops.length(cancelled) == 5 and ops.unpack(cancelled, 5) == [1] * 5
 
 
 # -- x times a row, the product and right division against the Zech loop -------------

@@ -47,3 +47,23 @@ def test_row_users_do_not_branch_on_the_field_size():
                     isinstance(node, ast.Attribute) and node.attr in ROW_KINDS):
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_right_euclid_loop_stays_on_rows():
+    """The while loop of skewpoly._right_euclid converts nothing: no pack, unpack or _from_idx
+    and no SkewPoly method is called inside it, only row operations."""
+    tree = _tree("skewpoly.py")
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    skewpoly_class = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "SkewPoly")
+    forbidden = {"pack", "unpack", "_from_idx", "SkewPoly"} | {
+        node.name for node in skewpoly_class.body if isinstance(node, ast.FunctionDef)}
+    loops = [node for node in ast.walk(functions["_right_euclid"]) if isinstance(node, ast.While)]
+    assert len(loops) == 1
+    called = set()
+    for node in ast.walk(loops[0]):
+        if isinstance(node, ast.Call):
+            called.add(node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None))
+        elif isinstance(node, ast.Attribute) and node.attr in forbidden:
+            called.add(node.attr)  # a bound method taken out of the loop's calls
+    assert "addmul" in called  # the loop's row operations are calls the walk sees
+    assert called & forbidden == set()

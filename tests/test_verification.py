@@ -82,6 +82,15 @@ def sabotage(kind, patch=setattr):
             return acc
 
         patch(skewpoly, "_mul_i", bad)
+    elif kind == "euclid-cofactor":  # the Euclid row loop returns its cofactors off by one in the constant coefficient
+        good_euclid = skewpoly._right_euclid
+
+        def bad_euclid(g1, g2):
+            r, u, u_next = good_euclid(g1, g2)
+            field = g1.ring.field
+            return r, *([field.add_i(p[0], 1)] + p[1:] if p else [1] for p in (u, u_next))
+
+        patch(skewpoly, "_right_euclid", bad_euclid)
     elif kind == "from-y":  # images in F[y;sigma] map back off by one in the constant coefficient
         good_from_y = skewpoly._from_y_i
 
@@ -131,6 +140,10 @@ CASES = {
     "poly-lclm-gf256": ("skew-mul", ["poly", "lclm"] + GF256),
     "poly-gcrd-delta-gf256": ("from-y", ["poly", "gcrd", "--delta-w", "w"] + GF256),
     "poly-lclm-delta-gf256": ("from-y", ["poly", "lclm", "--delta-w", "w"] + GF256),
+    "poly-gcrd-euclid": ("euclid-cofactor", ["poly", "gcrd"] + GF9),
+    "poly-lclm-euclid": ("euclid-cofactor", ["poly", "lclm"] + GF9),
+    "poly-gcrd-euclid-gf256": ("euclid-cofactor", ["poly", "gcrd"] + GF256),
+    "poly-lclm-euclid-gf256": ("euclid-cofactor", ["poly", "lclm"] + GF256),
     "codes-rightmult": ("not-two-sided", ["codes", "rightmult", "--field", "GF(8)", "--sigma", "1",
                                           "--g", "x^2+w^3*x+w", "--n", "3"]),
     "poly-bound": ("late-relation", ["poly", "bound", "--field", "GF(9)", "--sigma", "1", "--g", "x^2+w*x+1"]),
