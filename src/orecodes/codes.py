@@ -134,17 +134,21 @@ def monic_right_divisors(ring: OreRing, f: SkewPoly):
 
 # -- the f = x^n - 1, |sigma| = n setting -------------------------------------------
 
-def _check_cyclic_setting(ring: OreRing, n: int) -> SkewPoly:
+def _check_cyclic_setting(ring: OreRing, n: int, f: SkewPoly | None = None) -> SkewPoly:
     """x^n - 1, certified two-sided.  Each public operation of this setting checks it once and
-    hands the result down as the keyword f to the operations it calls, which check only when f is
-    None; nothing is cached, so every public call runs the certificate."""
+    hands the result down as the keyword f to the operations it calls; a handed-down f is compared
+    with x^n - 1 (ring and index tuple) instead of certified again, and any other modulus is refused.
+    Nothing is cached, so every public call runs the certificate."""
     if not ring.is_auto_type:
         raise DomainError("the x^n - 1 setting requires delta = 0")
     if ring.s != n:
         raise DomainError(f"|sigma| = {ring.s} but the modulus needs |sigma| = n = {n}")
-    f = ring.monomial(n) - ring.one
-    verify(two_sided_test(f).is_two_sided, "x^n - 1 is two-sided when |sigma| = n")
-    return f
+    modulus = ring.monomial(n) - ring.one
+    if f is None:
+        verify(two_sided_test(modulus).is_two_sided, "x^n - 1 is two-sided when |sigma| = n")
+    elif f != modulus:  # SkewPoly equality: the same ring and index tuple
+        raise DomainError(f"the modulus {f!r} is not x^{n} - 1")
+    return modulus
 
 
 def right_mult_matrix(ring: OreRing, g: SkewPoly, n: int) -> Matrix:
@@ -157,7 +161,7 @@ def right_mult_matrix(ring: OreRing, g: SkewPoly, n: int) -> Matrix:
 def theta(ring: OreRing, g: SkewPoly, n: int, *, f: SkewPoly | None = None) -> SkewPoly:
     """The anti-isomorphism of A/(x^n - 1), theta(sum g_i x^i) = sum sigma^{-i}(g_i) x^{-i}:
     psi = twist_row_i(., -l) of g mod f with its degrees read mod n (sigma^n = id, x^n = 1)."""
-    f = _check_cyclic_setting(ring, n) if f is None else f
+    f = _check_cyclic_setting(ring, n, f)
     t = ring.field.twist_row_i(g.right_divmod(f)[1].idx, -ring.sigma.l)
     t += [0] * (n - len(t))
     return _from_idx(ring, [t[-i % n] for i in range(n)])
@@ -165,7 +169,7 @@ def theta(ring: OreRing, g: SkewPoly, n: int, *, f: SkewPoly | None = None) -> S
 
 def idempotent_to_generator(ring: OreRing, e: SkewPoly, n: int, *, f: SkewPoly | None = None) -> SkewPoly:
     """Minimal generator g = gcrd(e, x^n - 1) of the code A*ebar."""
-    f = _check_cyclic_setting(ring, n) if f is None else f
+    f = _check_cyclic_setting(ring, n, f)
     ebar = e.right_divmod(f)[1]
     if (ebar * ebar).right_divmod(f)[1] != ebar:
         raise DomainError("e is not idempotent mod x^n - 1")
@@ -174,7 +178,7 @@ def idempotent_to_generator(ring: OreRing, e: SkewPoly, n: int, *, f: SkewPoly |
 
 def complement_divisor(ring: OreRing, g: SkewPoly, n: int, *, f: SkewPoly | None = None) -> SkewPoly:
     """Lex-least monic h with lclm(g, h) = x^n - 1 and deg g + deg h = n (so gcrd(g, h) = 1)."""
-    f = _check_cyclic_setting(ring, n) if f is None else f
+    f = _check_cyclic_setting(ring, n, f)
     if g.degree == 0:
         return f
     for h in ring.all_polys(n - g.degree):
@@ -186,7 +190,7 @@ def complement_divisor(ring: OreRing, g: SkewPoly, n: int, *, f: SkewPoly | None
 def bezout_idempotent(ring: OreRing, g: SkewPoly, h: SkewPoly, n: int, *, f: SkewPoly | None = None) -> SkewPoly:
     """From 1 = u g + v h (gcrd Bezout data), e = u g is a generating
     idempotent of the code A*gbar."""
-    f = _check_cyclic_setting(ring, n) if f is None else f
+    f = _check_cyclic_setting(ring, n, f)
     if g.degree + h.degree != n or lclm(g, h) != f:
         raise DomainError("need lclm(g, h) = x^n - 1 and deg g + deg h = n")
     d, u, _ = gcrd_bezout(g, h)

@@ -32,10 +32,13 @@ def _eval_code(support_matrix, ring: OreRing, points, k: int) -> LinearCode:
     if not 1 <= k <= len(points):
         raise DomainError("need 1 <= k <= r")
     full = support_matrix(ring, points)
-    rank = full.rank()
+    G = Matrix(full.rows[:k], full.ncols, full.zero, full.one)
+    # the row relations of V_r(Z) and Wr_r(Z) are the left ideal of the polynomials vanishing on Z,
+    # whose least degree is the full rank: so the first k rows are independent exactly when k is at
+    # most that rank, and otherwise they already reach it
+    rank = G.rank()
     if rank < k:
         raise DomainError(f"support matrix rank {rank} < k = {k}")
-    G = Matrix(full.rows[:k], full.ncols, full.zero, full.one)
     return LinearCode(ring.field, G)
 
 

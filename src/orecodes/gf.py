@@ -32,7 +32,7 @@ import operator
 import re
 import sys
 
-from .errors import DomainError, GuardError
+from .errors import DomainError, GuardError, capped
 
 MAX_FIELD_SIZE = 1 << 16
 _from_bytes = int.from_bytes
@@ -733,6 +733,48 @@ def split_factors(term: str):
     if not all(parts):
         raise DomainError(f"empty factor in term {term!r}")
     return [f[1:-1] if f[0] == "(" and f[-1] == ")" else f for f in parts]
+
+
+def read_sum(text: str, zero, one, power, power_of, coefficient, cap: int):
+    """The ring element a sum literal spells: each term is the ring product of
+    its factors in the order written.  A factor that the regex power matches,
+    with groups (name, exponent digits or None), is power_of(name, e); any
+    other factor is coefficient(factor).  A term whose exponents add up past
+    cap is refused (errors.capped)."""
+    total = zero
+    for sign, term in split_terms(text, "polynomial"):
+        prod, degree = one, 0
+        for factor in split_factors(term):
+            m = power.fullmatch(factor)
+            if m:
+                e = literal_int(m.group(2) or "1", "polynomial")
+                degree = capped(degree + e, cap, "polynomial term of degree")
+                prod = prod * power_of(m.group(1), e)
+            else:
+                prod = prod * coefficient(factor)
+        total = total + prod if sign == 1 else total - prod
+    return total
+
+
+def power_str(name: str, e: int) -> str:
+    """name^e as a factor of a monomial: empty at e = 0, the bare name at e = 1."""
+    return "" if e == 0 else name if e == 1 else f"{name}^{e}"
+
+
+def sum_str(pairs) -> str:
+    """The sum of (coefficient text, monomial text) terms in the order given,
+    as read_sum reads it back: a coefficient 1 is left out before a monomial,
+    a leading - becomes the term's sign, a coefficient that is itself a sum
+    is parenthesized, and no terms print as 0.  The sign is taken out before
+    the sum test, so -1+2*i prints as -(1+2*i), which reads back as -1-2*i
+    (ROADMAP item 1)."""
+    parts = []
+    for cs, mono in pairs:
+        sign, cs = ("-", cs[1:]) if cs.startswith("-") else ("+", cs)
+        if any(s in cs[1:] for s in "+-"):
+            cs = f"({cs})"
+        parts.append(sign + (cs if not mono else mono if cs == "1" else f"{cs}*{mono}"))
+    return "".join(parts).removeprefix("+") or "0"
 
 
 def literal_int(digits: str, what: str) -> int:

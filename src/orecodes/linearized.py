@@ -14,7 +14,7 @@ import random
 
 from .algset import wronskian
 from .errors import DomainError, capped
-from .gf import FieldElement, FiniteField, subfield_coordinates
+from .gf import FieldElement, FiniteField, power_str, subfield_coordinates, sum_str
 from .linalg import Matrix, dot_i, identity, matmul_i, rank_i
 from .skewpoly import OreRing, SkewPoly, _mul_i, operator_eval, operator_powers_i
 
@@ -69,17 +69,8 @@ class LinearizedPoly:
         return LinearizedPoly(F, out)
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
         q = self.field.q
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            mono = "y" if i == 0 else f"y^{q ** i}"
-            parts.append(mono if c == self.field.one else f"{c!r}*{mono}")
-        return "+".join(parts)
+        return sum_str((repr(c), power_str("y", q ** i)) for i, c in reversed(list(enumerate(self.coeffs))) if c)
 
 
 def _require_frobenius_ring(ring: OreRing):

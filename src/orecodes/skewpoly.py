@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .errors import MAX_SEARCH, DomainError, capped, verify
 from .gf import (Automorphism, FieldElement, FiniteField, InnerDerivation, element_str, fixed_field_coordinates,
-                 literal_int, parse_element, split_factors, split_terms)
+                 parse_element, power_str, read_sum, sum_str)
 from .linalg import Matrix, dot_i, identity, kernel_i
 
 
@@ -722,37 +722,13 @@ def remove_derivation(g: SkewPoly):
 # -- text I/O -------------------------------------------------------------------
 
 def poly_str(g: SkewPoly) -> str:
-    if not g:
-        return "0"
-    parts = []
-    for i in range(g.degree, -1, -1):
-        c = g[i]
-        if not c:
-            continue
-        cs = re.sub(r"^g", "w", element_str(c))
-        if i == 0:
-            parts.append(cs)
-        else:
-            xs = "x" if i == 1 else f"x^{i}"
-            parts.append(xs if cs == "1" else f"{cs}*{xs}")
-    return "+".join(parts)
+    return sum_str((re.sub(r"^g", "w", element_str(g[i])), power_str("x", i))
+                   for i in range(g.degree, -1, -1) if g[i])
 
 
 def parse_poly(ring: OreRing, text: str, var: str = "x") -> SkewPoly:
     """A sum of terms, each the ring product of its factors in the order
-    written: powers var^e and coefficients (element literals, optionally in
-    parentheses), so x*w reads as sigma(w)*x + delta(w)."""
-    power = re.compile(rf"{re.escape(var)}(?:\^(\d+))?")
-    total = ring.zero
-    for sign, term in split_terms(text, "polynomial"):
-        prod, degree = ring.one, 0
-        for factor in split_factors(term):
-            m = power.fullmatch(factor)
-            if m:
-                e = literal_int(m.group(1) or "1", "polynomial")
-                degree = capped(degree + e, MAX_DEGREE, "polynomial term of degree")
-                prod = prod * ring.monomial(e)
-            else:
-                prod = prod * ring.poly([parse_element(ring.field, factor)])
-        total = total + prod if sign == 1 else total - prod
-    return total
+    written (gf.read_sum): powers var^e and coefficients (element literals,
+    optionally in parentheses), so x*w reads as sigma(w)*x + delta(w)."""
+    return read_sum(text, ring.zero, ring.one, re.compile(rf"({re.escape(var)})(?:\^(\d+))?"),
+                    lambda _, e: ring.monomial(e), lambda c: ring.poly([parse_element(ring.field, c)]), MAX_DEGREE)

@@ -28,7 +28,7 @@ import re
 from typing import NamedTuple
 
 from .errors import DomainError, GuardError, capped, verify
-from .gf import literal_int, split_factors, split_terms
+from .gf import power_str, read_sum, sum_str
 from .scalars import domain_by_name
 
 SCHEMA_VERSION = 1
@@ -487,31 +487,9 @@ def in_two_sided_ideal(f: PBWPoly, gens) -> bool:
 # -- text I/O --------------------------------------------------------------------------
 
 def pbw_str(f: PBWPoly) -> str:
-    if not f:
-        return "0"
-    pres = f.pres
-    parts = []
-    for alpha, c in f.sorted_terms():
-        mono = "*".join(
-            pres.names[v] if e == 1 else f"{pres.names[v]}^{e}"
-            for v, e in enumerate(alpha)
-            if e
-        )
-        cs = pres.domain.to_str(c)
-        negative = cs.startswith("-")
-        if negative:
-            cs = cs[1:]
-        if any(s in cs[1:] for s in "+-"):
-            cs = f"({cs})"
-        if not mono:
-            body = cs
-        elif cs == "1":
-            body = mono
-        else:
-            body = f"{cs}*{mono}"
-        parts.append(("-" if negative else "+") + body)
-    out = "".join(parts)
-    return out[1:] if out.startswith("+") else out
+    names, to_str = f.pres.names, f.pres.domain.to_str
+    return sum_str((to_str(c), "*".join(power_str(n, e) for n, e in zip(names, alpha) if e))
+                   for alpha, c in f.sorted_terms())
 
 
 # a product of two terms of this degree takes under half a second on the
@@ -522,23 +500,12 @@ MAX_TERM_DEGREE = 64
 
 
 def parse_pbw(pres: PBWPresentation, text: str) -> PBWPoly:
-    """A sum of terms, each the product of its factors in the order written:
-    powers x_i^e and coefficients (domain literals, optionally in
-    parentheses), so y*x reads as the relation's c*x*y + ... ."""
+    """A sum of terms, each the product of its factors in the order written
+    (gf.read_sum): powers x_i^e and coefficients (domain literals, optionally
+    in parentheses), so y*x reads as the relation's c*x*y + ... ."""
     power = re.compile(rf"({'|'.join(re.escape(n) for n in pres.names)})(?:\^(\d+))?")
-    total = pres.zero
-    for sign, term in split_terms(text, "polynomial"):
-        prod, degree = pres.one, 0
-        for factor in split_factors(term):
-            m = power.fullmatch(factor)
-            if m:
-                e = literal_int(m.group(2) or "1", "polynomial")
-                degree = capped(degree + e, MAX_TERM_DEGREE, "polynomial term of degree")
-                prod = prod * pres.var(pres.names.index(m.group(1))) ** e
-            else:
-                prod = prod * pres.constant(pres.domain.parse(factor))
-        total = total + prod if sign == 1 else total - prod
-    return total
+    return read_sum(text, pres.zero, pres.one, power, lambda name, e: pres.var(pres.names.index(name)) ** e,
+                    lambda c: pres.constant(pres.domain.parse(c)), MAX_TERM_DEGREE)
 
 
 # -- presentation files -------------------------------------------------------------------

@@ -404,6 +404,27 @@ def test_cyclic_setting_guard(R4):
         theta(bad, bad.one, 2)
 
 
+# a modulus handed down as the keyword f is compared with x^n - 1, not trusted: x^3 (with which
+# theta(x^4+w*x^3+1) read 1, not x^2+w^3) and x^3 - 1 of another ring (the same index tuple over
+# GF(8)[x;phi^2]) are refused
+WRONG_MODULI = {"x^3": lambda R: R.parse("x^3"), "x^3-1 of phi^2": lambda R: f_mod(OreRing(R.field, 2), 3)}
+HANDED_F_CALLS = {
+    "theta": lambda R, f: theta(R, R.parse("x^4+w*x^3+1"), 3, f=f),
+    "idempotent_to_generator": lambda R, f: idempotent_to_generator(R, R.one, 3, f=f),
+    "complement_divisor": lambda R, f: complement_divisor(R, R.parse("x+1"), 3, f=f),
+    "bezout_idempotent": lambda R, f: bezout_idempotent(R, R.parse("x+1"), R.parse("x^2+x+1"), 3, f=f),
+}
+
+
+@pytest.mark.parametrize("wrong", WRONG_MODULI)
+@pytest.mark.parametrize("name", HANDED_F_CALLS)
+def test_a_wrong_handed_down_modulus_is_refused(R8, name, wrong):
+    call = HANDED_F_CALLS[name]
+    call(R8, f_mod(R8, 3))  # the right f is accepted
+    with pytest.raises(DomainError, match="is not x\\^3 - 1"):
+        call(R8, WRONG_MODULI[wrong](R8))
+
+
 def test_each_public_call_runs_the_two_sided_test_once(R8, monkeypatch):
     # the check is handed down, not cached: a second call checks again
     tested = []

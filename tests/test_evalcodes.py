@@ -4,7 +4,7 @@ import random
 import pytest
 
 from orecodes.errors import DomainError, GuardError
-from orecodes.gf import GF
+from orecodes.gf import GF, parse_element
 from orecodes.skewpoly import OreRing
 from orecodes.algset import vandermonde
 from orecodes.evalcodes import (
@@ -34,6 +34,21 @@ def test_remainder_code_example(R4):
     code = remainder_code(R4, (F.one, w, w ** 2), 2)
     assert code.dim == 2
     assert code.G.rows == [[F.one, F.one, F.one], [F.one, w, w ** 2]]
+
+
+# the support matrix V_r(Z) or Wr_r(Z) of points that are not P-independent (not F^sigma-independent
+# for the operator code) has rank below r, and a k past that rank is refused
+@pytest.mark.parametrize("build", [remainder_code, operator_code])
+@pytest.mark.parametrize("q, k, support, dim, rank", [
+    (2, 2, "1,w,w^2", 3, 2),
+    (2, 4, "1,g^5,g^10,g", 4, 3),
+])
+def test_support_matrix_rank_below_k_is_refused(build, q, k, support, dim, rank):
+    ring = OreRing(GF(q, k), 1)
+    points = [parse_element(ring.field, z) for z in support.split(",")]
+    with pytest.raises(DomainError, match=f"^support matrix rank {rank} < k = {dim}$"):
+        build(ring, points, dim)
+    assert build(ring, points, rank).dim == rank
 
 
 def test_repetition_code(R4):
