@@ -60,8 +60,8 @@ def vanishing_set(g: SkewPoly):
     field = ring.field
     if not g:
         return field.elements()
-    target, h = remove_derivation(g)
-    roots = sorted(field.sub_i(u, ring._w) for u in _roots_i(target, h.idx))
+    target, h = remove_derivation(ring, g.row)
+    roots = sorted(field.sub_i(u, ring._w) for u in _roots_i(target, field.rows.unpack(h, g.degree + 1)))
     verify(all(not dot_i(field, g.idx, norms_i(ring, z, g.degree)) for z in roots),
            "every point of V(g) is a root of g")
     return [FieldElement(field, z) for z in roots]

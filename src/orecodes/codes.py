@@ -117,7 +117,7 @@ class SkewCyclicCode:
 
     def generator_matrix(self) -> Matrix:
         """Rows are the coefficients of x^i g mod f, i = 0..dim-1."""
-        rows = itertools.islice(residue_rows_i(self.g, self.f), self.dim)
+        rows = itertools.islice(residue_rows_i(self.ring, self.g.row, self.f.row), self.dim)
         return Matrix.from_indices(self.ring.field, rows, self.n)
 
     def to_linear(self) -> LinearCode:
@@ -137,7 +137,7 @@ def monic_right_divisors(ring: OreRing, f: SkewPoly):
 def _check_cyclic_setting(ring: OreRing, n: int, f: SkewPoly | None = None) -> SkewPoly:
     """x^n - 1, certified two-sided.  Each public operation of this setting checks it once and
     hands the result down as the keyword f to the operations it calls; a handed-down f is compared
-    with x^n - 1 (ring and index tuple) instead of certified again, and any other modulus is refused.
+    with x^n - 1 (ring and coefficient row) instead of certified again, and any other modulus is refused.
     Nothing is cached, so every public call runs the certificate."""
     if not ring.is_auto_type:
         raise DomainError("the x^n - 1 setting requires delta = 0")
@@ -146,7 +146,7 @@ def _check_cyclic_setting(ring: OreRing, n: int, f: SkewPoly | None = None) -> S
     modulus = ring.monomial(n) - ring.one
     if f is None:
         verify(two_sided_test(modulus).is_two_sided, "x^n - 1 is two-sided when |sigma| = n")
-    elif f != modulus:  # SkewPoly equality: the same ring and index tuple
+    elif f != modulus:  # SkewPoly equality: the same ring and coefficient row
         raise DomainError(f"the modulus {f!r} is not x^{n} - 1")
     return modulus
 
@@ -155,7 +155,7 @@ def right_mult_matrix(ring: OreRing, g: SkewPoly, n: int) -> Matrix:
     """M(g): row i holds the coefficients of x^i * g mod (x^n - 1), so that
     p_f(Z M(g)) = p_f(Z) g for every row vector Z."""
     f = _check_cyclic_setting(ring, n)
-    return Matrix.from_indices(ring.field, itertools.islice(residue_rows_i(g, f), n), n)
+    return Matrix.from_indices(ring.field, itertools.islice(residue_rows_i(ring, g.row, f.row), n), n)
 
 
 def theta(ring: OreRing, g: SkewPoly, n: int, *, f: SkewPoly | None = None) -> SkewPoly:

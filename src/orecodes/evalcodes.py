@@ -35,11 +35,11 @@ def _eval_code(support_matrix, ring: OreRing, points, k: int) -> LinearCode:
     G = Matrix(full.rows[:k], full.ncols, full.zero, full.one)
     # the row relations of V_r(Z) and Wr_r(Z) are the left ideal of the polynomials vanishing on Z,
     # whose least degree is the full rank: so the first k rows are independent exactly when k is at
-    # most that rank, and otherwise they already reach it
-    rank = G.rank()
-    if rank < k:
-        raise DomainError(f"support matrix rank {rank} < k = {k}")
-    return LinearCode(ring.field, G)
+    # most that rank, and otherwise they already reach it, which the refusal reports
+    try:
+        return LinearCode(ring.field, G)
+    except DomainError:
+        raise DomainError(f"support matrix rank {G.rank()} < k = {k}") from None
 
 
 # -- metrics -----------------------------------------------------------------------

@@ -122,7 +122,8 @@ class FiniteField:
         self.t = self.size - 1  # order of the multiplicative group
         self.modulus = self._least_irreducible()
         self._build_tables()
-        # the row operations of every skew-polynomial kernel, packed where the field allows it
+        # the row operations of every skew-polynomial kernel, packed where the field allows it;
+        # a SkewPoly holds one row, which no operation writes into (see ZechRows)
         self.rows = (ByteRows if q == 2 and self.size <= 256 else ZechRows)(self)
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
@@ -355,11 +356,14 @@ class ZechRows:
     Both row kinds share these operations, and every skew-polynomial kernel
     is written against them: pack(idx) and unpack(row, n), the first n entries
     as a list of indices (the row has no nonzero entry past them); coeff(row,
-    j), the index of entry j; length(row), the number of entries up to the
-    last nonzero one; shift(row, e), x^e * row without twisting (e < 0 drops
-    the lowest -e entries); frob(row, p), phi^p on every entry; and
-    addmul(acc, k, row, off) = acc + k * x^off * row for the index k, which
-    may reuse acc, so a caller keeps only its result."""
+    j), the index of entry j >= 0; length(row), the number of entries up to
+    the last nonzero one (a list loses its zero tail); shift(row, e), x^e *
+    row without twisting (e < 0 drops the lowest -e entries); frob(row, p),
+    phi^p on every entry; twist(row, p), phi^(p*j) on entry j (twist_row_i);
+    and addmul(acc, k, row, off) = acc + k * x^off * row for the index k,
+    which may reuse acc, so a caller keeps only its result.  Only addmul
+    writes into a row, so a row held by a SkewPoly is never an accumulator: a
+    kernel starting from one accumulates into shift(row, 0), a new list."""
 
     __slots__ = ("field",)
 
@@ -387,6 +391,9 @@ class ZechRows:
     def frob(self, row: list, p: int) -> list:
         t, m = self.field.t, self.field._frob_mul[p % self.field.k]
         return [(v - 1) * m % t + 1 if v else 0 for v in row]
+
+    def twist(self, row: list, p: int) -> list:
+        return self.field.twist_row_i(row, p)
 
     def addmul(self, acc: list, k: int, row: list, off: int = 0) -> list:
         if not k:
@@ -452,6 +459,9 @@ class ByteRows:
             exp, t, m = field._exp, field.t, field._frob_mul[p]
             table = self._frob_tables[p] = self._table([exp[e * m % t] for e in range(t)])
         return _from_bytes(row.to_bytes((row.bit_length() + 7) >> 3, "little").translate(table), "little")
+
+    def twist(self, row: int, p: int) -> int:
+        return self.pack(self.field.twist_row_i(self.unpack(row, self.length(row)), p))
 
     def addmul(self, acc: int, k: int, row: int, off: int = 0) -> int:
         if k != 1:

@@ -202,9 +202,9 @@ def matrix_algebra_check(field: FiniteField) -> dict:
         rng = random.Random(0)
         cosets = [[rng.randrange(field.size) for _ in range(k)] for _ in range(16)]
     add = field.add_i
-    mats = [mat(a) for a in cosets]
-    for (a, ma), (b, mb) in itertools.product(zip(cosets, mats), repeat=2):
-        if mat(_mul_i(ring, a, b)) != matmul_i(field, ma, mb):
+    mats, packed = [mat(a) for a in cosets], [field.rows.pack(a) for a in cosets]
+    for (a, pa, ma), (b, pb, mb) in itertools.product(zip(cosets, packed, mats), repeat=2):
+        if mat(field.rows.unpack(_mul_i(ring, pa, pb), 2 * k - 1)) != matmul_i(field, ma, mb):
             report["multiplicative_ok"] = False
         if mat([add(x, y) for x, y in zip(a, b)]) != [
             [add(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(ma, mb)

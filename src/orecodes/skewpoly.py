@@ -1,10 +1,10 @@
 """The Ore extension A = F[x; sigma, delta] over a finite field.
 
-Polynomials are tuples of field indices (low degree first, trailing zeros
-trimmed), boxed as FieldElements only by coeffs, p[i] and lc(); the kernels
-apply x*r = sigma(r)*x + delta(r) through the field's row operations
-(gf.FiniteField.rows: packed rows where the field allows it, the Zech loop
-otherwise), packing and unpacking only at their boundary.  With delta =
+A polynomial holds one row of the field's row operations (gf.FiniteField.rows:
+a packed int where the field allows it, a list of indices without a zero tail
+otherwise); idx and coeffs are views for the API boundary.  The kernels take
+and return rows and apply x*r = sigma(r)*x + delta(r) through the row
+operations, never writing into a held row (see gf.ZechRows).  With delta =
 delta_w, y = x + w gives A = F[y; sigma] (y*r = sigma(r)*y; Lam-Leroy 1988):
 left division and the Euclid loop of gcrd/lclm run there, on
 conversions of n(n+1)/2 capped steps for degree n; products, right division
@@ -104,26 +104,32 @@ def field_index(field: FiniteField, c) -> int:
     raise DomainError("element from a different field")
 
 
-def _trimmed(idx: list) -> tuple:
-    while idx and not idx[-1]:
-        idx.pop()
-    return tuple(idx)
-
-
-def _from_idx(ring: OreRing, idx: list) -> "SkewPoly":
-    """The polynomial with coefficient indices idx (a list, trimmed in place)."""
+def _from_row(ring: OreRing, row) -> "SkewPoly":
+    """The polynomial that holds row, a row of ring.field.rows that nothing changes after this:
+    rows.length drops a Zech list's zero tail in place, so that row == is polynomial ==."""
+    ring.field.rows.length(row)
     p = SkewPoly.__new__(SkewPoly)
-    p.ring = ring
-    p.idx = _trimmed(idx)
+    p.ring, p.row = ring, row
     return p
 
 
+def _from_idx(ring: OreRing, idx) -> "SkewPoly":
+    """The polynomial with coefficient indices idx."""
+    return _from_row(ring, ring.field.rows.pack(idx))
+
+
 class SkewPoly:
-    __slots__ = ("ring", "idx")
+    __slots__ = ("ring", "row")
 
     def __init__(self, ring: OreRing, coeffs=()):
         self.ring = ring
-        self.idx = _trimmed([field_index(ring.field, c) for c in coeffs])
+        self.row = _from_idx(ring, [field_index(ring.field, c) for c in coeffs]).row
+
+    @property
+    def idx(self) -> tuple:
+        """The coefficient indices, low degree first, without a zero tail."""
+        rows = self.ring.field.rows
+        return tuple(rows.unpack(self.row, rows.length(self.row)))
 
     @property
     def coeffs(self) -> tuple:
@@ -133,26 +139,26 @@ class SkewPoly:
     @property
     def degree(self) -> int:
         """Degree, with the convention deg(0) = -1."""
-        return len(self.idx) - 1
+        return self.ring.field.rows.length(self.row) - 1
 
     def lc(self) -> FieldElement:
-        if not self.idx:
+        if not self.row:
             raise DomainError("leading coefficient of the zero polynomial")
-        return FieldElement(self.ring.field, self.idx[-1])
+        return self[self.degree]
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.idx) and self.idx[-1] == 1
+        return bool(self.row) and self.ring.field.rows.coeff(self.row, self.degree) == 1
 
     def monic(self) -> "SkewPoly":
-        if not self.idx:
+        if not self.row:
             raise DomainError("cannot normalize the zero polynomial")
         if self.is_monic:
             return self
         return self.lc().inverse() * self
 
     def __getitem__(self, i: int) -> FieldElement:
-        return FieldElement(self.ring.field, self.idx[i] if 0 <= i < len(self.idx) else 0)
+        return FieldElement(self.ring.field, self.ring.field.rows.coeff(self.row, i) if i >= 0 else 0)
 
     def _check(self, other):
         if not isinstance(other, SkewPoly):
@@ -163,8 +169,7 @@ class SkewPoly:
     def _plus(self, other: "SkewPoly", k: int) -> "SkewPoly":
         """self + k*other for the field index k: one row addmul."""
         rows = self.ring.field.rows
-        out = rows.addmul(rows.pack(self.idx), k, rows.pack(other.idx))
-        return _from_idx(self.ring, rows.unpack(out, max(len(self.idx), len(other.idx))))
+        return _from_row(self.ring, rows.addmul(rows.shift(self.row, 0), k, other.row))
 
     def __add__(self, other):
         self._check(other)
@@ -181,7 +186,7 @@ class SkewPoly:
         if isinstance(other, (int, FieldElement)):
             other = self.ring.poly([other])
         self._check(other)
-        return _from_idx(self.ring, _mul_i(self.ring, self.idx, other.idx))
+        return _from_row(self.ring, _mul_i(self.ring, self.row, other.row))
 
     def __rmul__(self, other):
         # left multiplication by a constant does not twist coefficients
@@ -201,14 +206,14 @@ class SkewPoly:
         return (
             isinstance(other, SkewPoly)
             and self.ring == other.ring
-            and self.idx == other.idx
+            and self.row == other.row
         )
 
     def __hash__(self):
         return hash((self.ring, self.idx))
 
     def __bool__(self):
-        return bool(self.idx)
+        return bool(self.row)
 
     def __repr__(self):
         return poly_str(self)
@@ -220,8 +225,8 @@ class SkewPoly:
         self._check(d)
         if not d:
             raise ZeroDivisionError("right division by zero")
-        q, r = _right_divmod_i(self.ring, self.idx, d.idx)
-        return _from_idx(self.ring, q), _from_idx(self.ring, r)
+        q, r = _right_divmod_i(self.ring, self.row, d.row)
+        return _from_row(self.ring, q), _from_row(self.ring, r)
 
     def left_divmod(self, d: "SkewPoly"):
         """q, r with self = d*q + r and deg r < deg d.  With y = x + w (see _to_y_i) and
@@ -230,9 +235,9 @@ class SkewPoly:
         self._check(d)
         if not d:
             raise ZeroDivisionError("left division by zero")
-        ring, field, l = self.ring, self.ring.field, self.ring.sigma.l
-        q, r = _right_divmod_i(_sigma_ring(field, -l), _to_y_i(ring, self.idx), _to_y_i(ring, d.idx))
-        return tuple(_from_idx(ring, _from_y_i(ring, field.twist_row_i(p, l))) for p in (q, r))
+        ring, rows, l = self.ring, self.ring.field.rows, self.ring.sigma.l
+        q, r = _right_divmod_i(_sigma_ring(ring.field, -l), _to_y_i(ring, self.row), _to_y_i(ring, d.row))
+        return tuple(_from_row(ring, _from_y_i(ring, rows.twist(p, l))) for p in (q, r))
 
     def right_divides(self, g: "SkewPoly") -> bool:
         return not g.right_divmod(self)[1]
@@ -241,7 +246,7 @@ class SkewPoly:
         return not g.left_divmod(self)[1]
 
 
-# -- index-space kernels: lists of field indices in and out, field rows inside -------
+# -- kernels: rows of ring.field.rows in and out ---------------------------------------
 
 def _x_times_i(ring: OreRing, c):
     """x * sum c_j x^j = sum sigma(c_j) x^{j+1} + delta(c_j) x^j, delta(c) = w*(sigma(c) - c),
@@ -265,44 +270,42 @@ def _x_power_rows(ring: OreRing, d, count: int) -> list:
     on e mod s; otherwise each row is x times the previous one, and the rows
     hold count*len(d) + count*(count-1)/2 coefficients, which is capped."""
     rows = ring.field.rows
-    packed = rows.pack(d)
     if ring._w:
-        capped(count * len(d) + count * (count - 1) // 2, MAX_DELTA_ROWS,
+        capped(count * rows.length(d) + count * (count - 1) // 2, MAX_DELTA_ROWS,
                "x^e*d rows in a ring with delta: coefficient count")
-        out = [packed]
+        out = [d]
         for _ in range(count - 1):
             out.append(_x_times_i(ring, out[-1]))
         return [(0, row) for row in out]
     l, s = ring.sigma.l, ring.s
-    twisted = [rows.frob(packed, l * e) for e in range(min(s, count))]
+    twisted = [rows.frob(d, l * e) for e in range(min(s, count))]
     return [(e, twisted[e % s]) for e in range(count)]
 
 
-def _mul_i(ring: OreRing, a, b) -> list:
+def _mul_i(ring: OreRing, a, b):
     """a * b = sum_i a_i (x^i * b)."""
-    if not a or not b:
-        return []
     rows = ring.field.rows
-    addmul, acc = rows.addmul, rows.pack(())
-    for ai, (off, row) in zip(a, _x_power_rows(ring, b, len(a))):
+    addmul, acc, n = rows.addmul, rows.pack(()), rows.length(a)
+    if not n or not b:
+        return acc
+    for ai, (off, row) in zip(rows.unpack(a, n), _x_power_rows(ring, b, n)):
         if ai:
             acc = addmul(acc, ai, row, off)
-    return rows.unpack(acc, len(a) + len(b) - 1)
+    return acc
 
 
 def _right_divmod_i(ring: OreRing, a, d) -> tuple:
     """q, r with a = q*d + r and deg r < deg d (d nonzero): the top coefficient
     of r at x^{e + deg d} is removed by qc * (x^e * d), each row x^e * d built
     once; its leading coefficient is sigma^e(lc d)."""
-    field = ring.field
-    dd = len(d) - 1
-    count = len(a) - dd
+    field, rows, l = ring.field, ring.field.rows, ring.sigma.l
+    dd = rows.length(d) - 1
+    count = rows.length(a) - dd
     if count <= 0:
-        return [], list(a)
-    rows, l = field.rows, ring.sigma.l
+        return rows.pack(()), a
     coeff, addmul = rows.coeff, rows.addmul
     mul, frob, neg = field.mul_i, field.frob_i, field.neg_i
-    inv_lc, r, q = field.inv_i(d[-1]), rows.pack(a), [0] * count
+    inv_lc, r, q = field.inv_i(coeff(d, dd)), rows.shift(a, 0), [0] * count
     x_rows = _x_power_rows(ring, d, count)
     for e in range(count - 1, -1, -1):
         c = coeff(r, e + dd)
@@ -310,7 +313,7 @@ def _right_divmod_i(ring: OreRing, a, d) -> tuple:
             off, row = x_rows[e]
             q[e] = qc = mul(c, frob(inv_lc, l * e))
             r = addmul(r, neg(qc), row, off)
-    return q, rows.unpack(r, dd)
+    return rows.pack(q), r
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -377,21 +380,20 @@ class BezoutData(NamedTuple):
     v: SkewPoly
 
 
-def _right_euclid(g1: SkewPoly, g2: SkewPoly):
-    """Right Euclid on g1, g2 in F[y;sigma] (remove_derivation), with the left cofactors of g1
-    only: index lists of the images (r, u, u_next) of r the last nonzero remainder (a gcrd up to
+def _right_euclid(ring: OreRing, g1, g2):
+    """Right Euclid on the rows g1, g2 mapped to F[y;sigma] (remove_derivation), with the left
+    cofactors of g1 only: the images (r, u, u_next) of r the last nonzero remainder (a gcrd up to
     a unit), u with r = u*g1 + v*g2 for some v, and u_next with u_next*g1 in A*g2 (the zero
     remainder's cofactor).  One loop over rows of ring.field.rows: each quotient digit qc at
     y^e (see _right_divmod_i) updates the remainder, r0 -= qc * y^e * r1, and the cofactor,
-    u0 -= qc * y^e * u1, where y^e * p = sigma^e(p) shifted by e; the rows are packed once before
-    the loop and unpacked once after it."""
-    (ring, a), (_, b) = remove_derivation(g1), remove_derivation(g2)
+    u0 -= qc * y^e * u1, where y^e * p = sigma^e(p) shifted by e."""
+    (ring, a), (_, b) = remove_derivation(ring, g1), remove_derivation(ring, g2)
     field, l = ring.field, ring.sigma.l
     rows = field.rows
     coeff, length, addmul, frob = rows.coeff, rows.length, rows.addmul, rows.frob
     mul, frob_i, neg, inv = field.mul_i, field.frob_i, field.neg_i, field.inv_i
-    r0, r1, u0, u1 = rows.pack(a.idx), rows.pack(b.idx), rows.pack([1]), rows.pack(())
-    n0, n1 = len(a.idx), len(b.idx)  # lengths of r0 and r1 (degree + 1)
+    r0, r1, u0, u1 = rows.shift(a, 0), rows.shift(b, 0), rows.pack([1]), rows.pack(())
+    n0, n1 = length(a), length(b)  # lengths of r0 and r1 (degree + 1)
     while n1:
         inv_lc = inv(coeff(r1, n1 - 1))
         for e in range(n0 - n1, -1, -1):
@@ -403,7 +405,7 @@ def _right_euclid(g1: SkewPoly, g2: SkewPoly):
                 u0 = addmul(u0, k, frob(u1, p), e)
         r0, r1, n0, n1 = r1, r0, n1, length(r0)
         u0, u1 = u1, u0
-    return rows.unpack(r0, n0), rows.unpack(u0, length(u0)), rows.unpack(u1, length(u1))
+    return r0, u0, u1
 
 
 def gcrd_bezout(g1: SkewPoly, g2: SkewPoly) -> BezoutData:
@@ -412,9 +414,9 @@ def gcrd_bezout(g1: SkewPoly, g2: SkewPoly) -> BezoutData:
     if not g1 and not g2:
         raise DomainError("gcrd(0, 0) is undefined")
     ring = g1.ring
-    r, u, _ = _right_euclid(g1, g2)
-    lead = FieldElement(ring.field, ring.field.inv_i(r[-1]))
-    d, u = (lead * _from_idx(ring, _from_y_i(ring, p)) for p in (r, u))
+    r, u, _ = _right_euclid(ring, g1.row, g2.row)
+    d, u = (_from_row(ring, _from_y_i(ring, p)) for p in (r, u))
+    d, u = d.monic(), d.lc().inverse() * u
     v, rem = (d - u * g1).right_divmod(g2) if g2 else (g2, d - u * g1)
     verify(not rem, "gcrd Bezout identity: d - u*g1 = v*g2 exactly")
     return BezoutData(d, u, v)
@@ -429,10 +431,11 @@ def lclm(g1: SkewPoly, g2: SkewPoly) -> SkewPoly:
     remainder; it is a left multiple of g1 by construction."""
     if not g1 or not g2:
         raise DomainError("lclm requires nonzero polynomials")
-    r, _, u = _right_euclid(g1, g2)
-    m = (_from_idx(g1.ring, _from_y_i(g1.ring, u)) * g1).monic()
+    r, _, u = _right_euclid(g1.ring, g1.row, g2.row)
+    m = (_from_row(g1.ring, _from_y_i(g1.ring, u)) * g1).monic()
     # eq (2.4a): deg gcrd + deg lclm = deg g1 + deg g2
-    verify(m.degree + len(r) - 1 == g1.degree + g2.degree, "deg gcrd + deg lclm = deg g1 + deg g2")
+    verify(m.degree + g1.ring.field.rows.length(r) - 1 == g1.degree + g2.degree,
+           "deg gcrd + deg lclm = deg g1 + deg g2")
     verify(g2.right_divides(m), "g2 right-divides lclm(g1, g2)")
     return m
 
@@ -508,13 +511,12 @@ def two_sided_test(g: SkewPoly) -> TwoSidedWitness:
     ring = g.ring
     if not ring.is_auto_type:
         raise DomainError("two_sided_test requires delta = 0; change variable first")
-    field = ring.field
+    field, rows = ring.field, ring.field.rows
     if not g:
         return TwoSidedWitness(True, field.zero, 0, ring.one)
-    t = next(i for i, c in enumerate(g.idx) if c)
-    c, rows = g.lc(), field.rows
-    h = rows.frob(rows.addmul(rows.pack(()), field.inv_i(c.idx), rows.pack(g.idx[t:])), -ring.sigma.l * t)
-    h = _from_idx(ring, rows.unpack(h, len(g.idx) - t))
+    t, c = next(i for i in itertools.count() if rows.coeff(g.row, i)), g.lc()
+    h = rows.addmul(rows.pack(()), field.inv_i(c.idx), rows.shift(g.row, -t))
+    h = _from_row(ring, rows.frob(h, -ring.sigma.l * t))
     verify(c * (ring.monomial(t) * h) == g, "two-sided decomposition g = c*x^t*h")
     if not is_central(h):
         return TwoSidedWitness(False, None, None, None)
@@ -526,19 +528,18 @@ def is_central(g: SkewPoly) -> bool:
     ring = g.ring
     if not ring.is_auto_type:
         raise DomainError("center description requires delta = 0")
-    support = all(not c for i, c in enumerate(g.idx) if i % ring.s)
     rows = ring.field.rows
-    packed = rows.pack(g.idx)
-    return support and rows.frob(packed, ring.sigma.l) == packed
+    support = all(not rows.coeff(g.row, i) for i in range(g.degree + 1) if i % ring.s)
+    return support and rows.frob(g.row, ring.sigma.l) == g.row
 
 
-def residue_rows_i(g: SkewPoly, f: SkewPoly):
-    """Index rows of x^i * g mod f for i = 0, 1, 2, ..., each of length deg f."""
-    ring, n, rows = g.ring, f.degree, g.ring.field.rows
-    cur = _right_divmod_i(ring, g.idx, f.idx)[1]
+def residue_rows_i(ring: OreRing, g, f):
+    """Index rows of x^i * g mod f for the rows g and f and i = 0, 1, 2, ..., each of length deg f."""
+    rows = ring.field.rows
+    n, cur = rows.length(f) - 1, _right_divmod_i(ring, g, f)[1]
     while True:
-        yield cur + [0] * (n - len(cur))
-        cur = _right_divmod_i(ring, rows.unpack(_x_times_i(ring, rows.pack(cur)), len(cur) + 1), f.idx)[1]
+        yield rows.unpack(cur, n)
+        cur = _right_divmod_i(ring, _x_times_i(ring, cur), f)[1]
 
 
 def annihilator_poly(a: SkewPoly, f: SkewPoly) -> SkewPoly:
@@ -548,7 +549,7 @@ def annihilator_poly(a: SkewPoly, f: SkewPoly) -> SkewPoly:
     after it)."""
     if not f.is_monic or f.degree < 1:
         raise DomainError("annihilator requires a monic modulus of degree >= 1")
-    rows = list(itertools.islice(residue_rows_i(a, f), f.degree + 1))
+    rows = list(itertools.islice(residue_rows_i(a.ring, a.row, f.row), f.degree + 1))
     return _from_idx(a.ring, kernel_i(a.ring.field, list(zip(*rows)), len(rows))[0])
 
 
@@ -561,11 +562,11 @@ def bound_polynomial(f: SkewPoly) -> SkewPoly:
         raise DomainError("bound polynomial requires a monic nonzero f")
     if not ring.is_auto_type:
         raise DomainError("bound polynomial requires delta = 0; change variable first")
-    s, e = ring.s, next(i for i, c in enumerate(f.idx) if c)
-    f1 = _from_idx(ring, list(f.idx[e:]))
+    s, e = ring.s, next(i for i in itertools.count() if ring.field.rows.coeff(f.row, i))
+    f1 = _from_row(ring, ring.field.rows.shift(f.row, -e))
     basis, table = fixed_field_coordinates(ring.sigma)
     dim = f1.degree * len(basis)  # dim + 1 rows over F^sigma of this dimension are dependent
-    rows = itertools.islice(residue_rows_i(ring.one, f1), 0, s * dim + 1, s)
+    rows = itertools.islice(residue_rows_i(ring, ring.one.row, f1.row), 0, s * dim + 1, s)
     cols = [[c for v in row for c in table[v]] for row in rows]
     idx = [0] * (e + s * dim + 1)
     idx[e::s] = kernel_i(ring.field, list(zip(*cols)), dim + 1)[0]
@@ -617,7 +618,7 @@ def similarity_test(g: SkewPoly, h: SkewPoly):
             continue
         if gcrd(p, h).degree != 0:
             continue
-        rows = list(itertools.islice(residue_rows_i(p, h), m))
+        rows = list(itertools.islice(residue_rows_i(ring, p.row, h.row), m))
         B = Matrix.from_indices(field, rows, m)
         sB = Matrix.from_indices(field, [[field.frob_i(v, ring.sigma.l) for v in r] for r in rows], m)
         verify(companion_matrix(g) * B == sB * companion_matrix(h), "similarity C_g B = sigma(B) C_h")
@@ -674,34 +675,34 @@ def factor_irreducible(g: SkewPoly):
 
 # -- change of variable: F[x;sigma,delta_w] = F[y;sigma] with y = x + w -----------
 
-def _to_y_i(ring: OreRing, g) -> list:
-    """psi(g with x = y - w), psi = twist_row_i(., -l) the anti-isomorphism F[y;sigma] ->
+def _to_y_i(ring: OreRing, g):
+    """psi(g with x = y - w), psi = rows.twist(., -l) the anti-isomorphism F[y;sigma] ->
     F[y;sigma^-1], which turns sum g_i (y - w)^i into sum (y - w)^i g_i: left Horner
     B <- (y - w)*B + g_i in F[y;sigma^-1], where y*B shifts B by one and applies sigma^-1."""
-    w, field, l = ring._w, ring.field, ring.sigma.l
-    if not w or not g:
-        return field.twist_row_i(g, -l)
-    capped(len(g) * (len(g) - 1) // 2, MAX_DELTA_ROWS, "change of variable y = x + w: step count")
-    rows = field.rows
-    addmul, frob, shift = rows.addmul, rows.frob, rows.shift
-    neg_w, one, b = field.neg_i(w), rows.pack([1]), rows.pack(g[-1:])
-    for c in reversed(g[:-1]):
-        b = addmul(addmul(shift(frob(b, -l), 1), neg_w, b), c, one)
-    return rows.unpack(b, len(g))
+    w, l, rows = ring._w, ring.sigma.l, ring.field.rows
+    n = rows.length(g)
+    if not w or not n:
+        return rows.twist(g, -l)
+    capped(n * (n - 1) // 2, MAX_DELTA_ROWS, "change of variable y = x + w: step count")
+    addmul, frob, shift, coeff = rows.addmul, rows.frob, rows.shift, rows.coeff
+    neg_w, one, b = ring.field.neg_i(w), rows.pack([1]), shift(g, 1 - n)
+    for i in range(n - 2, -1, -1):
+        b = addmul(addmul(shift(frob(b, -l), 1), neg_w, b), coeff(g, i), one)
+    return b
 
 
-def _from_y_i(ring: OreRing, h) -> list:
+def _from_y_i(ring: OreRing, h):
     """h with y = x + w, by left Horner on h = sum y^i sigma^-i(h_i), the accumulator read as
     sigma^-i(b): b <- b*x + sigma^i(w)*b + h_i, as y*(c x^j) = sigma(c) x^{j+1} + w*sigma(c) x^j."""
-    field, w, n = ring.field, ring._w, len(h)
+    field, w, n = ring.field, ring._w, ring.field.rows.length(h)
     if not w:
-        return list(h)
+        return h
     capped(n * (n - 1) // 2, MAX_DELTA_ROWS, "change of variable y = x + w: step count")
     rows = field.rows
-    out = rows.pack(h)
+    out = rows.shift(h, 0)
     for i in range(n - 2, -1, -1):
         out = rows.addmul(out, field.frob_i(w, ring.sigma.l * i), rows.shift(out, -(i + 1)), i)
-    return rows.unpack(out, n)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -710,13 +711,12 @@ def _sigma_ring(field: FiniteField, l: int) -> OreRing:
     return OreRing(field, l)
 
 
-def remove_derivation(g: SkewPoly):
-    """F[x;sigma,delta_w] -> F[y;sigma], x -> y - w (see _to_y_i): the target ring and the image of g."""
-    ring = g.ring
+def remove_derivation(ring: OreRing, g):
+    """F[x;sigma,delta_w] -> F[y;sigma], x -> y - w (see _to_y_i): the target ring and the image
+    of the row g."""
     if ring.is_auto_type:
         return ring, g
-    target = _sigma_ring(ring.field, ring.sigma.l)
-    return target, _from_idx(target, ring.field.twist_row_i(_to_y_i(ring, g.idx), ring.sigma.l))
+    return _sigma_ring(ring.field, ring.sigma.l), ring.field.rows.twist(_to_y_i(ring, g), ring.sigma.l)
 
 
 # -- text I/O -------------------------------------------------------------------

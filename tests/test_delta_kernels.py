@@ -6,16 +6,17 @@ row loop of the Euclid algorithm against the SkewPoly loop it replaced; the
 change of variable and psi themselves; the row operations of gf (FiniteField.rows,
 packed or Zech, and twist_row_i) and skewpoly._x_times_i against loops over add_i,
 mul_i and frob_i; and the product and right division over GF(2^8) against the
-Zech loop.  Rings: GF(4), GF(8), GF(9), GF(16), GF(25), GF(27) and GF(256), every
-sigma = phi^l; the row operations and the Euclid loop also over GF(2^9), the row
-operations also over GF(2), GF(3) and GF(5)."""
+Zech loop.  The kernels take and return rows of FiniteField.rows; as_idx reads
+one as a list of indices.  Rings: GF(4), GF(8), GF(9), GF(16), GF(25), GF(27)
+and GF(256), every sigma = phi^l; the row operations and the Euclid loop also
+over GF(2^9), the row operations also over GF(2), GF(3) and GF(5)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orecodes.gf import GF, ByteRows, ZechRows
-from orecodes.skewpoly import (OreRing, _from_y_i, _mul_i, _right_divmod_i, _right_euclid, _to_y_i, _x_times_i,
-                               gcrd_bezout, lclm, remove_derivation)
+from orecodes.skewpoly import (OreRing, _from_row, _from_y_i, _mul_i, _right_divmod_i, _right_euclid, _to_y_i,
+                               _x_times_i, gcrd_bezout, lclm, remove_derivation)
 
 FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 8)]
 RINGS = [(q, k, l) for q, k in FIELDS for l in range(k)]
@@ -35,6 +36,11 @@ def delta_ring(params, w):
 
 def poly(ring, raw):
     return ring.poly([ring.field.element(c % ring.field.size) for c in raw])
+
+
+def as_idx(field, row):
+    """The indices of a row of field.rows, without its zero tail."""
+    return field.rows.unpack(row, field.rows.length(row))
 
 
 # -- the direct delta_w algorithms, the references --------------------------------
@@ -106,12 +112,16 @@ def test_gcrd_bezout_and_lclm_match_direct(params, w, a, b, c):
 def test_change_of_variable_is_a_ring_isomorphism(params, w, a, b):
     ring = delta_ring(params, w)
     a, b = poly(ring, a), poly(ring, b)
-    target, ya = remove_derivation(a)
-    assert target.is_auto_type and target.sigma == ring.sigma
+
+    def image(p):
+        return _from_row(*remove_derivation(ring, p.row))
+
+    ya = image(a)
+    assert ya.ring.is_auto_type and ya.ring.sigma == ring.sigma
     assert ya.degree == a.degree
-    assert tuple(_from_y_i(ring, ya.idx)) == a.idx
-    assert remove_derivation(a * b)[1] == ya * remove_derivation(b)[1]
-    assert remove_derivation(a + b)[1] == ya + remove_derivation(b)[1]
+    assert tuple(as_idx(ring.field, _from_y_i(ring, ya.row))) == a.idx
+    assert image(a * b) == ya * image(b)
+    assert image(a + b) == ya + image(b)
 
 
 @pytest.mark.parametrize("params", RINGS, ids=ring_id)
@@ -137,9 +147,9 @@ def test_edge_cases_match_direct(q, k):
     ring = delta_ring((q, k, 1), 1)
     zero, one, w = ring.zero, ring.one, ring.poly([ring.delta.w])
     big, small = ring.parse("x^3+w*x+1"), ring.parse("w*x^2+x+w")
-    assert _to_y_i(ring, []) == [] and _from_y_i(ring, []) == []
-    assert _to_y_i(ring, w.idx) == list(w.idx)  # constants are fixed
-    assert tuple(_to_y_i(ring, ring.x.idx)) == ring.poly([-ring.delta.w, 1]).idx  # x = y - w
+    assert not _to_y_i(ring, zero.row) and not _from_y_i(ring, zero.row)
+    assert _to_y_i(ring, w.row) == w.row  # constants are fixed
+    assert tuple(as_idx(ring.field, _to_y_i(ring, ring.x.row))) == ring.poly([-ring.delta.w, 1]).idx  # x = y - w
     for a, d in [(zero, big), (w, big), (small, big), (big, w), (big, one), (zero, one)]:
         assert a.left_divmod(d) == direct_left_divmod(a, d)
     for a, b in [(zero, big), (big, zero), (w, big), (big, one), (small, big)]:
@@ -157,8 +167,13 @@ EUCLID_RINGS = [(2, 8, l) for l in (0, 1, 3, 7)] + [(3, 2, 0), (3, 2, 1), (5, 2,
 def skewpoly_right_euclid(g1, g2):
     """_right_euclid as SkewPoly operations: r0.right_divmod(r1) and u0 - q*u1 on the images
     in F[y;sigma], each step a division, a product and a difference."""
-    (_, a), (_, b) = remove_derivation(g1), remove_derivation(g2)
-    return tuple(list(p.idx) for p in direct_right_euclid(a, b))
+    (target, a), (_, b) = remove_derivation(g1.ring, g1.row), remove_derivation(g2.ring, g2.row)
+    return tuple(list(p.idx) for p in direct_right_euclid(_from_row(target, a), _from_row(target, b)))
+
+
+def row_right_euclid(g1, g2):
+    """_right_euclid on the rows of g1 and g2, each row read as indices."""
+    return tuple(as_idx(g1.ring.field, p) for p in _right_euclid(g1.ring, g1.row, g2.row))
 
 
 def euclid_pairs(ring, a, b, c):
@@ -175,7 +190,7 @@ def test_right_euclid_row_loop_matches_the_skewpoly_loop(params, w, a, b, c):
     for ring in (delta_ring(params, w), OreRing(GF(*params[:2]), params[2])):
         a_, b_, c_ = poly(ring, a), poly(ring, b), poly(ring, c) or ring.one
         for g1, g2 in euclid_pairs(ring, a_, b_, c_):
-            assert _right_euclid(g1, g2) == skewpoly_right_euclid(g1, g2)
+            assert row_right_euclid(g1, g2) == skewpoly_right_euclid(g1, g2)
 
 
 def test_right_euclid_edge_cases():
@@ -185,9 +200,9 @@ def test_right_euclid_edge_cases():
             one, zero = ring.one, ring.zero
             for g1, g2 in [(big, zero), (zero, big), (one, big), (big, one), (big, big), (small * big, big),
                            (big, small * big), (small, big), (big * small, small * small)]:
-                assert _right_euclid(g1, g2) == skewpoly_right_euclid(g1, g2)
-            r, u, u_next = _right_euclid(big, zero)
-            assert (r, u, u_next) == (list(remove_derivation(big)[1].idx), [1], [])
+                assert row_right_euclid(g1, g2) == skewpoly_right_euclid(g1, g2)
+            r, u, u_next = row_right_euclid(big, zero)
+            assert (r, u, u_next) == (as_idx(ring.field, remove_derivation(ring, big.row)[1]), [1], [])
 
 
 # -- the row operations against add_i, mul_i and frob_i ---------------------------------
@@ -225,6 +240,7 @@ def check_rows(field, acc, row, kk, power, off):
     assert ops.unpack(ops.shift(ops.pack(row), off), len(row) + off) == [0] * off + row
     assert ops.unpack(ops.shift(ops.pack(row), -off), len(row)) == row[off:] + [0] * min(off, len(row))
     assert ops.unpack(ops.frob(ops.pack(row), power), len(row)) == [field.frob_i(v, power) for v in row]
+    assert ops.unpack(ops.twist(ops.pack(row), power), len(row)) == field.twist_row_i(row, power)
     for k in (0, 1, kk % size):
         want = acc + [0] * (n - len(acc))
         for j, v in enumerate(row):
@@ -326,5 +342,7 @@ def test_mul_and_right_divmod_match_the_zech_loop(kind, w, l, da, dd, rng):
     ring = OreRing(field, l, field.element(w)) if kind == "delta" else OreRing(field, l)
     a = [rng.randrange(256) for _ in range(da)] + [rng.randrange(1, 256)]
     d = [rng.randrange(256) for _ in range(dd)] + [rng.randrange(1, 256)]
-    assert _mul_i(ring, a, d) == zech_mul(ring, a, d)
-    assert _right_divmod_i(ring, a, d) == zech_right_divmod(ring, a, d)
+    a_row, d_row = field.rows.pack(a), field.rows.pack(d)
+    assert as_idx(field, _mul_i(ring, a_row, d_row)) == trimmed(zech_mul(ring, a, d))
+    assert [as_idx(field, p) for p in _right_divmod_i(ring, a_row, d_row)] == [
+        trimmed(p) for p in zech_right_divmod(ring, a, d)]

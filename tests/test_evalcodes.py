@@ -6,7 +6,8 @@ import pytest
 from orecodes.errors import DomainError, GuardError
 from orecodes.gf import GF, parse_element
 from orecodes.skewpoly import OreRing
-from orecodes.algset import vandermonde
+from orecodes.algset import vandermonde, wronskian
+from orecodes.linalg import Matrix
 from orecodes.evalcodes import (
     certify,
     hamming_distance,
@@ -49,6 +50,18 @@ def test_support_matrix_rank_below_k_is_refused(build, q, k, support, dim, rank)
     with pytest.raises(DomainError, match=f"^support matrix rank {rank} < k = {dim}$"):
         build(ring, points, dim)
     assert build(ring, points, rank).dim == rank
+
+
+@pytest.mark.parametrize("build, support_matrix", [(remainder_code, vandermonde), (operator_code, wronskian)])
+def test_a_built_code_ranks_its_generator_once(build, support_matrix, monkeypatch):
+    ring = OreRing(GF(2, 4), 1)
+    points = [ring.field.element(i) for i in (1, 2, 3, 5, 8, 9, 12, 14)]
+    k = min(4, support_matrix(ring, points).rank())
+    calls = []
+    rank = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda self: calls.append(self.nrows) or rank(self))
+    assert build(ring, points, k).dim == k
+    assert calls == [k]
 
 
 def test_repetition_code(R4):

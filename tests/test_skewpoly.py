@@ -529,7 +529,7 @@ def grow_and_solve_annihilator(a, f):
     """Reference: grow the rows x^i * a mod f until x^D * a mod f is a
     combination of the rows below it, solving one system per degree D."""
     ring, field = a.ring, a.ring.field
-    rows = residue_rows_i(a, f)
+    rows = residue_rows_i(ring, a.row, f.row)
     basis = [next(rows)]
     if not any(basis[0]):
         return ring.one
@@ -717,10 +717,16 @@ def change_variable(g, target, image):
     return acc
 
 
+def image_in_y(g):
+    """remove_derivation on the row of g, boxed in its target ring."""
+    target, row = remove_derivation(g.ring, g.row)
+    return target, skewpoly._from_row(target, row)
+
+
 def test_remove_derivation_is_ring_map():
     F = GF(2, 2)
     ring = OreRing(F, 1, F.gen)
-    target, _ = remove_derivation(ring.one)
+    target, _ = image_in_y(ring.one)
     assert target.is_auto_type
     rng = random.Random(19)
     img = target.poly([-ring.delta.w, F.one])
@@ -728,7 +734,7 @@ def test_remove_derivation_is_ring_map():
         a, b = rand_poly(rng, ring, 3), rand_poly(rng, ring, 3)
         fa = change_variable(a, target, img)
         fb = change_variable(b, target, img)
-        assert remove_derivation(a) == (target, fa)
+        assert image_in_y(a) == (target, fa)
         assert change_variable(a * b, target, img) == fa * fb
         assert change_variable(a + b, target, img) == fa + fb
 
@@ -736,12 +742,12 @@ def test_remove_derivation_is_ring_map():
 def test_remove_derivation_round_trip_odd_char():
     F = GF(3, 2)
     ring = OreRing(F, 1, F.gen)
-    target, _ = remove_derivation(ring.one)
+    target, _ = image_in_y(ring.one)
     img_back = ring.poly([ring.delta.w, F.one])
     rng = random.Random(23)
     for _ in range(20):
         a = rand_poly(rng, ring, 3)
-        _, fa = remove_derivation(a)
+        _, fa = image_in_y(a)
         assert change_variable(fa, ring, img_back) == a
 
 

@@ -69,6 +69,11 @@ def test_guard_errors_are_raised_through_capped():
 
 # -- sabotaged kernels ---------------------------------------------------------------
 
+def plus_one(rows, row):
+    """row + 1, a new row of rows: the row's constant coefficient off by one."""
+    return rows.addmul(rows.shift(row, 0), 1, rows.pack([1]))
+
+
 def sabotage(kind, patch=setattr):
     """Install a wrong kernel through patch(owner, name, value); the certificate
     behind each command of CASES must catch the wrong result."""
@@ -76,29 +81,24 @@ def sabotage(kind, patch=setattr):
         good = skewpoly._mul_i
 
         def bad(ring, a, b):
-            acc = good(ring, a, b)
-            if len(acc) > 1:
-                acc[0] = ring.field.add_i(acc[0], 1)
-            return acc
+            acc, rows = good(ring, a, b), ring.field.rows
+            return plus_one(rows, acc) if rows.length(acc) > 1 else acc
 
         patch(skewpoly, "_mul_i", bad)
     elif kind == "euclid-cofactor":  # the Euclid row loop returns its cofactors off by one in the constant coefficient
         good_euclid = skewpoly._right_euclid
 
-        def bad_euclid(g1, g2):
-            r, u, u_next = good_euclid(g1, g2)
-            field = g1.ring.field
-            return r, *([field.add_i(p[0], 1)] + p[1:] if p else [1] for p in (u, u_next))
+        def bad_euclid(ring, g1, g2):
+            r, u, u_next = good_euclid(ring, g1, g2)
+            return r, *(plus_one(ring.field.rows, p) for p in (u, u_next))
 
         patch(skewpoly, "_right_euclid", bad_euclid)
     elif kind == "from-y":  # images in F[y;sigma] map back off by one in the constant coefficient
         good_from_y = skewpoly._from_y_i
 
         def bad_from_y(ring, h):
-            out = good_from_y(ring, h)
-            if out:
-                out[0] = ring.field.add_i(out[0], 1)
-            return out
+            out, rows = good_from_y(ring, h), ring.field.rows
+            return plus_one(rows, out) if out else out
 
         patch(skewpoly, "_from_y_i", bad_from_y)
     elif kind == "not-two-sided":  # the two-sided test refuses x^n - 1 though |sigma| = n
