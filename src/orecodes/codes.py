@@ -52,18 +52,17 @@ class LinearCode:
         positions q^j .. 2q^j - 1 are exactly row_j + span(row_0 .. row_{j-1})
         (digit j is the index 1, the field's one, and every higher digit is 0),
         so together these blocks hold one word on each line of the code."""
-        F = self.field
+        F, rows = self.field, self.field.rows
         size = F.size
         elements = F.elements()
-        multiples = [  # multiples[j][d] = d * row_j
-            [[F.mul_i(d, v.idx) for v in row] for d in range(size)] for row in self.G.rows
-        ]
-        add = F.add_i
+        generators = [rows.pack([v.idx for v in row]) for row in self.G.rows]
+        # multiples[j][d] = d * row_j; each is a new row, never a generator itself
+        multiples = [[rows.addmul(rows.pack([]), d, g) for d in range(size)] for g in generators]
         msg = [0] * self.dim
-        word = [0] * self.n
+        word = rows.pack([])  # the accumulator: addmul may write into it
         # tuple of a list, not of an iterator: tuple(iterator) resizes each word,
         # which leaves thousands of dead tuples parked on CPython's free list
-        yield tuple([elements[i] for i in word])
+        yield tuple([elements[i] for i in rows.unpack(word, self.n)])
         for step in range(1, size ** self.dim):
             # digit j (the lowest nonzero base-|F| digit of step) changes; it
             # moves up while the digits above it form an even number
@@ -73,9 +72,8 @@ class LinearCode:
                 j += 1
             old = msg[j]
             msg[j] = old + 1 if (rest // size) % 2 == 0 else old - 1
-            delta = multiples[j][F.sub_i(msg[j], old)]
-            word = [add(w, m) for w, m in zip(word, delta)]
-            yield tuple([elements[i] for i in word])
+            word = rows.addmul(word, 1, multiples[j][F.sub_i(msg[j], old)])
+            yield tuple([elements[i] for i in rows.unpack(word, self.n)])
 
     def same_code(self, other: "LinearCode") -> bool:
         return self.n == other.n and self.G.row_space_equals(other.G)

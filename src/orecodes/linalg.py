@@ -178,13 +178,6 @@ def dot_i(field, a, b) -> int:
     return acc
 
 
-def matmul_i(field, a, b):
-    """Index rows of the product over a FiniteField of the matrices whose rows
-    are the index lists a and b."""
-    cols = list(zip(*b))
-    return [[dot_i(field, r, c) for c in cols] for r in a]
-
-
 def _echelon(rows, add, mul, neg, inv):
     """Gaussian elimination over a field with the given operations: the pivot
     rows (c, p) in the order chosen, last row first, c being the first nonzero

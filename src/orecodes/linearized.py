@@ -15,8 +15,8 @@ import random
 from .algset import wronskian
 from .errors import DomainError, capped
 from .gf import FieldElement, FiniteField, power_str, subfield_coordinates, sum_str
-from .linalg import Matrix, dot_i, identity, matmul_i, rank_i
-from .skewpoly import OreRing, SkewPoly, _mul_i, operator_eval, operator_powers_i
+from .linalg import Matrix, identity, rank_i
+from .skewpoly import OreRing, SkewPoly, _mul_i, operator_eval
 
 MAX_ALGEBRA_FIELD = 64
 
@@ -131,25 +131,29 @@ def eval_matrix(g: LinearizedPoly, X=None) -> Matrix:
     table = _zq_coordinates(field, X)
     if table is None:
         raise DomainError("X is not a Z_q-basis")
-    return Matrix.from_indices(field, _m_rows(field, X, table)([c.idx for c in g.coeffs]), len(X))
+    k, rows = len(X), field.rows
+    flat = rows.unpack(_m_rows(field, X, table)(rows.pack([c.idx for c in g.coeffs])), k * k)
+    return Matrix.from_indices(field, [flat[i::k] for i in range(k)], k)
 
 
 def _m_rows(field: FiniteField, X, table):
-    """The builder g -> index rows of M_g, for coefficient indices g of any
-    length: g is folded mod x^k - 1 (x^k is central because phi^k = id), and
-    column j holds the Z_q coordinates table[g(z_j)], g(z_j) being the dot
-    product of g with phi^0(z_j), ..., phi^(k-1)(z_j)."""
-    k, ring = field.k, OreRing(field, 1)
-    powers = [operator_powers_i(ring, z.idx, k - 1) for z in X]
+    """The builder g -> M_g as one row of field.rows, for a row g of any
+    length: column j sits at offset k*j and holds the Z_q coordinates
+    table[g(z_j)].  The values g(z_0), ..., g(z_{k-1}) are the row
+    sum_i g_i * phi^(i mod k)(z_0, ..., z_{k-1}), one addmul per coefficient;
+    reading x^i as x^(i mod k) folds g mod x^k - 1 (x^k is central because
+    phi^k = id)."""
+    k, rows = field.k, field.rows
+    xs = rows.pack([z.idx for z in X])
+    powers = [rows.frob(xs, i) for i in range(k)]
 
-    def rows(g):
-        folded = [0] * k
-        for i, c in enumerate(g):
-            if c:
-                folded[i % k] = field.add_i(folded[i % k], c)
-        return [list(r) for r in zip(*(table[dot_i(field, folded, p)] for p in powers))]
+    def matrix(g):
+        values = rows.pack([])
+        for i, c in enumerate(rows.unpack(g, rows.length(g))):
+            values = rows.addmul(values, c, powers[i % k])
+        return rows.pack([c for v in rows.unpack(values, k) for c in table[v]])
 
-    return rows
+    return matrix
 
 
 def dickson_matrix(g: LinearizedPoly) -> Matrix:
@@ -173,20 +177,37 @@ def dickson_identity_holds(g: LinearizedPoly, X=None) -> bool:
 
 # -- the matrix algebra A/(x^k - 1) = M_k(Z_q) --------------------------------------
 
+def _matrix_product(rows, k: int, a_cols, b):
+    """M_a * M_b as one row of rows (column j at offset k*j), from the k
+    column rows of M_a and the k*k entries of M_b in the same order (entry
+    k*j + l is M_b[l][j]): column j is sum_l M_b[l][j] * (column l of M_a)."""
+    out = rows.pack([])
+    for j in range(k):
+        for l, col in enumerate(a_cols):
+            out = rows.addmul(out, b[k * j + l], col, k * j)
+    return out
+
+
+def _matrix_sum(rows, ma, mb):
+    """M_a + M_b as one row: mb added into a copy of ma."""
+    return rows.addmul(rows.shift(ma, 0), 1, mb)
+
+
 def matrix_algebra_check(field: FiniteField) -> dict:
     """Verify that gbar -> M_g realizes A/(x^k - 1) as all of M_k(Z_q):
     additive, multiplicative (on all pairs at tiny sizes, sampled otherwise),
     injective and surjective by Z_q-rank, and sending 1 to the identity.
-    Cosets are index lists of length k."""
+    Cosets and matrices are rows of field.rows (see _m_rows); two rows are
+    equal when their trimmed lengths and their entries are."""
     capped(field.size, MAX_ALGEBRA_FIELD, "matrix algebra check: |F| =")
-    k = field.k
+    k, rows = field.k, field.rows
     ring = OreRing(field, 1)
     X = canonical_basis(field)
     mat = _m_rows(field, X, _zq_coordinates(field, X))
 
     # images of an F-basis b x^i of A/(x^k-1), expanded over Z_q, must span k^2 dims
-    rows = [[v for row in mat([0] * i + [b.idx]) for v in row] for b in X for i in range(k)]
-    surjective = rank_i(field, rows) == k * k
+    images = [rows.unpack(mat(rows.pack([0] * i + [b.idx])), k * k) for b in X for i in range(k)]
+    surjective = rank_i(field, images) == k * k
     report = {
         "k": k,
         "q": field.q,
@@ -201,14 +222,15 @@ def matrix_algebra_check(field: FiniteField) -> dict:
     else:
         rng = random.Random(0)
         cosets = [[rng.randrange(field.size) for _ in range(k)] for _ in range(16)]
-    add = field.add_i
-    mats, packed = [mat(a) for a in cosets], [field.rows.pack(a) for a in cosets]
-    for (a, pa, ma), (b, pb, mb) in itertools.product(zip(cosets, packed, mats), repeat=2):
-        if mat(field.rows.unpack(_mul_i(ring, pa, pb), 2 * k - 1)) != matmul_i(field, ma, mb):
+    packed = [rows.pack(a) for a in cosets]
+    mats = [mat(pa) for pa in packed]
+    entries = [rows.unpack(m, k * k) for m in mats]
+    cols = [[rows.pack(e[k * l:k * l + k]) for l in range(k)] for e in entries]
+    same = lambda u, v: rows.length(u) == rows.length(v) and u == v
+    for (pa, ma, ca, _), (pb, mb, _, eb) in itertools.product(zip(packed, mats, cols, entries), repeat=2):
+        if not same(mat(_mul_i(ring, pa, pb)), _matrix_product(rows, k, ca, eb)):
             report["multiplicative_ok"] = False
-        if mat([add(x, y) for x, y in zip(a, b)]) != [
-            [add(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(ma, mb)
-        ]:
+        if not same(mat(rows.addmul(rows.shift(pa, 0), 1, pb)), _matrix_sum(rows, ma, mb)):
             report["additive_ok"] = False
     report["pairs_checked"] = len(cosets) ** 2
     report["all_ok"] = all(

@@ -14,7 +14,7 @@ from orecodes import evalcodes
 from orecodes.codes import LinearCode
 from orecodes.errors import DomainError
 from orecodes.gf import GF, fixed_field_coordinates
-from orecodes.linalg import Matrix, kernel_i, matmul_i, rank_i
+from orecodes.linalg import Matrix, kernel_i, rank_i
 from orecodes.linearized import LinearizedPoly, eval_matrix, is_zq_basis
 from orecodes.skewpoly import OreRing
 
@@ -112,6 +112,44 @@ def test_words_blocks_hold_one_word_per_line(q, k, kmax, raw, shape):
     assert len(reps) == (F.size ** dim - 1) // (F.size - 1)
 
 
+def zech_gray_walk(code):
+    """The walk words() ran before rows: index lists, d * row_j by mul_i, one add_i per coordinate."""
+    F, size = code.field, code.field.size
+    elements = F.elements()
+    multiples = [[[F.mul_i(d, v.idx) for v in row] for d in range(size)] for row in code.G.rows]
+    msg, word = [0] * code.dim, [0] * code.n
+    yield tuple(elements[i] for i in word)
+    for step in range(1, size ** code.dim):
+        j, rest = 0, step
+        while rest % size == 0:
+            rest //= size
+            j += 1
+        old = msg[j]
+        msg[j] = old + 1 if (rest // size) % 2 == 0 else old - 1
+        delta = multiples[j][F.sub_i(msg[j], old)]
+        word = [F.add_i(w, m) for w, m in zip(word, delta)]
+        yield tuple(elements[i] for i in word)
+
+
+# GF(4), GF(16) and GF(256) walk packed rows, GF(9), GF(25) and GF(2^9) the Zech loop
+@pytest.mark.parametrize("q,k", [(2, 2), (2, 4), (2, 8), (3, 2), (5, 2), (2, 9)])
+@pytest.mark.parametrize("dim", [0, 1, 2, 3])
+def test_words_walk_rows_like_the_zech_loop(q, k, dim):
+    """words() equals the index-list walk: the whole walk up to 2^14 words, else through the
+    first change of the top digit and 2|F| steps past it; the walk leaves G as it was."""
+    F, rng = GF(q, k), random.Random(q * k + dim)
+    n = dim + 2
+    while True:
+        rows = [[F.element(rng.randrange(F.size)) for _ in range(n)] for _ in range(dim)]
+        if Matrix(rows, n, F.zero, F.one).rank() == dim:
+            break
+    code = LinearCode(F, Matrix(rows, n, F.zero, F.one))
+    held = [list(row) for row in code.G.rows]
+    count = F.size ** dim if F.size ** dim <= 1 << 14 else F.size ** (dim - 1) + 2 * F.size
+    assert list(itertools.islice(code.words(), count)) == list(itertools.islice(zech_gray_walk(code), count))
+    assert code.G.rows == held
+
+
 # -- rank_i, kernel_i and rank_of_word ---------------------------------------------------
 
 @pytest.mark.parametrize("q,k", [(2, 4), (2, 6), (3, 2), (3, 3), (5, 2)])
@@ -125,7 +163,6 @@ def test_rank_i_matches_boxed_rank(q, k, raw, shape):
     B = Matrix.over_field(F, boxed_rows(F, raw[32:], inner, ncols), ncols)
     M = A * B
     idx = lambda m: [[v.idx for v in row] for row in m.rows]
-    assert matmul_i(F, idx(A), idx(B)) == idx(M)
     assert rank_i(F, idx(M)) == M.rank()
     # the same kernel basis: one vector per free column, 1 there and 0 at the other free columns
     assert kernel_i(F, idx(M), ncols) == idx(M.kernel())

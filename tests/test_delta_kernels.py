@@ -207,9 +207,9 @@ def test_right_euclid_edge_cases():
 
 # -- the row operations against add_i, mul_i and frob_i ---------------------------------
 
-# GF(2), GF(4), GF(16) and GF(2^8) pack their rows; GF(3), GF(5), GF(9), GF(27), GF(25) and
-# GF(2^9) keep the Zech loop
-PACKED = [(2, 1), (2, 2), (2, 4), (2, 8)]
+# GF(2), GF(4), GF(8), GF(16) and GF(2^8) pack their rows; GF(3), GF(5), GF(9), GF(27), GF(25)
+# and GF(2^9) keep the Zech loop
+PACKED = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 8)]
 ZECH = [(3, 1), (5, 1), (3, 2), (3, 3), (5, 2), (2, 9)]
 rows_st = st.lists(st.integers(0, 1 << 9), max_size=20)  # longer than 8 bytes
 
@@ -240,7 +240,8 @@ def check_rows(field, acc, row, kk, power, off):
     assert ops.unpack(ops.shift(ops.pack(row), off), len(row) + off) == [0] * off + row
     assert ops.unpack(ops.shift(ops.pack(row), -off), len(row)) == row[off:] + [0] * min(off, len(row))
     assert ops.unpack(ops.frob(ops.pack(row), power), len(row)) == [field.frob_i(v, power) for v in row]
-    assert ops.unpack(ops.twist(ops.pack(row), power), len(row)) == field.twist_row_i(row, power)
+    for p in (power, -power):
+        assert ops.unpack(ops.twist(ops.pack(row), p), len(row)) == field.twist_row_i(row, p)
     for k in (0, 1, kk % size):
         want = acc + [0] * (n - len(acc))
         for j, v in enumerate(row):
@@ -269,6 +270,12 @@ def test_row_edge_cases(q, k):
     for acc, row in [([], []), ([], [1]), ([top], []), ([1], [top]), ([0] * 3, [0] * 2), ([top] * 12, [1] * 11)]:
         for off in (0, 1, 9):
             check_rows(field, acc, row, top, 1, off)
+    # rows either side of ByteRows.twist's short path and of each of its masks' bits, the masks
+    # growing with the row and then serving a shorter one; phi^p of both signs (check_rows)
+    for n in (1, 2, 3, 8, 9, 32, 33, 64, 65, 129, 40):
+        row = [(7 * j + 1) % field.size for j in range(n - 1)] + [top]
+        for power in (1, 3, field.k, 2 * field.k + 1):
+            check_rows(field, row[::2], row, top, power, 2)
     # the top entry cancels: k*row added to -k*row (and to a longer row with that top)
     row = [c % field.size for c in range(1, 12)] + [top]
     minus = [field.mul_i(field.neg_i(1), field.mul_i(top, v)) for v in row]

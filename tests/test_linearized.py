@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from orecodes import linearized
 from orecodes.errors import DomainError, GuardError
 from orecodes.gf import GF, parse_field
-from orecodes.linalg import Matrix, identity, matmul_i
+from orecodes.linalg import Matrix, identity
 from orecodes.skewpoly import OreRing, operator_eval
 from orecodes.linearized import (
     LinearizedPoly,
@@ -234,8 +235,60 @@ def test_identity_ok_sees_a_corrupted_zq_table(monkeypatch):
     assert report["identity_ok"] is False and report["all_ok"] is False
 
 
+# -- the row product and sum of matrix_algebra_check -------------------------------------
+# A matrix is one row of field.rows with column j at offset k*j (linearized._m_rows).
+
+def matmul_idx(field, a, b):
+    """The product of the k x k matrices with index rows a and b, one dot product per entry."""
+    add, mul = field.add_i, field.mul_i
+    return [[functools.reduce(add, (mul(x, y) for x, y in zip(r, c)), 0) for c in zip(*b)] for r in a]
+
+
+def to_row(field, m):
+    return field.rows.pack([v for col in zip(*m) for v in col])
+
+
+def from_row(field, row, k):
+    flat = field.rows.unpack(row, k * k)
+    return [flat[i::k] for i in range(k)]
+
+
+@pytest.mark.parametrize("q,k", [(2, 2), (2, 4), (3, 2), (5, 2)])
+def test_matrix_product_matches_index_matmul(q, k):
+    F, rng = GF(q, k), random.Random(q * k)
+    for _ in range(20):
+        a, b = ([[rng.randrange(F.size) for _ in range(k)] for _ in range(k)] for _ in range(2))
+        a_cols, b_entries = [F.rows.pack(col) for col in zip(*a)], [v for col in zip(*b) for v in col]
+        product = linearized._matrix_product(F.rows, k, a_cols, b_entries)
+        assert from_row(F, product, k) == matmul_idx(F, a, b)
+        ma, mb = to_row(F, a), to_row(F, b)
+        total = linearized._matrix_sum(F.rows, ma, mb)
+        assert from_row(F, total, k) == [[F.add_i(x, y) for x, y in zip(r, s)] for r, s in zip(a, b)]
+        # held rows unchanged
+        assert [from_row(F, ma, k), from_row(F, mb, k)] == [a, b]
+        assert [F.rows.unpack(c, k) for c in a_cols] == [list(col) for col in zip(*a)]
+
+
 def test_multiplicative_ok_sees_a_transposed_product(monkeypatch):
-    monkeypatch.setattr(linearized, "matmul_i", lambda F, a, b: [list(c) for c in zip(*matmul_i(F, a, b))])
+    good = linearized._matrix_product
+
+    def transposed(rows, k, a_cols, b):
+        field = rows.field
+        return to_row(field, [list(r) for r in zip(*from_row(field, good(rows, k, a_cols, b), k))])
+
+    monkeypatch.setattr(linearized, "_matrix_product", transposed)
     report = matrix_algebra_check(GF(2, 2))
     assert report["multiplicative_ok"] is False and report["all_ok"] is False
+    assert report["additive_ok"] is True
 
+
+def test_additive_ok_sees_a_sum_without_a_column(monkeypatch):
+    good = linearized._matrix_sum
+
+    def dropped(rows, ma, mb):  # the last column (offset k*(k-1) = 2 over GF(4)) left out
+        return rows.pack(rows.unpack(good(rows, ma, mb), 4)[:2])
+
+    monkeypatch.setattr(linearized, "_matrix_sum", dropped)
+    report = matrix_algebra_check(GF(2, 2))
+    assert report["additive_ok"] is False and report["all_ok"] is False
+    assert report["multiplicative_ok"] is True

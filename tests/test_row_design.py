@@ -2,8 +2,9 @@
 index <-> code maps and the packed rows' translate tables) and picks each
 field's row kind; the modules above it call the operations of
 FiniteField.rows and never choose a row path by the field's size or
-characteristic; and skewpoly's kernels take and return rows, building no
-SkewPoly and calling none of its methods."""
+characteristic; skewpoly's kernels take and return rows, building no
+SkewPoly and calling none of its methods; and the loops of the code layer's
+certificates (the algebra check's pairs, the codeword walk) stay on rows."""
 
 import ast
 import os
@@ -135,4 +136,23 @@ def test_skewpoly_functions_read_the_held_rows():
                   if (isinstance(node, ast.Attribute) and node.attr in ("idx", "coeffs")
                       and isinstance(node.value, ast.Name) and node.value.id in polys)
                   or (isinstance(node, ast.Call) and _called(node.func) & {"unpack", "twist_row_i"})]
+    assert found == []
+
+
+def test_code_layer_loops_stay_on_rows():
+    """The pair loop of linearized.matrix_algebra_check and the step loop of LinearCode.words run on
+    rows: they call no per-element field operation (add_i, mul_i, dot_i or matmul_i, also not
+    through a local name bound to one) and name no row kind."""
+    per_element = {"add_i", "mul_i", "dot_i", "matmul_i"}
+    found = []
+    for module, name in (("linearized.py", "matrix_algebra_check"), ("codes.py", "words")):
+        func = next(node for node in ast.walk(_tree(module)) if isinstance(node, ast.FunctionDef) and node.name == name)
+        loops = [node for node in ast.walk(func) if isinstance(node, ast.For)]
+        assert len(loops) == 1, name
+        aliases = {target.id for node in ast.walk(func) if isinstance(node, ast.Assign)
+                   and _called(node.value) & per_element for target in node.targets if isinstance(target, ast.Name)}
+        read = _called(loops[0]) | {node.id for node in ast.walk(loops[0]) if isinstance(node, ast.Name)}
+        found += [f"{name} uses {n}" for n in sorted(read & (per_element | aliases | ROW_KINDS))]
+        if "addmul" not in read:  # the loop's row operations are calls the walk sees
+            found.append(f"{name} calls no addmul")
     assert found == []
