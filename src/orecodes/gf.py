@@ -36,7 +36,6 @@ import sys
 from .errors import DomainError, GuardError, capped
 
 MAX_FIELD_SIZE = 1 << 16
-SHORT_TWIST = 32  # ByteRows.twist maps a row of at most this many entries byte by byte
 _from_bytes = int.from_bytes
 
 
@@ -423,8 +422,7 @@ class ByteRows:
     one bytes.translate.  A table is built on first use, by translating the
     code -> index table through a rotation of the exp table, and kept."""
 
-    __slots__ = ("field", "_code_bytes", "_idx_bytes", "_scale_tables", "_frob_tables", "_twist_tables",
-                 "_twist_masks")
+    __slots__ = ("field", "_code_bytes", "_idx_bytes", "_scale_tables", "_frob_tables", "_twist_tables")
 
     def __init__(self, field: FiniteField):
         self.field = field
@@ -433,7 +431,6 @@ class ByteRows:
         self._scale_tables = [None] * field.size  # code -> code of k*z, by the index k
         self._frob_tables = [None] * field.k  # code -> code of phi^p(z), by p
         self._twist_tables = [None] * field.k  # the tables of phi^(p*j), j = 0..k-1, by p
-        self._twist_masks = []  # byte j is 0xFF exactly when bit b of j is set, by b
 
     def _table(self, images: list) -> bytes:
         """code -> images[index(code) - 1], the code of the image of z0^e at position e."""
@@ -471,32 +468,16 @@ class ByteRows:
         return _from_bytes(row.to_bytes((row.bit_length() + 7) >> 3, "little").translate(table), "little")
 
     def twist(self, row: int, p: int) -> int:
-        """phi^(p*j) on entry j.  A row of at most SHORT_TWIST entries maps
-        entry j through the table of phi^(p*(j mod k)), in one pass over its
-        bytes.  A longer one takes phi^(p*2^b) on the entries whose index has
-        bit b set, one masked translate per bit b of its last index; once
-        p*2^b = 0 mod k that map and every higher bit's are the identity, so
-        a field with k a power of two needs at most log2(k) translates."""
+        """phi^(p*j) on entry j: one pass over the row's bytes, mapping byte j
+        through the table of phi^(p*(j mod k))."""
         n, k = (row.bit_length() + 7) >> 3, self.field.k
         if n < 2:  # phi^0 on entry 0
             return row
-        if n <= SHORT_TWIST:
-            tables = self._twist_tables[p % k]
-            if tables is None:
-                tables = self._twist_tables[p % k] = [self._frob_table(p * j % k) for j in range(k)]
-            return _from_bytes(bytes(map(operator.getitem, itertools.cycle(tables), row.to_bytes(n, "little"))),
-                               "little")
-        bits, masks = (n - 1).bit_length(), self._twist_masks
-        if len(masks) < bits:  # masks over 2^bits bytes serve every shorter row
-            masks[:] = [_from_bytes(bytes(255 if j >> b & 1 else 0 for j in range(1 << bits)), "little")
-                        for b in range(bits)]
-        for b in range(bits):
-            p_b = (p << b) % k
-            if not p_b:
-                break
-            sel = row & masks[b]
-            row ^= sel ^ _from_bytes(sel.to_bytes(n, "little").translate(self._frob_table(p_b)), "little")
-        return row
+        tables = self._twist_tables[p % k]
+        if tables is None:
+            tables = self._twist_tables[p % k] = [self._frob_table(p * j % k) for j in range(k)]
+        return _from_bytes(bytes(map(operator.getitem, itertools.cycle(tables), row.to_bytes(n, "little"))),
+                           "little")
 
     def addmul(self, acc: int, k: int, row: int, off: int = 0) -> int:
         if k != 1:

@@ -270,8 +270,8 @@ def test_row_edge_cases(q, k):
     for acc, row in [([], []), ([], [1]), ([top], []), ([1], [top]), ([0] * 3, [0] * 2), ([top] * 12, [1] * 11)]:
         for off in (0, 1, 9):
             check_rows(field, acc, row, top, 1, off)
-    # rows either side of ByteRows.twist's short path and of each of its masks' bits, the masks
-    # growing with the row and then serving a shorter one; phi^p of both signs (check_rows)
+    # rows shorter and longer than k and than a power of two, and a shorter row after a long
+    # one (ByteRows.twist cycles its tables from entry 0 on every call); phi^p of both signs
     for n in (1, 2, 3, 8, 9, 32, 33, 64, 65, 129, 40):
         row = [(7 * j + 1) % field.size for j in range(n - 1)] + [top]
         for power in (1, 3, field.k, 2 * field.k + 1):
