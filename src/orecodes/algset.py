@@ -15,7 +15,7 @@ from .errors import DomainError, verify
 from .linalg import Matrix, dot_i, kernel_i
 from .gf import FieldElement, element_str, fixed_field_coordinates, parse_element, split_list
 from .skewpoly import (OreRing, SkewPoly, _from_idx, _x_times_i, conjugate_i, field_index, norms_i,
-                       operator_powers_i, remove_derivation)
+                       operator_powers_i, remove_derivation, right_eval_i)
 
 
 def _sorted_points(points):
@@ -62,7 +62,7 @@ def vanishing_set(g: SkewPoly):
         return field.elements()
     target, h = remove_derivation(ring, g.row)
     roots = sorted(field.sub_i(u, ring._w) for u in _roots_i(target, field.rows.unpack(h, g.degree + 1)))
-    verify(all(not dot_i(field, g.idx, norms_i(ring, z, g.degree)) for z in roots),
+    verify(all(not right_eval_i(ring, g.idx, z) for z in roots),
            "every point of V(g) is a root of g")
     return [FieldElement(field, z) for z in roots]
 
@@ -77,13 +77,13 @@ def minimal_polynomial(ring: OreRing, points) -> SkewPoly:
     pts = [field_index(field, z) for z in _sorted_points(points)]
     m = [1]
     for z in pts:
-        c = dot_i(field, m, norms_i(ring, z, len(m) - 1))
+        c = right_eval_i(ring, m, z)
         if c:
             packed = rows.pack(m)
             out = rows.addmul(_x_times_i(ring, packed), field.neg_i(conjugate_i(ring, z, c)), packed)
             m = rows.unpack(out, len(m) + 1)
     verify(m[-1] == 1 and len(m) <= len(pts) + 1, "m_X is monic of degree <= |X|")
-    verify(all(not dot_i(field, m, norms_i(ring, z, len(m) - 1)) for z in pts), "m_X vanishes on X")
+    verify(all(not right_eval_i(ring, m, z) for z in pts), "m_X vanishes on X")
     return _from_idx(ring, m)
 
 

@@ -51,7 +51,7 @@ class LinearCode:
         plus (new - old) * row_j for the one digit j that changes. The words at
         positions q^j .. 2q^j - 1 are exactly row_j + span(row_0 .. row_{j-1})
         (digit j is the index 1, the field's one, and every higher digit is 0),
-        so together these blocks hold one word on each line of the code."""
+        so together these blocks hold one word on each line of the code (line_words)."""
         F, rows = self.field, self.field.rows
         size = F.size
         elements = F.elements()
@@ -74,6 +74,13 @@ class LinearCode:
             msg[j] = old + 1 if (rest // size) % 2 == 0 else old - 1
             word = rows.addmul(word, 1, multiples[j][F.sub_i(msg[j], old)])
             yield tuple([elements[i] for i in rows.unpack(word, self.n)])
+
+    def line_words(self):
+        """One word on each line of the code: the blocks q^j .. 2q^j - 1 of one words() walk."""
+        q, words, drawn = self.field.size, self.words(), 0  # drawn: the position of the next word
+        for j in range(self.dim):
+            yield from itertools.islice(words, q ** j - drawn, 2 * q ** j - drawn)
+            drawn = 2 * q ** j
 
     def same_code(self, other: "LinearCode") -> bool:
         return self.n == other.n and self.G.row_space_equals(other.G)
@@ -158,10 +165,10 @@ def right_mult_matrix(ring: OreRing, g: SkewPoly, n: int) -> Matrix:
 
 def theta(ring: OreRing, g: SkewPoly, n: int, *, f: SkewPoly | None = None) -> SkewPoly:
     """The anti-isomorphism of A/(x^n - 1), theta(sum g_i x^i) = sum sigma^{-i}(g_i) x^{-i}:
-    psi = twist_row_i(., -l) of g mod f with its degrees read mod n (sigma^n = id, x^n = 1)."""
+    psi = rows.twist(., -l) of g mod f with its degrees read mod n (sigma^n = id, x^n = 1)."""
     f = _check_cyclic_setting(ring, n, f)
-    t = ring.field.twist_row_i(g.right_divmod(f)[1].idx, -ring.sigma.l)
-    t += [0] * (n - len(t))
+    rows = ring.field.rows
+    t = rows.unpack(rows.twist(g.right_divmod(f)[1].row, -ring.sigma.l), n)
     return _from_idx(ring, [t[-i % n] for i in range(n)])
 
 

@@ -70,8 +70,8 @@ def rank_distance(ring: OreRing, z1, z2) -> int:
 def min_distance(code: LinearCode, metric: str, ring: OreRing | None = None) -> int:
     """Minimum weight over nonzero codewords (equal to the minimum pairwise
     distance by linearity). Both weights are unchanged by scaling a word with
-    any nonzero scalar, so one word per line of the code suffices: the blocks
-    q^j .. 2q^j - 1 of words() hold exactly one, (q^k - 1)/(q - 1) in all."""
+    any nonzero scalar, so one word per line of the code suffices: the
+    (q^k - 1)/(q - 1) words of LinearCode.line_words."""
     if code.dim == 0:
         raise DomainError("minimum distance of the zero code is undefined")
     capped(code.field.size ** code.dim, MAX_MESSAGES, "message space q^k =")
@@ -83,18 +83,7 @@ def min_distance(code: LinearCode, metric: str, ring: OreRing | None = None) -> 
         weigh = lambda word: rank_of_word(ring, word)
     else:
         raise DomainError(f"unknown metric {metric!r}")
-    q = code.field.size
-    words = code.words()
-    drawn = 0  # the position of the next word words() yields
-    best = None
-    for j in range(code.dim):
-        # row_j + span(row_0 .. row_{j-1}): digit j is the field's one
-        for word in itertools.islice(words, q ** j - drawn, 2 * q ** j - drawn):
-            d = weigh(word)
-            if best is None or d < best:
-                best = d
-        drawn = 2 * q ** j
-    return best
+    return min(map(weigh, code.line_words()))
 
 
 # -- certification ------------------------------------------------------------------

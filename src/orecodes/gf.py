@@ -309,18 +309,6 @@ class FiniteField:
             return 0
         return ((a - 1) * self._frob_mul[power % self.k]) % self.t + 1
 
-    # -- the anti-isomorphism psi on a list of indices ------------------------
-
-    def twist_row_i(self, row, power: int) -> list:
-        """[frob_i(v, power * j) for j, v in enumerate(row)].  With power = -l it
-        is the anti-isomorphism psi: F[x; phi^l] -> F[x; phi^-l],
-        sum a_j x^j -> sum phi^(-l*j)(a_j) x^j (Ore 1933), and power = l inverts it."""
-        t, step, m, out = self.t, self._frob_mul[power % self.k], 1, []
-        for v in row:  # m = q^(power*j) mod t, the exponent multiplier of phi^(power*j)
-            out.append((v - 1) * m % t + 1 if v else 0)
-            m = m * step % t
-        return out
-
     # -- element factories ---------------------------------------------------
 
     def element(self, idx: int) -> "FieldElement":
@@ -357,12 +345,13 @@ class ZechRows:
     Both row kinds share these operations, and every skew-polynomial kernel
     is written against them: pack(idx) and unpack(row, n), the first n entries
     as a list of indices (the row has no nonzero entry past them); coeff(row,
-    j), the index of entry j >= 0; length(row), the number of entries up to
-    the last nonzero one (a list loses its zero tail); shift(row, e), x^e *
-    row without twisting (e < 0 drops the lowest -e entries); frob(row, p),
-    phi^p on every entry; twist(row, p), phi^(p*j) on entry j (twist_row_i);
+    j), the index of entry j >= 0; length(row), the number of entries; shift(row,
+    e), x^e * row without twisting (e < 0 drops the lowest -e entries);
+    frob(row, p), phi^p on every entry; twist(row, p), phi^(p*j) on entry j,
+    the anti-isomorphism psi: F[x; phi^l] -> F[x; phi^-l] for p = -l (Ore 1933);
     and addmul(acc, k, row, off) = acc + k * x^off * row for the index k,
-    which may reuse acc, so a caller keeps only its result.  Only addmul
+    which may reuse acc, so a caller keeps only its result.  No row has a zero
+    tail, so row == is polynomial == and bool(row) means nonzero.  Only addmul
     writes into a row, so a row held by a SkewPoly is never an accumulator: a
     kernel starting from one accumulates into shift(row, 0), a new list."""
 
@@ -372,7 +361,7 @@ class ZechRows:
         self.field = field
 
     def pack(self, idx) -> list:
-        return list(idx)
+        return _ptrim(list(idx))
 
     def unpack(self, row: list, n: int) -> list:
         return row[:n] + [0] * (n - len(row))
@@ -381,20 +370,21 @@ class ZechRows:
         return row[j] if j < len(row) else 0
 
     def length(self, row: list) -> int:
-        # drops the zero tail that addmul leaves where the top entries cancel
-        while row and not row[-1]:
-            row.pop()
         return len(row)
 
     def shift(self, row: list, e: int) -> list:
-        return [0] * e + row if e >= 0 else row[-e:]
+        return [0] * e + row if e >= 0 and row else row[-e:]  # a new list; [] stays []
 
     def frob(self, row: list, p: int) -> list:
         t, m = self.field.t, self.field._frob_mul[p % self.field.k]
         return [(v - 1) * m % t + 1 if v else 0 for v in row]
 
     def twist(self, row: list, p: int) -> list:
-        return self.field.twist_row_i(row, p)
+        t, step, m, out = self.field.t, self.field._frob_mul[p % self.field.k], 1, []
+        for v in row:  # m = q^(p*j) mod t, the exponent multiplier of phi^(p*j)
+            out.append((v - 1) * m % t + 1 if v else 0)
+            m = m * step % t
+        return out
 
     def addmul(self, acc: list, k: int, row: list, off: int = 0) -> list:
         if not k:
@@ -411,6 +401,8 @@ class ZechRows:
                     z = zech[(a - v) % t]
                     v = 0 if z is None else (v - 1 + z) % t + 1
                 acc[j] = v
+        while acc and not acc[-1]:  # the top entries cancelled; inline, as addmul is the hot row operation
+            acc.pop()
         return acc
 
 

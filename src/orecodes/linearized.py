@@ -16,7 +16,7 @@ from .algset import wronskian
 from .errors import DomainError, capped
 from .gf import FieldElement, FiniteField, power_str, subfield_coordinates, sum_str
 from .linalg import Matrix, identity, rank_i
-from .skewpoly import OreRing, SkewPoly, _mul_i, operator_eval
+from .skewpoly import OreRing, SkewPoly, _mul_i, _sigma_ring, operator_eval
 
 MAX_ALGEBRA_FIELD = 64
 
@@ -35,7 +35,7 @@ class LinearizedPoly:
 
     def __call__(self, z: FieldElement) -> FieldElement:
         """g(z) = sum g_i phi^i(z), the operator evaluation in F[x;phi]."""
-        return operator_eval(OreRing(self.field, 1).poly(self.coeffs), z)
+        return operator_eval(_sigma_ring(self.field, 1).poly(self.coeffs), z)
 
     def __eq__(self, other):
         return (
@@ -120,7 +120,7 @@ def is_zq_basis(field: FiniteField, X) -> bool:
 def moore_matrix(field: FiniteField, X) -> Matrix:
     """Rows z_j^{q^i}, the Wronskian of X in F[x;phi]; invertible exactly
     when X is a Z_q-basis."""
-    return wronskian(OreRing(field, 1), X)
+    return wronskian(_sigma_ring(field, 1), X)
 
 
 def eval_matrix(g: LinearizedPoly, X=None) -> Matrix:
@@ -197,11 +197,10 @@ def matrix_algebra_check(field: FiniteField) -> dict:
     """Verify that gbar -> M_g realizes A/(x^k - 1) as all of M_k(Z_q):
     additive, multiplicative (on all pairs at tiny sizes, sampled otherwise),
     injective and surjective by Z_q-rank, and sending 1 to the identity.
-    Cosets and matrices are rows of field.rows (see _m_rows); two rows are
-    equal when their trimmed lengths and their entries are."""
+    Cosets and matrices are rows of field.rows (see _m_rows), compared by row ==."""
     capped(field.size, MAX_ALGEBRA_FIELD, "matrix algebra check: |F| =")
     k, rows = field.k, field.rows
-    ring = OreRing(field, 1)
+    ring = _sigma_ring(field, 1)
     X = canonical_basis(field)
     mat = _m_rows(field, X, _zq_coordinates(field, X))
 
@@ -226,11 +225,10 @@ def matrix_algebra_check(field: FiniteField) -> dict:
     mats = [mat(pa) for pa in packed]
     entries = [rows.unpack(m, k * k) for m in mats]
     cols = [[rows.pack(e[k * l:k * l + k]) for l in range(k)] for e in entries]
-    same = lambda u, v: rows.length(u) == rows.length(v) and u == v
     for (pa, ma, ca, _), (pb, mb, _, eb) in itertools.product(zip(packed, mats, cols, entries), repeat=2):
-        if not same(mat(_mul_i(ring, pa, pb)), _matrix_product(rows, k, ca, eb)):
+        if mat(_mul_i(ring, pa, pb)) != _matrix_product(rows, k, ca, eb):
             report["multiplicative_ok"] = False
-        if not same(mat(rows.addmul(rows.shift(pa, 0), 1, pb)), _matrix_sum(rows, ma, mb)):
+        if mat(rows.addmul(rows.shift(pa, 0), 1, pb)) != _matrix_sum(rows, ma, mb):
             report["additive_ok"] = False
     report["pairs_checked"] = len(cosets) ** 2
     report["all_ok"] = all(

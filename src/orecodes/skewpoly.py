@@ -9,7 +9,7 @@ delta_w, y = x + w gives A = F[y; sigma] (y*r = sigma(r)*y; Lam-Leroy 1988):
 left division and the Euclid loop of gcrd/lclm run there, on
 conversions of n(n+1)/2 capped steps for degree n; products, right division
 and every certificate stay in A.  Left division is right division through the
-anti-isomorphism psi: F[y; sigma] -> F[y; sigma^-1] (gf.twist_row_i).  All
+anti-isomorphism psi: F[y; sigma] -> F[y; sigma^-1] (rows.twist).  All
 divisions are exact; gcrd/lclm come with Bezout certificates; evaluation,
 conjugacy, two-sided/bound polynomials, similarity and brute-force
 factorization follow the conventions of noncommutative coding theory.
@@ -105,9 +105,7 @@ def field_index(field: FiniteField, c) -> int:
 
 
 def _from_row(ring: OreRing, row) -> "SkewPoly":
-    """The polynomial that holds row, a row of ring.field.rows that nothing changes after this:
-    rows.length drops a Zech list's zero tail in place, so that row == is polynomial ==."""
-    ring.field.rows.length(row)
+    """The polynomial that holds row, a row of ring.field.rows that nothing changes after this."""
     p = SkewPoly.__new__(SkewPoly)
     p.ring, p.row = ring, row
     return p
@@ -230,7 +228,7 @@ class SkewPoly:
 
     def left_divmod(self, d: "SkewPoly"):
         """q, r with self = d*q + r and deg r < deg d.  With y = x + w (see _to_y_i) and
-        psi = twist_row_i(., -l), the anti-isomorphism F[y;sigma] -> F[y;sigma^-1], this is
+        psi = rows.twist(., -l), the anti-isomorphism F[y;sigma] -> F[y;sigma^-1], this is
         psi(self) = psi(q)*psi(d) + psi(r): a right division in F[y;sigma^-1], mapped back by psi^-1."""
         self._check(d)
         if not d:
@@ -335,6 +333,11 @@ def norms_i(ring: OreRing, z: int, r: int) -> list:
     return out
 
 
+def right_eval_i(ring: OreRing, g, z: int) -> int:
+    """Index of g(z) = sum_i g_i N_i(z) for the coefficient indices g and the point index z."""
+    return dot_i(ring.field, g, norms_i(ring, z, len(g) - 1))
+
+
 def operator_powers_i(ring: OreRing, z: int, r: int) -> list:
     """Indices of D^0(z), ..., D^r(z) for the point with index z, where
     D = sigma when delta = 0 and D = delta otherwise."""
@@ -361,8 +364,7 @@ def right_eval(g: SkewPoly, z: FieldElement) -> FieldElement:
     """g(z), the remainder of g by x - z, as the norm sum sum_i g_i N_i(z)
     (Lam-Leroy 1988)."""
     field = g.ring.field
-    norms = norms_i(g.ring, field_index(field, z), g.degree)
-    return FieldElement(field, dot_i(field, g.idx, norms))
+    return FieldElement(field, right_eval_i(g.ring, g.idx, field_index(field, z)))
 
 
 def operator_eval(g: SkewPoly, z: FieldElement) -> FieldElement:
@@ -506,6 +508,11 @@ class TwoSidedWitness(NamedTuple):
     h: SkewPoly | None  # central, monic
 
 
+def _valuation(rows, row) -> int:
+    """The least i with a nonzero entry i in the nonzero row: row = x^i * h with h(0) != 0."""
+    return next(i for i in itertools.count() if rows.coeff(row, i))
+
+
 def two_sided_test(g: SkewPoly) -> TwoSidedWitness:
     """Decide A*g = g*A via the decomposition g = c x^t h with h in Z(A)."""
     ring = g.ring
@@ -514,7 +521,7 @@ def two_sided_test(g: SkewPoly) -> TwoSidedWitness:
     field, rows = ring.field, ring.field.rows
     if not g:
         return TwoSidedWitness(True, field.zero, 0, ring.one)
-    t, c = next(i for i in itertools.count() if rows.coeff(g.row, i)), g.lc()
+    t, c = _valuation(rows, g.row), g.lc()
     h = rows.addmul(rows.pack(()), field.inv_i(c.idx), rows.shift(g.row, -t))
     h = _from_row(ring, rows.frob(h, -ring.sigma.l * t))
     verify(c * (ring.monomial(t) * h) == g, "two-sided decomposition g = c*x^t*h")
@@ -562,7 +569,7 @@ def bound_polynomial(f: SkewPoly) -> SkewPoly:
         raise DomainError("bound polynomial requires a monic nonzero f")
     if not ring.is_auto_type:
         raise DomainError("bound polynomial requires delta = 0; change variable first")
-    s, e = ring.s, next(i for i in itertools.count() if ring.field.rows.coeff(f.row, i))
+    s, e = ring.s, _valuation(ring.field.rows, f.row)
     f1 = _from_row(ring, ring.field.rows.shift(f.row, -e))
     basis, table = fixed_field_coordinates(ring.sigma)
     dim = f1.degree * len(basis)  # dim + 1 rows over F^sigma of this dimension are dependent
@@ -675,6 +682,11 @@ def factor_irreducible(g: SkewPoly):
 
 # -- change of variable: F[x;sigma,delta_w] = F[y;sigma] with y = x + w -----------
 
+def _cap_conversion(n: int):
+    """Refuse a change of variable of n coefficients past MAX_DELTA_ROWS steps, n(n-1)/2."""
+    capped(n * (n - 1) // 2, MAX_DELTA_ROWS, "change of variable y = x + w: step count")
+
+
 def _to_y_i(ring: OreRing, g):
     """psi(g with x = y - w), psi = rows.twist(., -l) the anti-isomorphism F[y;sigma] ->
     F[y;sigma^-1], which turns sum g_i (y - w)^i into sum (y - w)^i g_i: left Horner
@@ -683,7 +695,7 @@ def _to_y_i(ring: OreRing, g):
     n = rows.length(g)
     if not w or not n:
         return rows.twist(g, -l)
-    capped(n * (n - 1) // 2, MAX_DELTA_ROWS, "change of variable y = x + w: step count")
+    _cap_conversion(n)
     addmul, frob, shift, coeff = rows.addmul, rows.frob, rows.shift, rows.coeff
     neg_w, one, b = ring.field.neg_i(w), rows.pack([1]), shift(g, 1 - n)
     for i in range(n - 2, -1, -1):
@@ -697,7 +709,7 @@ def _from_y_i(ring: OreRing, h):
     field, w, n = ring.field, ring._w, ring.field.rows.length(h)
     if not w:
         return h
-    capped(n * (n - 1) // 2, MAX_DELTA_ROWS, "change of variable y = x + w: step count")
+    _cap_conversion(n)
     rows = field.rows
     out = rows.shift(h, 0)
     for i in range(n - 2, -1, -1):

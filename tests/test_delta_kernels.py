@@ -4,12 +4,13 @@ anti-isomorphism psi: F[x;sigma] -> F[x;sigma^-1]), gcrd with its Bezout
 cofactors and lclm, against the direct algorithms kept here as references; the
 row loop of the Euclid algorithm against the SkewPoly loop it replaced; the
 change of variable and psi themselves; the row operations of gf (FiniteField.rows,
-packed or Zech, and twist_row_i) and skewpoly._x_times_i against loops over add_i,
-mul_i and frob_i; and the product and right division over GF(2^8) against the
-Zech loop.  The kernels take and return rows of FiniteField.rows; as_idx reads
-one as a list of indices.  Rings: GF(4), GF(8), GF(9), GF(16), GF(25), GF(27)
-and GF(256), every sigma = phi^l; the row operations and the Euclid loop also
-over GF(2^9), the row operations also over GF(2), GF(3) and GF(5)."""
+packed or Zech) and skewpoly._x_times_i against loops over add_i, mul_i and
+frob_i, and every row they return for a zero tail; and the product and right
+division over GF(2^8) against the Zech loop.  The kernels take and return
+rows of FiniteField.rows; as_idx reads one as a list of indices.  Rings:
+GF(4), GF(8), GF(9), GF(16), GF(25), GF(27) and GF(256), every sigma = phi^l;
+the row operations and the Euclid loop also over GF(2^9), the row operations
+also over GF(2), GF(3) and GF(5)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +37,11 @@ def delta_ring(params, w):
 
 def poly(ring, raw):
     return ring.poly([ring.field.element(c % ring.field.size) for c in raw])
+
+
+def twist_i(field, row, p):
+    """phi^(p*j) on entry j of an index list: psi for p = -l, the reference for rows.twist."""
+    return [field.frob_i(v, p * j) for j, v in enumerate(row)]
 
 
 def as_idx(field, row):
@@ -134,12 +140,13 @@ def test_twist_is_the_anti_isomorphism_onto_the_opposite_ring(params, a, b):
     a, b = poly(ring, a), poly(ring, b)
 
     def psi(p):
-        return op.poly([field.element(c) for c in field.twist_row_i(p.idx, -l)])
+        return _from_row(op, field.rows.twist(p.row, -l))
 
+    assert list(psi(a).idx) == twist_i(field, list(a.idx), -l)
     assert psi(a * b) == psi(b) * psi(a)
     assert psi(a + b) == psi(a) + psi(b)
     assert psi(ring.x) == op.x and psi(ring.one) == op.one
-    assert tuple(field.twist_row_i(psi(a).idx, l)) == a.idx
+    assert field.rows.twist(psi(a).row, l) == a.row
 
 
 @pytest.mark.parametrize("q, k", FIELDS)
@@ -241,7 +248,7 @@ def check_rows(field, acc, row, kk, power, off):
     assert ops.unpack(ops.shift(ops.pack(row), -off), len(row)) == row[off:] + [0] * min(off, len(row))
     assert ops.unpack(ops.frob(ops.pack(row), power), len(row)) == [field.frob_i(v, power) for v in row]
     for p in (power, -power):
-        assert ops.unpack(ops.twist(ops.pack(row), p), len(row)) == field.twist_row_i(row, p)
+        assert ops.unpack(ops.twist(ops.pack(row), p), len(row)) == twist_i(field, row, p)
     for k in (0, 1, kk % size):
         want = acc + [0] * (n - len(acc))
         for j, v in enumerate(row):
@@ -258,9 +265,6 @@ def check_rows(field, acc, row, kk, power, off):
 def test_row_kernels_match_field_operations(q, k, acc, row, k_raw, power, off):
     field = GF(q, k)
     check_rows(field, acc, row, k_raw, power, off)
-    for p in (power, -power):
-        row_i = [c % field.size for c in row]
-        assert field.twist_row_i(row_i, p) == [field.frob_i(v, p * j) for j, v in enumerate(row_i)]
 
 
 @pytest.mark.parametrize("q, k", PACKED + ZECH)
@@ -286,6 +290,39 @@ def test_row_edge_cases(q, k):
     cancelled = ops.addmul(ops.pack(longer), top, ops.pack(row[5:]), 5)
     assert ops.unpack(cancelled, len(row)) == [1] * 5 + [0] * (len(row) - 5)
     assert ops.length(cancelled) == 5 and ops.unpack(cancelled, 5) == [1] * 5
+
+
+def assert_canonical(ops, row, n):
+    """row, of at most n entries, has no zero tail: bool(row) means nonzero, a Zech list ends
+    in a nonzero entry, and length reads the number of entries up to the last nonzero one."""
+    entries = ops.unpack(row, n)
+    assert bool(row) == any(entries)
+    if type(row) is list:
+        assert not row or row[-1]
+    assert ops.length(row) == len(trimmed(entries))
+
+
+@pytest.mark.parametrize("q, k", [(3, 1), (3, 2), (5, 2), (2, 9), (2, 8)])
+def test_every_row_operation_returns_a_canonical_row(q, k):
+    """Over the Zech fields GF(3), GF(9), GF(25) and GF(2^9) (and GF(2^8), whose ints have no
+    zero tail to keep), == and bool of every row mean polynomial equality and nonzero."""
+    field = GF(q, k)
+    ops, top, minus_one = field.rows, field.size - 1, field.neg_i(1)
+    x = ops.pack([0, 1])
+    assert ops.addmul(ops.shift(x, 0), minus_one, x) == ops.pack(())  # x - x
+    assert not ops.addmul(ops.shift(x, 0), minus_one, x)
+    assert ops.pack([1, 0, 0]) == ops.pack([1]) and not ops.pack([0, 0])
+    assert ops.shift(ops.pack([]), 2) == ops.pack(()) and not ops.shift(ops.pack([]), 2)
+    for raw in ([], [0, 0], [1], [1, 0, 0], [0, 0, top], [top] * 5 + [0, 0], list(range(1, field.size))[:12]):
+        row, n = ops.pack(raw), 2 * len(raw) + 4
+        minus = ops.addmul(ops.pack(()), minus_one, row)
+        outs = [row, minus, ops.addmul(ops.shift(row, 0), 1, minus), ops.addmul(ops.shift(row, 0), 1, minus, 1),
+                ops.addmul(ops.pack([1]), 0, row, 3), ops.addmul(ops.pack(()), 1, ops.pack(()), 3),
+                ops.shift(row, 2), ops.shift(row, 0), ops.shift(row, -1), ops.shift(row, -n),
+                ops.frob(row, 1), ops.frob(row, -1), ops.twist(row, 1), ops.twist(row, -1)]
+        for out in outs:
+            assert_canonical(ops, out, n)
+        assert ops.addmul(ops.shift(row, 0), 1, minus) == ops.pack(())  # row - row
 
 
 # -- x times a row, the product and right division against the Zech loop -------------

@@ -2,7 +2,8 @@
 index <-> code maps and the packed rows' translate tables) and picks each
 field's row kind; the modules above it call the operations of
 FiniteField.rows and never choose a row path by the field's size or
-characteristic; skewpoly's kernels take and return rows, building no
+characteristic, nor work around a row (psi is rows.twist alone, and length
+only reads); skewpoly's kernels take and return rows, building no
 SkewPoly and calling none of its methods; and the loops of the code layer's
 certificates (the algebra check's pairs, the codeword walk) stay on rows."""
 
@@ -35,6 +36,31 @@ def test_only_gf_reads_the_field_tables():
         if name.endswith(".py") and name != "gf.py":
             found += [f"{name}:{node.lineno}" for node in ast.walk(_tree(name))
                       if isinstance(node, ast.Attribute) and node.attr in TABLES]
+    assert found == []
+
+
+def test_psi_is_only_the_row_twist():
+    """The anti-isomorphism psi is written once per row kind, as rows.twist: no module defines
+    or calls an index-list twist_row_i."""
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            found += [f"{name}:{node.lineno}" for node in ast.walk(_tree(name))
+                      if (isinstance(node, ast.FunctionDef) and node.name == "twist_row_i")
+                      or (isinstance(node, ast.Attribute) and node.attr == "twist_row_i")
+                      or (isinstance(node, ast.Name) and node.id == "twist_row_i")]
+    assert found == []
+
+
+def test_length_only_reads():
+    """Every row is canonical (no zero tail), so rows.length is a pure read: no module above gf
+    calls it as a bare statement, for a side effect."""
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py") and name != "gf.py":
+            found += [f"{name}:{node.lineno}" for node in ast.walk(_tree(name))
+                      if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+                      and isinstance(node.value.func, ast.Attribute) and node.value.func.attr == "length"]
     assert found == []
 
 
@@ -95,7 +121,7 @@ def test_right_euclid_loop_stays_on_rows():
 
 def test_kernels_take_and_return_rows():
     """No kernel builds a SkewPoly or calls one of its methods, and none returns a row converted
-    to indices (unpack or twist_row_i): a kernel may read a row's digits, and residue_rows_i yields
+    to indices (unpack): a kernel may read a row's digits, and residue_rows_i yields
     index rows for the matrices built from them."""
     functions, methods = _skewpoly_functions()
     forbidden = {"_from_idx", "_from_row", "SkewPoly"} | methods
@@ -105,7 +131,7 @@ def test_kernels_take_and_return_rows():
         found += [f"{name} calls {c}" for c in sorted(_called(kernel) & forbidden)]
         found += [f"{name}:{node.lineno}" for node in ast.walk(kernel)
                   if isinstance(node, ast.Return) and node.value is not None
-                  and _called(node.value) & {"unpack", "twist_row_i"}]
+                  and "unpack" in _called(node.value)]
     assert found == []
 
 
@@ -135,7 +161,7 @@ def test_skewpoly_functions_read_the_held_rows():
         found += [f"{name}:{node.lineno}" for node in ast.walk(func)
                   if (isinstance(node, ast.Attribute) and node.attr in ("idx", "coeffs")
                       and isinstance(node.value, ast.Name) and node.value.id in polys)
-                  or (isinstance(node, ast.Call) and _called(node.func) & {"unpack", "twist_row_i"})]
+                  or (isinstance(node, ast.Call) and "unpack" in _called(node.func))]
     assert found == []
 
 
